@@ -95,6 +95,8 @@ def theorem6_params(mu: float, L: float, Lp: float, delta: float = 1.0,
     eps = 1, A = (mu+L) / (2 + (mu+L) gamma), omega = gamma/sigma, and the
     per-step factor 1 - (mu^2/32) / (delta + 36 max(L', 1)).
     """
+    if not all(math.isfinite(v) for v in (mu, L, Lp, delta)):
+        raise ValueError("mu, L, L' and delta must be finite")
     if not 0 < mu <= L <= Lp:
         raise ValueError("need 0 < mu <= L <= L'")
     if delta < 0:
@@ -108,8 +110,8 @@ def theorem6_params(mu: float, L: float, Lp: float, delta: float = 1.0,
     omega = gamma / sigma
     decay = 1.0 - (mu * mu / 32.0) / denom
     # both hold structurally for any valid input; kept as hard checks
-    assert gamma * A < 1.0, "recipe must satisfy gamma*A < 1"
-    assert sigma < 1.0 / 36.0, "recipe must satisfy sigma < 1/36"
+    if not (gamma * A < 1.0 and sigma < 1.0 / 36.0):
+        raise ValueError("recipe must satisfy gamma*A < 1 and sigma < 1/36")
     params = PddParams(tau=tau, sigma=sigma, A=A, epsilon=eps, omega=omega,
                        C=C or Preconditioner.identity())
     return Theorem6Recipe(params=params, mu=mu, L=L, Lp=Lp, delta=delta,
@@ -237,13 +239,15 @@ def build_N_H(obj: Objective, x, params: PddParams) -> Tuple[np.ndarray, np.ndar
 
 @dataclass
 class DiscreteRateReport:
-    """Measured per-step Lyapunov ratios against the certified bounds."""
+    """Measured per-step Lyapunov ratios, and the values I(x^n, p^n) they
+    come from, against the certified bounds."""
     lambda_min_H: float
     M_bound: float
     tau_recipe: float
     decay_factor: float
     per_step_ratios: List[float]
     within_bound: bool
+    lyapunov_values: List[float]
 
 
 def discrete_decay_check(states: Sequence, obj: Objective,
@@ -276,6 +280,7 @@ def discrete_decay_check(states: Sequence, obj: Objective,
         decay_factor=bound if recipe else math.nan,
         per_step_ratios=ratios,
         within_bound=within,
+        lyapunov_values=values,
     )
 
 

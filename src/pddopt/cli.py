@@ -94,11 +94,9 @@ def cmd_analyze(args) -> int:
     recipe = analysis.theorem6_params(est.mu_hat, est.L_hat,
                                       max(est.Lp_hat, est.L_hat), delta=delta, C=C)
 
-    state = PddState(x=x0.copy(), p=np.zeros(obj.dim))
-    states = [state]
+    states = [PddState(x=x0.copy(), p=np.zeros(obj.dim))]
     for _ in range(n_steps):
-        state = pdd_step(state, recipe.params, obj)
-        states.append(state)
+        states.append(pdd_step(states[-1], recipe.params, obj))
     report = analysis.discrete_decay_check(states, obj, recipe)
     d0 = analysis.sample_D0_lower_bound(obj, pts[:5], seed=seed)
 
@@ -117,11 +115,9 @@ def cmd_analyze(args) -> int:
     with open(ratios, "w", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["step", "lyapunov", "ratio"])
-        val = analysis.lyapunov_I(obj, states[0].x, states[0].p)
-        w.writerow([0, format(val, ".17g"), ""])
-        for n, r in enumerate(report.per_step_ratios, start=1):
-            val = analysis.lyapunov_I(obj, states[n].x, states[n].p)
-            w.writerow([n, format(val, ".17g"), format(r, ".17g")])
+        cells = [""] + [format(r, ".17g") for r in report.per_step_ratios]
+        for n, (val, r) in enumerate(zip(report.lyapunov_values, cells)):
+            w.writerow([n, format(val, ".17g"), r])
     print(f"  constants: mu={est.mu_hat:.6g} L={est.L_hat:.6g} "
           f"L'={est.Lp_hat:.6g}")
     print(f"  recipe: tau=sigma={recipe.params.tau:.6g} "

@@ -17,11 +17,6 @@ __all__ = [
     "Objective",
     "MissingHessianError",
     "as_vector",
-    "quadratic_eval",
-    "reg_log_sum_exp_eval",
-    "quad_minus_cos_eval",
-    "rosenbrock_eval",
-    "ackley_eval",
     "make_diag_dominant_Q",
     "quadratic",
     "reg_log_sum_exp",
@@ -105,21 +100,29 @@ class Objective:
     def has_hessian(self) -> bool:
         return self._hessian is not None
 
+    def _point(self, x) -> np.ndarray:
+        # shape only: run_optimizer passes non-finite iterates to detect divergence
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"{self.name}: x has shape {x.shape}, "
+                             f"expected ({self.dim},)")
+        return x
+
     def value(self, x) -> float:
-        return float(self._value(np.asarray(x, dtype=float)))
+        return float(self._value(self._point(x)))
 
     def gradient(self, x) -> np.ndarray:
-        return np.asarray(self._gradient(np.asarray(x, dtype=float)), dtype=float)
+        return np.asarray(self._gradient(self._point(x)), dtype=float)
 
     def hessian(self, x) -> np.ndarray:
         if self._hessian is None:
             raise MissingHessianError(f"{self.name} has no analytic Hessian")
-        return np.asarray(self._hessian(np.asarray(x, dtype=float)), dtype=float)
+        return np.asarray(self._hessian(self._point(x)), dtype=float)
 
     def hessian_at(self, x, h: Optional[float] = None) -> np.ndarray:
         """Hessian at ``x``: analytic when available, otherwise a central
         finite difference of the gradient (symmetrized)."""
-        x = np.asarray(x, dtype=float)
+        x = self._point(x)
         if self._hessian is not None:
             return self.hessian(x)
         if h is None:
@@ -138,15 +141,6 @@ class Objective:
 # ---------------------------------------------------------------------------
 # evaluation kernels
 # ---------------------------------------------------------------------------
-
-def quadratic_eval(Q, x):
-    """f = x'Qx/2 with gradient Qx and Hessian Q; Q symmetric positive
-    definite."""
-    Q = _check_symmetric(Q, 1e-12, "Q")
-    x = as_vector(x, Q.shape[0])
-    g = Q @ x
-    return 0.5 * float(x @ g), g, Q
-
 
 def _lse_softmax(z: np.ndarray):
     # max-shifted: finite for |z_i| up to ~1e4 and beyond
@@ -174,30 +168,6 @@ def _lse_hess(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def reg_log_sum_exp_eval(Q, x):
-    """Regularized log-sum-exp: f = log sum_i exp(q_i'x) + x'Qx/2.
-
-    q_i' is the i-th row of Q. Evaluation subtracts max_i q_i'x before
-    exponentiating, so the value stays finite for |q_i'x| up to ~1e4.
-    Returns (f, gradient, Hessian).
-    """
-    Q = _check_symmetric(Q, 1e-12, "Q")
-    x = as_vector(x, Q.shape[0])
-    return _lse_value(Q, x), _lse_grad(Q, x), _lse_hess(Q, x)
-
-
-def quad_minus_cos_eval(c, x):
-    """f = |x|^2 - cos(c'x); gradient 2x + sin(c'x) c; Hessian
-    2I + cos(c'x) cc'."""
-    c = as_vector(c, name="c")
-    x = as_vector(x, c.shape[0])
-    t = float(c @ x)
-    f = float(x @ x) - np.cos(t)
-    g = 2.0 * x + np.sin(t) * c
-    H = 2.0 * np.eye(c.shape[0]) + np.cos(t) * np.outer(c, c)
-    return float(f), g, H
-
-
 def _rosenbrock_value(a: float, b: float, x: np.ndarray) -> float:
     d = x[1:] - x[:-1] ** 2
     return float(np.sum((a - x[:-1]) ** 2) + b * np.sum(d * d))
@@ -209,18 +179,6 @@ def _rosenbrock_grad(a: float, b: float, x: np.ndarray) -> np.ndarray:
     g[:-1] = -2.0 * (a - x[:-1]) - 4.0 * b * x[:-1] * d
     g[1:] += 2.0 * b * d
     return g
-
-
-def rosenbrock_eval(a, b, n, x):
-    """Coupled n-dimensional Rosenbrock function and its gradient.
-
-    f = sum_{i<n} (a - x_i)^2 + b (x_{i+1} - x_i^2)^2. Interior
-    coordinates collect contributions from two consecutive summands.
-    """
-    if n < 2:
-        raise ValueError("rosenbrock needs n >= 2")
-    x = as_vector(x, n)
-    return _rosenbrock_value(a, b, x), _rosenbrock_grad(a, b, x)
 
 
 _ACKLEY_E = float(np.e)
@@ -246,13 +204,6 @@ def _ackley_grad(x: np.ndarray) -> np.ndarray:
     return g
 
 
-def ackley_eval(x):
-    """Two-dimensional Ackley function and its gradient (zero at the
-    origin by convention)."""
-    x = as_vector(x, 2)
-    return _ackley_value(x), _ackley_grad(x)
-
-
 def make_diag_dominant_Q(n: int, seed: int) -> np.ndarray:
     """Random symmetric strictly diagonally dominant matrix.
 
@@ -275,6 +226,7 @@ def make_diag_dominant_Q(n: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def quadratic(Q, name: str = "quadratic") -> Objective:
+    """f = x'Qx/2 with gradient Qx and Hessian Q; Q symmetric pos. definite."""
     Q = _check_symmetric(Q, 1e-12, "Q")
     try:
         np.linalg.cholesky(Q)
@@ -292,6 +244,8 @@ def quadratic(Q, name: str = "quadratic") -> Objective:
 
 
 def reg_log_sum_exp(Q, name: str = "logsumexp") -> Objective:
+    """f = log sum_i exp(q_i'x) + x'Qx/2 with q_i' the i-th row of Q, finite
+    for |q_i'x| up to ~1e4 because the exponents are max-shifted."""
     Q = _check_symmetric(Q, 1e-12, "Q")
     dom = np.diag(Q) - (np.sum(np.abs(Q), axis=1) - np.abs(np.diag(Q)))
     if np.any(np.diag(Q) <= 0) or np.any(dom <= 0):
@@ -306,6 +260,7 @@ def reg_log_sum_exp(Q, name: str = "logsumexp") -> Objective:
 
 
 def quad_minus_cos(c, name: str = "quadcos") -> Objective:
+    """f = |x|^2 - cos(c'x); gradient 2x + sin(c'x) c; Hessian 2I + cos(c'x) cc'."""
     c = as_vector(c, name="c")
     if float(c @ c) >= 2.0:
         warnings.warn("|c|^2 >= 2 makes the Hessian lose positive "
@@ -323,8 +278,8 @@ def quad_minus_cos(c, name: str = "quadcos") -> Objective:
 
 def rosenbrock(a: float = 1.0, b: float = 100.0, n: int = 2,
                name: Optional[str] = None) -> Objective:
-    """Coupled Rosenbrock objective. Exposes the gradient only; the Hessian
-    is obtained by finite differences where analysis needs it."""
+    """f = sum_{i<n} (a - x_i)^2 + b (x_{i+1} - x_i^2)^2. Exposes the gradient
+    only; the Hessian is obtained by finite differences where analysis needs it."""
     if n < 2:
         raise ValueError("rosenbrock needs n >= 2")
     if n == 2:
@@ -343,6 +298,7 @@ def rosenbrock(a: float = 1.0, b: float = 100.0, n: int = 2,
 
 
 def ackley(name: str = "ackley") -> Objective:
+    """Two-dimensional Ackley function, gradient 0 at the origin by convention."""
     return Objective(
         2,
         value=_ackley_value,

@@ -41,7 +41,8 @@ __all__ = [
     "compute_beta2",
     "compute_nag_beta",
     "run_optimizer",
-    "METHOD_SCHEMAS",
+    "Rule",
+    "RULES",
     "validate_method",
 ]
 
@@ -133,12 +134,7 @@ class PddParams:
     C: Preconditioner = field(default_factory=Preconditioner.identity)
 
     def __post_init__(self):
-        if self.tau <= 0 or self.sigma <= 0:
-            raise ValueError("tau and sigma must be strictly positive")
-        if self.A <= 0:
-            raise ValueError("A must be strictly positive")
-        if self.epsilon < 0 or self.omega < 0:
-            raise ValueError("epsilon and omega must be nonnegative")
+        _check_pdd_scalars(self.tau, self.sigma, self.A, self.epsilon, self.omega)
 
     @property
     def gamma(self) -> float:
@@ -191,15 +187,26 @@ class Trajectory:
 # single steps
 # ---------------------------------------------------------------------------
 
+def _check_pdd_scalars(tau, sigma, A, epsilon, omega) -> None:
+    if not (tau > 0 and sigma > 0 and A > 0 and epsilon >= 0 and omega >= 0):
+        raise ValueError("need tau, sigma, A > 0 and epsilon, omega >= 0")
+
+
+def _pdd_update(x, p, g, tau, sigma, A, epsilon, omega,
+                C: Optional[Preconditioner]) -> Tuple[np.ndarray, np.ndarray]:
+    """Damping update given g = grad f(x), C = None for C = I; returns (x+, p+)."""
+    p_new = (p + (sigma * A) * g) / (1.0 + sigma * epsilon * A)
+    p_tilde = p_new + omega * (p_new - p)
+    return x - tau * (p_tilde if C is None else C.apply(x, p_tilde)), p_new
+
+
 def pdd_step(state: PddState, params: PddParams, obj: Objective,
              grad: Optional[np.ndarray] = None) -> PddState:
     """One primal-dual damping update; evaluates the gradient once unless a
     precomputed ``grad`` at ``state.x`` is supplied."""
     g = obj.gradient(state.x) if grad is None else grad
-    denom = 1.0 + params.sigma * params.epsilon * params.A
-    p_new = (state.p + (params.sigma * params.A) * g) / denom
-    p_tilde = p_new + params.omega * (p_new - state.p)
-    x_new = state.x - params.tau * params.C.apply(state.x, p_tilde)
+    x_new, p_new = _pdd_update(state.x, state.p, g, params.tau, params.sigma,
+                               params.A, params.epsilon, params.omega, params.C)
     return PddState(x=x_new, p=p_new, iter=state.iter + 1)
 
 
@@ -317,47 +324,89 @@ def compute_beta2(m1: float, tau: float) -> float:
 # driver
 # ---------------------------------------------------------------------------
 
-# method name -> required parameter names (all floats unless noted)
-METHOD_SCHEMAS = {
-    "gd": ("tau",),
-    "nag": ("tau", "beta"),
-    "heavy_ball": ("tau", "beta"),
-    "igahd": ("tau", "alpha", "beta1"),
-    "igahd_sc": ("tau", "m1", "beta2"),
-    "pdd": ("tau", "sigma", "A", "epsilon", "omega"),
-}
+@dataclass(frozen=True)
+class Rule:
+    """An update rule as an init/update pair, after optax's
+    GradientTransformation (https://github.com/google-deepmind/optax):
+    ``init(x0) -> state`` and ``step(x, g, state, hp, obj) -> (x+, state)``
+    with g = grad f(x); only igahd calls ``obj.gradient`` again. ``params``
+    and ``optional`` are the required and allowed extra keys of ``hp``."""
+    params: Tuple[str, ...]
+    init: Callable[[np.ndarray], dict]
+    step: Callable[..., Tuple[np.ndarray, dict]]
+    optional: Tuple[str, ...] = ()
 
-# optional keys allowed on top of the schema
-_METHOD_OPTIONAL = {"pdd": ("C",)}
+
+def _pdd_rule_step(x, g, s, hp, obj):
+    scalars = hp["tau"], hp["sigma"], hp["A"], hp["epsilon"], hp["omega"]
+    _check_pdd_scalars(*scalars)
+    x_new, p = _pdd_update(x, s["p"], g, *scalars, hp.get("C"))
+    return x_new, {"p": p}
+
+
+def _nag_rule_step(x, g, s, hp, obj):
+    x_new, y = nag_step(x, s["y_prev"], s["y_prev2"], hp["tau"], hp["beta"], obj,
+                        grad=g)
+    return x_new, {"y_prev": y, "y_prev2": s["y_prev"]}
+
+
+def _igahd_rule_step(x, g, s, hp, obj):
+    g_prev = g if s["g_prev"] is None else s["g_prev"]
+    x_new, g = igahd_step(x, s["x_prev"], g_prev, s["n"], hp["tau"], hp["alpha"],
+                          hp["beta1"], obj, grad=g)
+    return x_new, {"x_prev": x, "g_prev": g, "n": s["n"] + 1}
+
+
+def _igahd_sc_rule_step(x, g, s, hp, obj):
+    g_prev = g if s["g_prev"] is None else s["g_prev"]
+    x_new, g = igahd_sc_step(x, s["x_prev"], g_prev, hp["m1"], hp["tau"],
+                             hp["beta2"], obj, grad=g)
+    return x_new, {"x_prev": x, "g_prev": g}
+
+
+# method name -> its update rule; igahd's counter n starts at 1 to keep
+# alpha/n finite, and the g_prev of both igahd variants starts as the first g
+RULES = {
+    "gd": Rule(("tau",), lambda x0: {},
+               lambda x, g, s, hp, obj: (gd_step(x, hp["tau"], obj, grad=g), s)),
+    "nag": Rule(("tau", "beta"),
+                lambda x0: {"y_prev": x0.copy(), "y_prev2": x0.copy()},
+                _nag_rule_step),
+    "heavy_ball": Rule(
+        ("tau", "beta"), lambda x0: {"x_prev": x0.copy()},
+        lambda x, g, s, hp, obj: (
+            heavy_ball_step(x, s["x_prev"], hp["tau"], hp["beta"], obj, grad=g),
+            {"x_prev": x})),
+    "igahd": Rule(("tau", "alpha", "beta1"),
+                  lambda x0: {"x_prev": x0.copy(), "g_prev": None, "n": 1},
+                  _igahd_rule_step),
+    "igahd_sc": Rule(("tau", "m1", "beta2"),
+                     lambda x0: {"x_prev": x0.copy(), "g_prev": None},
+                     _igahd_sc_rule_step),
+    "pdd": Rule(("tau", "sigma", "A", "epsilon", "omega"),
+                lambda x0: {"p": np.zeros_like(x0)}, _pdd_rule_step,
+                optional=("C",)),
+}
 
 
 def validate_method(method: str, params: dict) -> None:
-    """Check a method name and its parameter map against the schema."""
-    if method not in METHOD_SCHEMAS:
+    """Check a method name and its parameter map against its rule."""
+    if method not in RULES:
         raise ValueError(f"unknown optimizer method {method!r}")
-    required = METHOD_SCHEMAS[method]
-    missing = [k for k in required if k not in params]
+    rule = RULES[method]
+    missing = [k for k in rule.params if k not in params]
     if missing:
         raise ValueError(f"{method}: missing parameters {missing}")
-    allowed = set(required) | set(_METHOD_OPTIONAL.get(method, ()))
+    allowed = set(rule.params) | set(rule.optional)
     extra = [k for k in params if k not in allowed]
     if extra:
         raise ValueError(f"{method}: unknown parameters {extra}")
-    for k in required:
+    for k in rule.params:
         if not isinstance(params[k], (int, float)) or isinstance(params[k], bool):
             raise ValueError(f"{method}: parameter {k!r} must be a number")
     C = params.get("C")
     if C is not None and not isinstance(C, Preconditioner):
         raise ValueError("pdd: C must be a Preconditioner")
-
-
-def _pdd_params_from(params: dict) -> PddParams:
-    return PddParams(
-        tau=float(params["tau"]), sigma=float(params["sigma"]),
-        A=float(params["A"]), epsilon=float(params["epsilon"]),
-        omega=float(params["omega"]),
-        C=params.get("C") or Preconditioner.identity(),
-    )
 
 
 def run_optimizer(obj: Objective, method: str, params: dict, x0,
@@ -380,23 +429,13 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     validate_method(method, params)
+    rule = RULES[method]
 
     x = as_vector(x0, obj.dim, "x0")
     traj = Trajectory(method=label or method)
-
-    p = np.zeros(obj.dim)
-    if method == "pdd":
-        if p0 is not None:
-            p = as_vector(p0, obj.dim, "p0")
-        pdd_params = _pdd_params_from(params)
-        state = PddState(x=x, p=p, iter=0)
-    elif method == "nag":
-        y_prev = x.copy()
-        y_prev2 = x.copy()
-    elif method in ("igahd", "igahd_sc", "heavy_ball"):
-        x_prev = x.copy()
-        g_prev: Optional[np.ndarray] = None  # filled from the first gradient
-    n_counter = 1  # igahd iteration index, starts at 1 to keep alpha/n finite
+    state = rule.init(x)
+    if p0 is not None and "p" in state:
+        state["p"] = as_vector(p0, obj.dim, "p0")
 
     xstar = obj.minimizer
     with np.errstate(all="ignore"):  # divergent runs must not spam warnings
@@ -405,7 +444,8 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
     def record(it: int, xc: np.ndarray, gc: np.ndarray) -> float:
         fval = obj.value(xc)
         gn = float(np.linalg.norm(gc))
-        lyap = 0.5 * (float(p @ p) + gn * gn) if method == "pdd" else 0.5 * gn * gn
+        p = state.get("p")
+        lyap = 0.5 * gn * gn if p is None else 0.5 * (float(p @ p) + gn * gn)
         dist = float(np.linalg.norm(xc - xstar)) if xstar is not None else None
         traj.records.append(TrajectoryRecord(it, fval, gn, lyap, dist))
         return fval
@@ -430,36 +470,10 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
             break
 
         with np.errstate(all="ignore"):
-            if method == "pdd":
-                state = pdd_step(state, pdd_params, obj, grad=g)
-                x, p = state.x, state.p
-            elif method == "gd":
-                x = gd_step(x, params["tau"], obj, grad=g)
-            elif method == "nag":
-                x, y_new = nag_step(x, y_prev, y_prev2, params["tau"],
-                                    params["beta"], obj, grad=g)
-                y_prev2, y_prev = y_prev, y_new
-            elif method == "heavy_ball":
-                x_new = heavy_ball_step(x, x_prev, params["tau"], params["beta"],
-                                        obj, grad=g)
-                x_prev, x = x, x_new
-            elif method == "igahd":
-                gp = g if g_prev is None else g_prev
-                x_new, gp_out = igahd_step(x, x_prev, gp, n_counter, params["tau"],
-                                           params["alpha"], params["beta1"], obj,
-                                           grad=g)
-                x_prev, x, g_prev = x, x_new, gp_out
-                n_counter += 1
-            else:  # igahd_sc
-                gp = g if g_prev is None else g_prev
-                x_new, gp_out = igahd_sc_step(x, x_prev, gp, params["m1"],
-                                              params["tau"], params["beta2"], obj,
-                                              grad=g)
-                x_prev, x, g_prev = x, x_new, gp_out
-
+            x, state = rule.step(x, g, state, params, obj)
             it += 1
             g = obj.gradient(x)
 
     traj.final_x = x.copy()
-    traj.final_p = p.copy() if method == "pdd" else None
+    traj.final_p = state["p"].copy() if "p" in state else None
     return traj

@@ -3,8 +3,9 @@
 Manual forward/backward passes on a ReLU network with softmax
 cross-entropy, synthetic Gaussian-blob data, and five mini-batch update
 rules: sgd, nag_momentum, pdd (flattened parameters as the primal, a
-persistent dual carried across batches, C = I), igahd, and adam. Runs are
-deterministic per seed.
+persistent dual carried across batches, C = I), igahd, and adam. All but
+adam run the deterministic rules of `optimizers.RULES` on the batch loss.
+Runs are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .optimizers import RULES, Rule
 
 __all__ = [
     "Dataset",
@@ -173,18 +177,35 @@ def accuracy(params: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
 # stochastic updates on the flattened parameter vector
 # ---------------------------------------------------------------------------
 
+def _adam_step(x, g, s, hp, obj):
+    t = s["t"] + 1
+    m = hp["beta1"] * s["m"] + (1.0 - hp["beta1"]) * g
+    v = hp["beta2"] * s["v"] + (1.0 - hp["beta2"]) * g * g
+    m_hat = m / (1.0 - hp["beta1"] ** t)
+    v_hat = v / (1.0 - hp["beta2"] ** t)
+    return x - hp["tau"] * m_hat / (np.sqrt(v_hat) + hp["eps"]), {"m": m, "v": v, "t": t}
+
+
+# stochastic method -> update rule; all but adam are the deterministic rules
+_RULES = {
+    "sgd": RULES["gd"],
+    "nag_momentum": RULES["nag"],
+    "pdd": RULES["pdd"],
+    "igahd": RULES["igahd"],
+    "adam": Rule(("tau", "beta1", "beta2", "eps"), lambda x0: {
+        "m": np.zeros_like(x0), "v": np.zeros_like(x0), "t": 0}, _adam_step),
+}
+
+
+def _rule(method: str) -> Rule:
+    if method not in _RULES:
+        raise ValueError(f"unknown stochastic method {method!r}")
+    return _RULES[method]
+
+
 def init_state(method: str, dim: int, x0: np.ndarray) -> dict:
-    if method == "sgd":
-        return {}
-    if method == "nag_momentum":
-        return {"y_prev": x0.copy(), "y_prev2": x0.copy()}
-    if method == "pdd":
-        return {"p": np.zeros(dim)}
-    if method == "igahd":
-        return {"x_prev": x0.copy(), "g_prev": None, "n": 1}
-    if method == "adam":
-        return {"m": np.zeros(dim), "v": np.zeros(dim), "t": 0}
-    raise ValueError(f"unknown stochastic method {method!r}")
+    """Initial state of ``method`` for the flat start ``x0`` (of size ``dim``)."""
+    return _rule(method).init(x0)
 
 
 def stochastic_step(method: str, state: dict, params: MlpParams,
@@ -192,51 +213,17 @@ def stochastic_step(method: str, state: dict, params: MlpParams,
                     hp: Optional[Dict[str, float]] = None
                     ) -> Tuple[dict, MlpParams, float]:
     """One mini-batch update. Returns (state, params, batch loss)."""
+    rule = _rule(method)
     hp = hp or DEFAULT_HYPERPARAMS[method]
-    Xb, yb = batch
-    x = params.flatten()
 
     def grad_at(vec):
-        loss, g = mlp_loss_grad(params.with_flat(vec), Xb, yb)
+        loss, g = mlp_loss_grad(params.with_flat(vec), *batch)
         return loss, g.flatten()
 
+    x = params.flatten()
     loss, g = grad_at(x)
-    tau = hp["tau"]
-
-    if method == "sgd":
-        x_new = x - tau * g
-    elif method == "nag_momentum":
-        y_new = x - tau * g
-        x_new = y_new + hp["beta"] * (state["y_prev"] - state["y_prev2"])
-        state = {"y_prev": y_new, "y_prev2": state["y_prev"]}
-    elif method == "pdd":
-        sigma, eps, omega, A = hp["sigma"], hp["epsilon"], hp["omega"], hp["A"]
-        p = state["p"]
-        p_new = (p + sigma * A * g) / (1.0 + sigma * eps * A)
-        p_tilde = p_new + omega * (p_new - p)
-        x_new = x - tau * p_tilde
-        state = {"p": p_new}
-    elif method == "igahd":
-        n = state["n"]
-        g_prev = state["g_prev"] if state["g_prev"] is not None else g
-        st = math.sqrt(tau)
-        y = (x + (1.0 - hp["alpha"] / n) * (x - state["x_prev"])
-             - hp["beta1"] * st * (g - g_prev)
-             - (hp["beta1"] * st / n) * g_prev)
-        _, gy = grad_at(y)
-        x_new = y - tau * gy
-        state = {"x_prev": x, "g_prev": g, "n": n + 1}
-    elif method == "adam":
-        t = state["t"] + 1
-        m = hp["beta1"] * state["m"] + (1.0 - hp["beta1"]) * g
-        v = hp["beta2"] * state["v"] + (1.0 - hp["beta2"]) * g * g
-        m_hat = m / (1.0 - hp["beta1"] ** t)
-        v_hat = v / (1.0 - hp["beta2"] ** t)
-        x_new = x - tau * m_hat / (np.sqrt(v_hat) + hp["eps"])
-        state = {"m": m, "v": v, "t": t}
-    else:
-        raise ValueError(f"unknown stochastic method {method!r}")
-
+    batch_loss = SimpleNamespace(gradient=lambda vec: grad_at(vec)[1])  # for igahd
+    x_new, state = rule.step(x, g, state, hp, batch_loss)
     return state, params.with_flat(x_new), loss
 
 

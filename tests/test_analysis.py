@@ -87,6 +87,16 @@ def test_theorem6_recipe_structural_invariants():
         assert 0.0 < r.decay_factor < 1.0
 
 
+def test_theorem6_rejects_non_finite_constants():
+    inf = float("inf")
+    for mu, L, Lp in [(inf, inf, inf), (1.0, 2.0, inf), (1.0, inf, inf),
+                      (float("nan"), 1.0, 1.0)]:
+        with pytest.raises(ValueError):
+            theorem6_params(mu, L, Lp)
+    with pytest.raises(ValueError):
+        theorem6_params(1.0, 2.0, 3.0, delta=inf)
+
+
 # ---------------------------------------------------------------------------
 # spectral rates on quadratics
 # ---------------------------------------------------------------------------

@@ -9,31 +9,40 @@ def seeded_points(dim, n=20, scale=1.0, seed=1234):
     return rng.normal(0.0, scale, size=(n, dim))
 
 
+def fgh(obj, x):
+    """(value, gradient, Hessian) of a factory-built objective at x."""
+    return obj.value(x), obj.gradient(x), obj.hessian(x)
+
+
+def fg(obj, x):
+    return obj.value(x), obj.gradient(x)
+
+
 # ---------------------------------------------------------------------------
 # quadratic
 # ---------------------------------------------------------------------------
 
 def test_quadratic_eval_examples():
-    f, g, H = ob.quadratic_eval(np.eye(2), np.zeros(2))
+    f, g, H = fgh(ob.quadratic(np.eye(2)), np.zeros(2))
     assert f == 0.0 and np.all(g == 0.0)
 
-    f, g, H = ob.quadratic_eval(np.diag([1.0, 4.0]), np.array([1.0, 1.0]))
+    f, g, H = fgh(ob.quadratic(np.diag([1.0, 4.0])), np.array([1.0, 1.0]))
     assert f == pytest.approx(2.5)
     np.testing.assert_allclose(g, [1.0, 4.0])
     np.testing.assert_allclose(H, np.diag([1.0, 4.0]))
 
-    f, g, _ = ob.quadratic_eval(np.eye(2), np.array([3.0, 4.0]))
+    f, g, _ = fgh(ob.quadratic(np.eye(2)), np.array([3.0, 4.0]))
     assert f == pytest.approx(12.5)
     np.testing.assert_allclose(g, [3.0, 4.0])
 
 
 def test_quadratic_rejects_bad_Q():
     with pytest.raises(ValueError):
-        ob.quadratic_eval(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
+        fgh(ob.quadratic(np.array([[1.0, 2.0], [0.0, 1.0]])), np.zeros(2))
     with pytest.raises(ValueError):
         ob.quadratic(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError):
-        ob.quadratic_eval(np.eye(3), np.zeros(2))
+        fgh(ob.quadratic(np.eye(3)), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -43,13 +52,13 @@ def test_quadratic_rejects_bad_Q():
 def test_lse_at_zero():
     n = 7
     Q = ob.make_diag_dominant_Q(n, seed=3)
-    f, g, _ = ob.reg_log_sum_exp_eval(Q, np.zeros(n))
+    f, g, _ = fgh(ob.reg_log_sum_exp(Q), np.zeros(n))
     assert f == pytest.approx(np.log(n))
     np.testing.assert_allclose(g, Q @ np.full(n, 1.0 / n), atol=1e-14)
 
 
 def test_lse_scalar_example():
-    f, g, H = ob.reg_log_sum_exp_eval(np.array([[2.0]]), np.array([1.0]))
+    f, g, H = fgh(ob.reg_log_sum_exp(np.array([[2.0]])), np.array([1.0]))
     assert f == pytest.approx(3.0)
     assert g[0] == pytest.approx(4.0)
 
@@ -59,28 +68,28 @@ def test_lse_no_overflow_at_huge_arguments():
     Q = ob.make_diag_dominant_Q(n, seed=0)
     # pick x with Q x = 1000 * ones, so every exponent is 1000
     x = np.linalg.solve(Q, np.full(n, 1000.0))
-    f, g, H = ob.reg_log_sum_exp_eval(Q, x)
+    f, g, H = fgh(ob.reg_log_sum_exp(Q), x)
     assert np.isfinite(f)
     assert np.all(np.isfinite(g)) and np.all(np.isfinite(H))
     assert f == pytest.approx(1000.0 + np.log(n) + 0.5 * x @ Q @ x)
 
 
 def test_eval_dimension_mismatches_raise():
-    with pytest.raises(ValueError):
-        ob.reg_log_sum_exp_eval(ob.make_diag_dominant_Q(3, 0), np.zeros(4))
-    with pytest.raises(ValueError):
-        ob.quad_minus_cos_eval(np.array([1.0, 0.5]), np.zeros(3))
-    with pytest.raises(ValueError):
-        ob.ackley_eval(np.zeros(3))
-    with pytest.raises(ValueError):
-        ob.rosenbrock_eval(1.0, 100.0, 4, np.zeros(3))
+    cases = [(ob.reg_log_sum_exp(ob.make_diag_dominant_Q(3, 0)), np.zeros(4)),
+             (ob.quad_minus_cos(np.array([1.0, 0.5])), np.zeros(3)),
+             (ob.ackley(), np.zeros(3)),
+             (ob.rosenbrock(1.0, 100.0, 4), np.zeros(3))]
+    for obj, x in cases:
+        for evaluate in (obj.value, obj.gradient, obj.hessian_at):
+            with pytest.raises(ValueError):
+                evaluate(x)
 
 
 def test_lse_hessian_spd_at_seeded_points():
     n = 10
     Q = ob.make_diag_dominant_Q(n, seed=11)
     for x in seeded_points(n, scale=0.7, seed=5):
-        H = ob.reg_log_sum_exp_eval(Q, x)[2]
+        H = fgh(ob.reg_log_sum_exp(Q), x)[2]
         w = np.linalg.eigvalsh(H)
         assert w[0] > 0
 
@@ -97,18 +106,18 @@ def make_c(dim, seed=2, norm2=1.9):
 
 def test_quad_minus_cos_examples():
     c = make_c(8)
-    f, g, _ = ob.quad_minus_cos_eval(c, np.zeros(8))
+    f, g, _ = fgh(ob.quad_minus_cos(c), np.zeros(8))
     assert f == pytest.approx(-1.0)
     np.testing.assert_allclose(g, 0.0, atol=1e-15)
 
-    f, g, _ = ob.quad_minus_cos_eval(np.array([1.0]), np.array([np.pi / 2]))
+    f, g, _ = fgh(ob.quad_minus_cos(np.array([1.0])), np.array([np.pi / 2]))
     assert g[0] == pytest.approx(np.pi + 1.0)
 
 
 def test_quad_minus_cos_hessian_eig_bounds():
     c = make_c(6)
     for x in seeded_points(6, seed=17):
-        w = np.linalg.eigvalsh(ob.quad_minus_cos_eval(c, x)[2])
+        w = np.linalg.eigvalsh(fgh(ob.quad_minus_cos(c), x)[2])
         assert w[0] >= 0.1 - 1e-12
         assert w[-1] <= 3.9 + 1e-12
 
@@ -123,27 +132,27 @@ def test_quad_minus_cos_warns_for_large_c():
 # ---------------------------------------------------------------------------
 
 def test_rosenbrock_examples():
-    f, g = ob.rosenbrock_eval(1.0, 100.0, 2, np.array([1.0, 1.0]))
+    f, g = fg(ob.rosenbrock(1.0, 100.0, 2), np.array([1.0, 1.0]))
     assert f == 0.0
     np.testing.assert_allclose(g, 0.0)
 
-    f, g = ob.rosenbrock_eval(1.0, 100.0, 2, np.zeros(2))
+    f, g = fg(ob.rosenbrock(1.0, 100.0, 2), np.zeros(2))
     assert f == pytest.approx(1.0)
     np.testing.assert_allclose(g, [-2.0, 0.0])
 
-    f, _ = ob.rosenbrock_eval(1.0, 100.0, 100, np.zeros(100))
+    f, _ = fg(ob.rosenbrock(1.0, 100.0, 100), np.zeros(100))
     assert f == pytest.approx(99.0)
 
     with pytest.raises(ValueError):
-        ob.rosenbrock_eval(1.0, 100.0, 1, np.zeros(1))
+        fg(ob.rosenbrock(1.0, 100.0, 1), np.zeros(1))
 
 
 def test_ackley_examples():
-    f, g = ob.ackley_eval(np.zeros(2))
+    f, g = fg(ob.ackley(), np.zeros(2))
     assert f == pytest.approx(0.0, abs=1e-14)
     np.testing.assert_allclose(g, 0.0)
 
-    f, _ = ob.ackley_eval(np.array([1.0, 1.0]))
+    f, _ = fg(ob.ackley(), np.array([1.0, 1.0]))
     assert f == pytest.approx(20.0 * (1.0 - np.exp(-0.2)))
 
 
@@ -151,9 +160,9 @@ def test_ackley_symmetries():
     rng = np.random.default_rng(99)
     for _ in range(10):
         x, y = rng.uniform(-4, 4, size=2)
-        f1, _ = ob.ackley_eval(np.array([x, y]))
-        f2, _ = ob.ackley_eval(np.array([y, x]))
-        f3, _ = ob.ackley_eval(np.array([-x, -y]))
+        f1, _ = fg(ob.ackley(), np.array([x, y]))
+        f2, _ = fg(ob.ackley(), np.array([y, x]))
+        f3, _ = fg(ob.ackley(), np.array([-x, -y]))
         assert f1 == pytest.approx(f2)
         assert f1 == pytest.approx(f3)
 
