@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import time
 from dataclasses import asdict, dataclass, field
+from html import escape
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -51,6 +53,9 @@ PRESET_NAMES = ("logsumexp", "quadcos", "rosenbrock2d", "rosenbrockNd",
                 "ackley", "toynet")
 
 DEFAULT_OUT_ROOT_ENV = "PDD_OUT_DIR"
+
+# labels name the CSV files and key the trajectories
+_LABEL_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 
 @dataclass
@@ -359,6 +364,8 @@ def emit_svg(series: Sequence[Tuple[str, np.ndarray, np.ndarray]], path,
     Points with nonpositive coordinates cannot be drawn on log axes and are
     skipped (iteration 0 is shown at 1). Output is deterministic.
     """
+    # SVG is XML: escape all caller-supplied text
+    title, xlabel, ylabel = (escape(t, quote=False) for t in (title, xlabel, ylabel))
     W, H = 720, 520
     ml, mr, mt, mb = 70, 160, 40, 55
     pw, ph = W - ml - mr, H - mt - mb
@@ -368,7 +375,8 @@ def emit_svg(series: Sequence[Tuple[str, np.ndarray, np.ndarray]], path,
         xs = np.maximum(np.asarray(xs, dtype=float), 1.0)
         ys = np.asarray(ys, dtype=float)
         keep = np.isfinite(ys) & (ys > 0.0)
-        pts.append((label, np.log10(xs[keep]), np.log10(ys[keep])))
+        pts.append((escape(label, quote=False), np.log10(xs[keep]),
+                    np.log10(ys[keep])))
     drawable = [(l, x, y) for l, x, y in pts if x.size > 0]
     if not drawable:
         raise ValueError("nothing to plot: no positive finite samples")
@@ -457,6 +465,14 @@ def resolve_output_dir(config: ExperimentConfig, override: Optional[str] = None,
 def validate_config(config: ExperimentConfig) -> None:
     if not config.optimizers:
         raise ValueError("config needs at least one optimizer")
+    seen = set()
+    for o in config.optimizers:
+        if not isinstance(o.label, str) or not _LABEL_RE.fullmatch(o.label):
+            raise ValueError(f"optimizer label {o.label!r} must match "
+                             f"{_LABEL_RE.pattern}")
+        if o.label in seen:
+            raise ValueError(f"duplicate optimizer label {o.label!r}")
+        seen.add(o.label)
     if config.problem.name == "toynet":
         for o in config.optimizers:
             if o.method not in toynet.METHODS:

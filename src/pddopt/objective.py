@@ -174,7 +174,7 @@ def _rosenbrock_value(a: float, b: float, x: np.ndarray) -> float:
 
 
 def _rosenbrock_grad(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     d = x[1:] - x[:-1] ** 2
     g[:-1] = -2.0 * (a - x[:-1]) - 4.0 * b * x[:-1] * d
     g[1:] += 2.0 * b * d

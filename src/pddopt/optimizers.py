@@ -134,7 +134,7 @@ class PddParams:
     C: Preconditioner = field(default_factory=Preconditioner.identity)
 
     def __post_init__(self):
-        _check_pdd_scalars(self.tau, self.sigma, self.A, self.epsilon, self.omega)
+        _check_pdd(self.tau, self.sigma, self.A, self.epsilon, self.omega)
 
     @property
     def gamma(self) -> float:
@@ -184,21 +184,84 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# single steps
+# hyperparameter range checks; each takes its rule's hyperparameters by name
 # ---------------------------------------------------------------------------
 
-def _check_pdd_scalars(tau, sigma, A, epsilon, omega) -> None:
+def _check_tau(tau) -> None:
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+
+
+def _check_momentum(tau, beta) -> None:
+    _check_tau(tau)
+    if not 0.0 <= beta < 1.0:
+        raise ValueError("beta must lie in [0, 1)")
+
+
+def _check_igahd(tau, alpha, beta1) -> None:
+    _check_tau(tau)
+    if not 0.0 <= beta1 <= 2.0 * math.sqrt(tau):
+        raise ValueError("beta1 must lie in [0, 2 sqrt(tau)]")
+
+
+def _check_igahd_sc(tau, m1, beta2) -> None:
+    if not (m1 > 0 and tau > 0):
+        raise ValueError("m1 and tau must be positive")
+    if not beta2 <= 1.0 / math.sqrt(m1) + 1e-15:
+        raise ValueError("beta2 must not exceed 1/sqrt(m1)")
+
+
+def _check_pdd(tau, sigma, A, epsilon, omega, C=None) -> None:
     if not (tau > 0 and sigma > 0 and A > 0 and epsilon >= 0 and omega >= 0):
         raise ValueError("need tau, sigma, A > 0 and epsilon, omega >= 0")
+    if C is not None and not isinstance(C, Preconditioner):
+        raise ValueError("C must be a Preconditioner")
 
+
+# ---------------------------------------------------------------------------
+# update formulas, unchecked; g = grad f(x)
+# ---------------------------------------------------------------------------
 
 def _pdd_update(x, p, g, tau, sigma, A, epsilon, omega,
                 C: Optional[Preconditioner]) -> Tuple[np.ndarray, np.ndarray]:
-    """Damping update given g = grad f(x), C = None for C = I; returns (x+, p+)."""
+    """Damping update, C = None for C = I; returns (x+, p+)."""
     p_new = (p + (sigma * A) * g) / (1.0 + sigma * epsilon * A)
     p_tilde = p_new + omega * (p_new - p)
     return x - tau * (p_tilde if C is None else C.apply(x, p_tilde)), p_new
 
+
+def _gd_update(x, g, tau) -> np.ndarray:
+    return x - tau * g
+
+
+def _nag_update(x, g, y_prev, y_prev2, tau, beta) -> Tuple[np.ndarray, np.ndarray]:
+    y_new = x - tau * g
+    return y_new + beta * (y_prev - y_prev2), y_new
+
+
+def _heavy_ball_update(x, g, x_prev, tau, beta) -> np.ndarray:
+    return x - tau * g + beta * (x - x_prev)
+
+
+def _igahd_update(x, g, x_prev, g_prev, n, tau, alpha, beta1, obj) -> np.ndarray:
+    st = math.sqrt(tau)
+    a_n = 1.0 - alpha / n
+    y = x + a_n * (x - x_prev) - beta1 * st * (g - g_prev) - (beta1 * st / n) * g_prev
+    return y - tau * obj.gradient(y)
+
+
+def _igahd_sc_update(x, g, x_prev, g_prev, m1, tau, beta2) -> np.ndarray:
+    smt = math.sqrt(m1 * tau)
+    r = (1.0 - smt) / (1.0 + smt)
+    s = 1.0 + smt
+    return (x + r * (x - x_prev)
+            - (beta2 * math.sqrt(tau) / s) * (g - g_prev)
+            - (tau / s) * g)
+
+
+# ---------------------------------------------------------------------------
+# single steps: check the hyperparameters, then apply the formula
+# ---------------------------------------------------------------------------
 
 def pdd_step(state: PddState, params: PddParams, obj: Objective,
              grad: Optional[np.ndarray] = None) -> PddState:
@@ -213,10 +276,9 @@ def pdd_step(state: PddState, params: PddParams, obj: Objective,
 def gd_step(x: np.ndarray, tau: float, obj: Objective,
             grad: Optional[np.ndarray] = None) -> np.ndarray:
     """Plain gradient descent: x+ = x - tau grad f(x)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     g = obj.gradient(x) if grad is None else grad
-    return x - tau * g
+    return _gd_update(x, g, tau)
 
 
 def nag_step(x: np.ndarray, y_prev: np.ndarray, y_prev2: np.ndarray,
@@ -224,13 +286,9 @@ def nag_step(x: np.ndarray, y_prev: np.ndarray, y_prev2: np.ndarray,
              grad: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Nesterov accelerated gradient: y+ = x - tau grad f(x),
     x+ = y+ + beta (y_prev - y_prev2). Returns (x+, y+)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
+    _check_momentum(tau, beta)
     g = obj.gradient(x) if grad is None else grad
-    y_new = x - tau * g
-    return y_new + beta * (y_prev - y_prev2), y_new
+    return _nag_update(x, g, y_prev, y_prev2, tau, beta)
 
 
 def igahd_step(x: np.ndarray, x_prev: np.ndarray, g_prev: np.ndarray,
@@ -247,14 +305,9 @@ def igahd_step(x: np.ndarray, x_prev: np.ndarray, g_prev: np.ndarray,
     """
     if n < 1:
         raise ValueError("iteration counter n must be >= 1")
-    st = math.sqrt(tau)
-    if not 0.0 <= beta1 <= 2.0 * st:
-        raise ValueError("beta1 must lie in [0, 2 sqrt(tau)]")
+    _check_igahd(tau, alpha, beta1)
     g = obj.gradient(x) if grad is None else grad
-    a_n = 1.0 - alpha / n
-    y = x + a_n * (x - x_prev) - beta1 * st * (g - g_prev) - (beta1 * st / n) * g_prev
-    x_new = y - tau * obj.gradient(y)
-    return x_new, g
+    return _igahd_update(x, g, x_prev, g_prev, n, tau, alpha, beta1, obj), g
 
 
 def igahd_sc_step(x: np.ndarray, x_prev: np.ndarray, g_prev: np.ndarray,
@@ -270,29 +323,17 @@ def igahd_sc_step(x: np.ndarray, x_prev: np.ndarray, g_prev: np.ndarray,
 
     One gradient evaluation per call. Returns (x+, g) with g = grad f(x).
     """
-    if m1 <= 0 or tau <= 0:
-        raise ValueError("m1 and tau must be positive")
-    if beta2 > 1.0 / math.sqrt(m1) + 1e-15:
-        raise ValueError("beta2 must not exceed 1/sqrt(m1)")
+    _check_igahd_sc(tau, m1, beta2)
     g = obj.gradient(x) if grad is None else grad
-    smt = math.sqrt(m1 * tau)
-    r = (1.0 - smt) / (1.0 + smt)
-    s = 1.0 + smt
-    x_new = (x + r * (x - x_prev)
-             - (beta2 * math.sqrt(tau) / s) * (g - g_prev)
-             - (tau / s) * g)
-    return x_new, g
+    return _igahd_sc_update(x, g, x_prev, g_prev, m1, tau, beta2), g
 
 
 def heavy_ball_step(x: np.ndarray, x_prev: np.ndarray, tau: float, beta: float,
                     obj: Objective, grad: Optional[np.ndarray] = None) -> np.ndarray:
     """Discrete heavy-ball iteration x+ = x - tau grad f(x) + beta (x - x_prev)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
+    _check_momentum(tau, beta)
     g = obj.gradient(x) if grad is None else grad
-    return x - tau * g + beta * (x - x_prev)
+    return _heavy_ball_update(x, g, x_prev, tau, beta)
 
 
 def compute_nag_beta(kappa: float) -> float:
@@ -330,37 +371,58 @@ class Rule:
     GradientTransformation (https://github.com/google-deepmind/optax):
     ``init(x0) -> state`` and ``step(x, g, state, hp, obj) -> (x+, state)``
     with g = grad f(x); only igahd calls ``obj.gradient`` again. ``params``
-    and ``optional`` are the required and allowed extra keys of ``hp``."""
+    and ``optional`` are the required and allowed extra keys of ``hp``, and
+    ``check(**hp)`` raises ``ValueError`` for an out-of-range value.
+    ``step`` checks nothing: it assumes hyperparameters that ``validate``
+    has already accepted once per run (`validate_method`, `toynet.train`)."""
     params: Tuple[str, ...]
     init: Callable[[np.ndarray], dict]
     step: Callable[..., Tuple[np.ndarray, dict]]
+    check: Callable[..., None]
     optional: Tuple[str, ...] = ()
+
+    def validate(self, method: str, hp: dict) -> None:
+        """Check the names, types and ranges of ``method``'s hyperparameters."""
+        missing = [k for k in self.params if k not in hp]
+        if missing:
+            raise ValueError(f"{method}: missing parameters {missing}")
+        allowed = set(self.params) | set(self.optional)
+        extra = [k for k in hp if k not in allowed]
+        if extra:
+            raise ValueError(f"{method}: unknown parameters {extra}")
+        for k in self.params:
+            v = hp[k]
+            if not isinstance(v, (int, float)) or isinstance(v, bool) \
+                    or not math.isfinite(v):
+                raise ValueError(f"{method}: parameter {k!r} must be a finite number")
+        try:
+            self.check(**hp)
+        except ValueError as exc:
+            raise ValueError(f"{method}: {exc}") from None
 
 
 def _pdd_rule_step(x, g, s, hp, obj):
-    scalars = hp["tau"], hp["sigma"], hp["A"], hp["epsilon"], hp["omega"]
-    _check_pdd_scalars(*scalars)
-    x_new, p = _pdd_update(x, s["p"], g, *scalars, hp.get("C"))
+    x_new, p = _pdd_update(x, s["p"], g, hp["tau"], hp["sigma"], hp["A"],
+                           hp["epsilon"], hp["omega"], hp.get("C"))
     return x_new, {"p": p}
 
 
 def _nag_rule_step(x, g, s, hp, obj):
-    x_new, y = nag_step(x, s["y_prev"], s["y_prev2"], hp["tau"], hp["beta"], obj,
-                        grad=g)
+    x_new, y = _nag_update(x, g, s["y_prev"], s["y_prev2"], hp["tau"], hp["beta"])
     return x_new, {"y_prev": y, "y_prev2": s["y_prev"]}
 
 
 def _igahd_rule_step(x, g, s, hp, obj):
     g_prev = g if s["g_prev"] is None else s["g_prev"]
-    x_new, g = igahd_step(x, s["x_prev"], g_prev, s["n"], hp["tau"], hp["alpha"],
-                          hp["beta1"], obj, grad=g)
+    x_new = _igahd_update(x, g, s["x_prev"], g_prev, s["n"], hp["tau"],
+                          hp["alpha"], hp["beta1"], obj)
     return x_new, {"x_prev": x, "g_prev": g, "n": s["n"] + 1}
 
 
 def _igahd_sc_rule_step(x, g, s, hp, obj):
     g_prev = g if s["g_prev"] is None else s["g_prev"]
-    x_new, g = igahd_sc_step(x, s["x_prev"], g_prev, hp["m1"], hp["tau"],
-                             hp["beta2"], obj, grad=g)
+    x_new = _igahd_sc_update(x, g, s["x_prev"], g_prev, hp["m1"], hp["tau"],
+                             hp["beta2"])
     return x_new, {"x_prev": x, "g_prev": g}
 
 
@@ -368,45 +430,35 @@ def _igahd_sc_rule_step(x, g, s, hp, obj):
 # alpha/n finite, and the g_prev of both igahd variants starts as the first g
 RULES = {
     "gd": Rule(("tau",), lambda x0: {},
-               lambda x, g, s, hp, obj: (gd_step(x, hp["tau"], obj, grad=g), s)),
+               lambda x, g, s, hp, obj: (_gd_update(x, g, hp["tau"]), s),
+               _check_tau),
     "nag": Rule(("tau", "beta"),
                 lambda x0: {"y_prev": x0.copy(), "y_prev2": x0.copy()},
-                _nag_rule_step),
+                _nag_rule_step, _check_momentum),
     "heavy_ball": Rule(
         ("tau", "beta"), lambda x0: {"x_prev": x0.copy()},
         lambda x, g, s, hp, obj: (
-            heavy_ball_step(x, s["x_prev"], hp["tau"], hp["beta"], obj, grad=g),
-            {"x_prev": x})),
+            _heavy_ball_update(x, g, s["x_prev"], hp["tau"], hp["beta"]),
+            {"x_prev": x}),
+        _check_momentum),
     "igahd": Rule(("tau", "alpha", "beta1"),
                   lambda x0: {"x_prev": x0.copy(), "g_prev": None, "n": 1},
-                  _igahd_rule_step),
+                  _igahd_rule_step, _check_igahd),
     "igahd_sc": Rule(("tau", "m1", "beta2"),
                      lambda x0: {"x_prev": x0.copy(), "g_prev": None},
-                     _igahd_sc_rule_step),
+                     _igahd_sc_rule_step, _check_igahd_sc),
     "pdd": Rule(("tau", "sigma", "A", "epsilon", "omega"),
-                lambda x0: {"p": np.zeros_like(x0)}, _pdd_rule_step,
+                lambda x0: {"p": np.zeros_like(x0)}, _pdd_rule_step, _check_pdd,
                 optional=("C",)),
 }
 
 
 def validate_method(method: str, params: dict) -> None:
-    """Check a method name and its parameter map against its rule."""
+    """Check a method name and its hyperparameters (names, types and
+    ranges) against its rule."""
     if method not in RULES:
         raise ValueError(f"unknown optimizer method {method!r}")
-    rule = RULES[method]
-    missing = [k for k in rule.params if k not in params]
-    if missing:
-        raise ValueError(f"{method}: missing parameters {missing}")
-    allowed = set(rule.params) | set(rule.optional)
-    extra = [k for k in params if k not in allowed]
-    if extra:
-        raise ValueError(f"{method}: unknown parameters {extra}")
-    for k in rule.params:
-        if not isinstance(params[k], (int, float)) or isinstance(params[k], bool):
-            raise ValueError(f"{method}: parameter {k!r} must be a number")
-    C = params.get("C")
-    if C is not None and not isinstance(C, Preconditioner):
-        raise ValueError("pdd: C must be a Preconditioner")
+    RULES[method].validate(method, params)
 
 
 def run_optimizer(obj: Objective, method: str, params: dict, x0,
@@ -416,11 +468,13 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
     """Iterate one optimizer until the gradient norm drops to ``grad_tol``,
     ``max_iter`` is reached, or the run diverges.
 
-    Metrics are recorded every ``record_every`` iterations plus at the final
-    iterate; divergence (any non-finite value, gradient, or iterate) sets a
-    flag on the trajectory instead of raising, so a benchmark batch survives
-    bad hyperparameters. The dual of the pdd method starts at zero unless
-    ``p0`` is given. Identical inputs always produce identical trajectories.
+    The hyperparameters are checked once, before the first step. Metrics are
+    recorded every ``record_every`` iterations plus at the final iterate;
+    divergence (any non-finite value, gradient, or iterate) sets a flag on
+    the trajectory instead of raising, so a benchmark batch survives
+    unstable hyperparameters. The dual of the pdd method starts at zero
+    unless ``p0`` is given. Identical inputs always produce identical
+    trajectories.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -438,8 +492,6 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
         state["p"] = as_vector(p0, obj.dim, "p0")
 
     xstar = obj.minimizer
-    with np.errstate(all="ignore"):  # divergent runs must not spam warnings
-        g = obj.gradient(x)
 
     def record(it: int, xc: np.ndarray, gc: np.ndarray) -> float:
         fval = obj.value(xc)
@@ -452,24 +504,21 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
 
     it = 0
     gtol2 = grad_tol * grad_tol
-    while True:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # divergent runs must not spam warnings
+        g = obj.gradient(x)
+        while True:
             gn2 = float(g @ g)
-        finite = math.isfinite(gn2) and bool(np.all(np.isfinite(x)))
-        if not finite:
-            traj.diverged = True
-            with np.errstate(all="ignore"):
+            if not (math.isfinite(gn2) and np.isfinite(x).all()):
+                traj.diverged = True
                 record(it, x, g)
-            break
-        if it % record_every == 0 and not math.isfinite(record(it, x, g)):
-            traj.diverged = True
-            break
-        if gn2 <= gtol2 or it >= max_iter:
-            if it % record_every != 0:
-                record(it, x, g)
-            break
-
-        with np.errstate(all="ignore"):
+                break
+            if it % record_every == 0 and not math.isfinite(record(it, x, g)):
+                traj.diverged = True
+                break
+            if gn2 <= gtol2 or it >= max_iter:
+                if it % record_every != 0:
+                    record(it, x, g)
+                break
             x, state = rule.step(x, g, state, params, obj)
             it += 1
             g = obj.gradient(x)

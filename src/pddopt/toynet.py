@@ -186,6 +186,13 @@ def _adam_step(x, g, s, hp, obj):
     return x - hp["tau"] * m_hat / (np.sqrt(v_hat) + hp["eps"]), {"m": m, "v": v, "t": t}
 
 
+def _check_adam(tau, beta1, beta2, eps) -> None:
+    if not (tau > 0 and eps > 0):
+        raise ValueError("tau and eps must be positive")
+    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+        raise ValueError("beta1 and beta2 must lie in [0, 1)")
+
+
 # stochastic method -> update rule; all but adam are the deterministic rules
 _RULES = {
     "sgd": RULES["gd"],
@@ -193,7 +200,8 @@ _RULES = {
     "pdd": RULES["pdd"],
     "igahd": RULES["igahd"],
     "adam": Rule(("tau", "beta1", "beta2", "eps"), lambda x0: {
-        "m": np.zeros_like(x0), "v": np.zeros_like(x0), "t": 0}, _adam_step),
+        "m": np.zeros_like(x0), "v": np.zeros_like(x0), "t": 0}, _adam_step,
+        _check_adam),
 }
 
 
@@ -212,7 +220,10 @@ def stochastic_step(method: str, state: dict, params: MlpParams,
                     batch: Tuple[np.ndarray, np.ndarray],
                     hp: Optional[Dict[str, float]] = None
                     ) -> Tuple[dict, MlpParams, float]:
-    """One mini-batch update. Returns (state, params, batch loss)."""
+    """One mini-batch update. Returns (state, params, batch loss).
+
+    ``hp`` is used as given: the rule step checks no range, so pass values
+    that ``Rule.validate`` has accepted (`train` checks them once)."""
     rule = _rule(method)
     hp = hp or DEFAULT_HYPERPARAMS[method]
 
@@ -252,15 +263,22 @@ def train(config: TrainConfig) -> List[dict]:
     Returns one row per (epoch, method, seed): mean mini-batch train loss
     over the epoch and test accuracy at the epoch end. A non-finite loss
     marks the method diverged (nan row) and the run continues with the
-    remaining methods. Identical configs produce identical rows.
+    remaining methods. Identical configs produce identical rows. Every
+    method's hyperparameters are checked before the first batch.
     """
+    hp_table = config.hyperparams or DEFAULT_HYPERPARAMS
+    hps = {}
+    for method in config.methods:
+        rule = _rule(method)
+        hps[method] = hp_table.get(method, DEFAULT_HYPERPARAMS[method])
+        rule.validate(method, hps[method])
+
     data = make_blobs(config.data_seed, config.n, config.d_in, config.k,
                       config.spread)
     Xtr, ytr = data.train
     Xte, yte = data.test
     sizes = [config.d_in, *config.hidden, config.k]
     rows: List[dict] = []
-    hp_table = config.hyperparams or DEFAULT_HYPERPARAMS
 
     for seed in config.seeds:
         init = MlpParams.init(sizes, seed)
@@ -268,7 +286,7 @@ def train(config: TrainConfig) -> List[dict]:
         for method in config.methods:
             params = init.with_flat(x0)
             state = init_state(method, x0.size, x0)
-            hp = hp_table.get(method, DEFAULT_HYPERPARAMS[method])
+            hp = hps[method]
             diverged = False
             for epoch in range(config.epochs):
                 order = np.random.default_rng([seed, epoch]).permutation(len(ytr))

@@ -143,6 +143,37 @@ def test_every_preset_completes_without_divergence(tmp_path):
         assert not artifact.any_diverged, name
 
 
+def test_validation_rejects_out_of_range_hyperparameters(tmp_path):
+    cfg = preset("quadcos", out_dir=str(tmp_path / "out"))
+    cfg.optimizers[1].params["beta"] = 1.5  # nag
+    with pytest.raises(ValueError, match="nag: beta"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("labels", [("gd", "gd"), ("a/b",), ("a<b&c",), ("",)])
+def test_validation_rejects_unsafe_labels(tmp_path, labels):
+    cfg = ExperimentConfig(
+        problem=ProblemSpec(name="ackley"),
+        optimizers=[OptimizerSpec("gd", lab, {"tau": 0.002}) for lab in labels],
+        x0=[2.5, 4.0], max_iter=10, output_dir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match="label"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_svg_escapes_text(tmp_path):
+    xs = np.array([1, 10, 100])
+    ys = np.array([1.0, 0.1, 0.01])
+    path = tmp_path / "p.svg"
+    emit_svg([("a<b&c", xs, ys)], path, xlabel="x<1>", ylabel="y & z",
+             title="t<&>")
+    root = ET.parse(path).getroot()
+    texts = [t.text for t in root.findall("{http://www.w3.org/2000/svg}text")]
+    for want in ("a<b&c", "x<1> (log)", "y & z (log)", "t<&>"):
+        assert want in texts
+
+
 def test_svg_axes_and_legend(tmp_path):
     xs = np.array([1, 10, 100, 1000])
     ys = np.array([1.0, 0.1, 0.01, 0.001])

@@ -343,3 +343,89 @@ def test_preconditioner_validation():
     P = Preconditioner.diagonal([2.0, 4.0])
     np.testing.assert_allclose(P.apply(None, np.ones(2)), [2.0, 4.0])
     np.testing.assert_allclose(P.matrix(None, 2), np.diag([2.0, 4.0]))
+
+
+@pytest.mark.parametrize("method,params,name", [
+    ("gd", {"tau": -1.0}, "tau"),
+    ("nag", {"tau": 0.1, "beta": 1.5}, "beta"),
+    ("heavy_ball", {"tau": 0.1, "beta": -0.1}, "beta"),
+    ("igahd", {"tau": -0.1, "alpha": 3.0, "beta1": 0.0}, "tau"),
+    ("igahd", {"tau": 0.01, "alpha": 3.0, "beta1": 0.5}, "beta1"),
+    ("igahd", {"tau": 0.01, "alpha": float("nan"), "beta1": 0.0}, "alpha"),
+    ("igahd_sc", {"tau": 0.1, "m1": -1.0, "beta2": 0.1}, "m1"),
+    ("pdd", {"tau": 0.1, "sigma": 0.0, "A": 1.0, "epsilon": 1.0, "omega": 1.0},
+     "sigma"),
+    ("pdd", {"tau": 0.1, "sigma": 0.1, "A": 1.0, "epsilon": 1.0, "omega": 1.0,
+             "C": "identity"}, "C"),
+])
+def test_out_of_range_hyperparameters_rejected_before_any_step(method, params,
+                                                               name):
+    with pytest.raises(ValueError, match=f"^{method}: .*{name}"):
+        validate_method(method, params)
+    # the start is the minimizer, so a run without the check takes no step
+    obj, calls = counting(ob.quadratic(np.eye(2)))
+    with pytest.raises(ValueError, match=name):
+        run_optimizer(obj, method, params, np.zeros(2), 10, 1e-8)
+    assert calls["n"] == 0
+
+
+def _reference_run(method, hp, obj, x, steps):
+    """Iterate the public checked kernel; returns per-step (f, |g|), x, p."""
+    x_prev, g_prev, y_prev, y_prev2 = x, None, x, x
+    state = PddState(x=x, p=np.zeros_like(x))
+    params = PddParams(**hp) if method == "pdd" else None
+    rows = []
+    for n in range(1, steps + 2):
+        g = obj.gradient(x)
+        rows.append((obj.value(x), float(np.linalg.norm(g))))
+        if n == steps + 1:
+            break
+        if method == "gd":
+            x = gd_step(x, hp["tau"], obj, grad=g)
+        elif method == "nag":
+            x, y = nag_step(x, y_prev, y_prev2, hp["tau"], hp["beta"], obj, grad=g)
+            y_prev, y_prev2 = y, y_prev
+        elif method == "heavy_ball":
+            x, x_prev = heavy_ball_step(x, x_prev, hp["tau"], hp["beta"], obj,
+                                        grad=g), x
+        elif method == "igahd":
+            x_new, g_prev = igahd_step(x, x_prev, g if g_prev is None else g_prev,
+                                       n, hp["tau"], hp["alpha"], hp["beta1"],
+                                       obj, grad=g)
+            x, x_prev = x_new, x
+        elif method == "igahd_sc":
+            x_new, g_prev = igahd_sc_step(x, x_prev,
+                                          g if g_prev is None else g_prev,
+                                          hp["m1"], hp["tau"], hp["beta2"], obj,
+                                          grad=g)
+            x, x_prev = x_new, x
+        else:
+            state = pdd_step(state, params, obj, grad=g)
+            x = state.x
+    return rows, x, state.p if method == "pdd" else None
+
+
+@pytest.mark.parametrize("method,hp", [
+    ("gd", {"tau": 0.0002}),
+    ("nag", {"tau": 0.0002, "beta": 0.9}),
+    ("heavy_ball", {"tau": 0.0002, "beta": 0.9}),
+    ("igahd", {"tau": 0.00045, "alpha": 3.0, "beta1": 0.00045 ** 0.5 / 14.0}),
+    ("igahd_sc", {"tau": 5e-5, "m1": 1.0, "beta2": compute_beta2(1.0, 5e-5)}),
+    ("pdd", {"tau": 0.005, "sigma": 0.005, "A": 5.0, "epsilon": 1.0,
+             "omega": 1.0}),
+    ("pdd", {"tau": 0.005, "sigma": 0.005, "A": 5.0, "epsilon": 1.0,
+             "omega": 1.0, "C": Preconditioner.diagonal([0.5, 0.25])}),
+])
+def test_driver_matches_public_kernels_bitwise(method, hp):
+    obj = ob.rosenbrock(n=2)
+    x0 = np.array([-3.0, -4.0])
+    steps = 300
+    traj = run_optimizer(obj, method, hp, x0, max_iter=steps, grad_tol=0.0,
+                         record_every=1)
+    rows, x, p = _reference_run(method, hp, obj, x0, steps)
+    assert [(r.f, r.grad_norm) for r in traj.records] == rows
+    assert traj.final_x.tobytes() == x.tobytes()
+    if p is None:
+        assert traj.final_p is None
+    else:
+        assert traj.final_p.tobytes() == p.tobytes()

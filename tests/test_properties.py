@@ -39,6 +39,7 @@ def test_stationary_point_is_a_fixed_point_of_every_rule(data, diag):
     x = np.zeros(len(diag))
     for method, rule in RULES.items():
         hp = data.draw(hyperparams(method), label=method)
+        rule.validate(method, hp)
         x_new, _ = rule.step(x, obj.gradient(x), rule.init(x), hp, obj)
         assert x_new.tobytes() == x.tobytes(), method
 

@@ -215,6 +215,26 @@ def test_separable_data_all_methods_reach_full_accuracy():
         assert r["test_acc"] == pytest.approx(1.0), method
 
 
+@pytest.mark.parametrize("hyperparams", [
+    {"sgd": {"tau": -1.0}},
+    {"sgd": {}},
+    {"sgd": {"tau": 0.001, "beta": 0.9}},
+    {"adam": {"tau": 0.001, "beta1": 1.0, "beta2": 0.999, "eps": 1e-8}},
+])
+def test_bad_hyperparameters_rejected_before_any_batch(monkeypatch, hyperparams):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch ran before the check")
+
+    monkeypatch.setattr(tn, "stochastic_step", no_batch)
+    # the bad method comes last, so a check made as each method starts
+    # would first train pdd
+    cfg = tn.TrainConfig(n=200, d_in=5, k=3, epochs=1, seeds=(0,),
+                         hidden=(4,), methods=("pdd", *hyperparams),
+                         hyperparams=hyperparams)
+    with pytest.raises(ValueError):
+        tn.train(cfg)
+
+
 def test_train_metrics_deterministic(tmp_path):
     cfg = tn.TrainConfig(n=200, d_in=5, k=3, epochs=3, seeds=(0, 1),
                         hidden=(8, 8))
