@@ -14,7 +14,7 @@ import math
 import os
 import re
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from html import escape
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -56,6 +56,18 @@ DEFAULT_OUT_ROOT_ENV = "PDD_OUT_DIR"
 
 # labels name the CSV files and key the trajectories
 _LABEL_RE = re.compile(r"[A-Za-z0-9._-]+")
+
+# problem name -> the params keys it reads
+_PROBLEM_PARAMS = {
+    "quadratic": ("diag", "n"),
+    "logsumexp": ("n", "scale"),
+    "quadcos": ("dim", "c_norm2"),
+    "rosenbrock2d": ("a", "b"),
+    "rosenbrockNd": ("a", "b", "n"),
+    "ackley": (),
+}
+_TOYNET_PARAMS = ("n", "d_in", "k", "spread", "epochs", "batch_size", "hidden",
+                  "seeds")
 
 
 @dataclass
@@ -105,12 +117,25 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return d
 
 
+def _check_keys(d: dict, valid: Sequence[str], where: str) -> None:
+    unknown = [k for k in d if k not in valid]
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}; "
+                         f"valid keys are {list(valid)}")
+
+
+def _spec(cls, d: dict, where: str):
+    """``cls(**d)``, rejecting keys that are not fields of ``cls``."""
+    _check_keys(d, [f.name for f in fields(cls)], where)
+    return cls(**d)
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
-    prob = ProblemSpec(**d["problem"])
-    opts = [OptimizerSpec(**o) for o in d["optimizers"]]
+    _check_keys(d, [f.name for f in fields(ExperimentConfig)], "config")
     return ExperimentConfig(
-        problem=prob,
-        optimizers=opts,
+        problem=_spec(ProblemSpec, d["problem"], "problem"),
+        optimizers=[_spec(OptimizerSpec, o, f"optimizers[{i}]")
+                    for i, o in enumerate(d["optimizers"])],
         x0=d["x0"],
         max_iter=int(d.get("max_iter", 10000)),
         grad_tol=float(d.get("grad_tol", 1e-10)),
@@ -141,9 +166,13 @@ def build_problem(spec: ProblemSpec) -> Tuple[Objective, dict]:
     """Instantiate the objective named by a problem spec.
 
     Returns the objective plus a context dict (generated matrices and
-    spectral data the preset stepsizes derive from).
+    spectral data the preset stepsizes derive from). Rejects ``params``
+    keys that the problem does not read.
     """
     name, p, seed = spec.name, spec.params, spec.seed
+    if name not in _PROBLEM_PARAMS:
+        raise ValueError(f"unknown problem {name!r}")
+    _check_keys(p, _PROBLEM_PARAMS[name], f"problem {name!r} params")
     ctx: dict = {}
     if name == "quadratic":
         diag = p.get("diag")
@@ -173,9 +202,7 @@ def build_problem(spec: ProblemSpec) -> Tuple[Objective, dict]:
     if name == "rosenbrockNd":
         return rosenbrock(a=float(p.get("a", 1.0)), b=float(p.get("b", 100.0)),
                           n=int(p.get("n", 100))), ctx
-    if name == "ackley":
-        return ackley(), ctx
-    raise ValueError(f"unknown problem {spec.name!r}")
+    return ackley(), ctx
 
 
 def materialize_x0(x0, dim: int) -> np.ndarray:
@@ -463,6 +490,10 @@ def resolve_output_dir(config: ExperimentConfig, override: Optional[str] = None,
 
 
 def validate_config(config: ExperimentConfig) -> None:
+    """Check what needs no built problem: the labels and, for toynet, the
+    problem params keys and the methods. `run_experiment` checks the other
+    problems' params and optimizer hyperparameters once the problem is
+    built."""
     if not config.optimizers:
         raise ValueError("config needs at least one optimizer")
     seen = set()
@@ -474,15 +505,24 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ValueError(f"duplicate optimizer label {o.label!r}")
         seen.add(o.label)
     if config.problem.name == "toynet":
-        for o in config.optimizers:
-            if o.method not in toynet.METHODS:
-                raise ValueError(f"unknown stochastic method {o.method!r}")
-        return
-    for o in config.optimizers:
-        params = dict(o.params)
-        if "C" in params:
-            params["C"] = Preconditioner.identity()  # placeholder for schema check
-        validate_method(o.method, params)
+        _check_keys(config.problem.params, _TOYNET_PARAMS,
+                    "problem 'toynet' params")
+        methods = [o.method for o in config.optimizers]
+        for m in methods:
+            if m not in toynet.METHODS:
+                raise ValueError(f"unknown stochastic method {m!r}")
+            if methods.count(m) > 1:  # toynet rows are keyed by method
+                raise ValueError(f"toynet method {m!r} listed twice")
+
+
+def _resolved_params(spec: OptimizerSpec, ctx: dict) -> dict:
+    """The optimizer's params with its C resolved against the problem,
+    checked by `validate_method`."""
+    params = dict(spec.params)
+    if "C" in params:
+        params["C"] = resolve_preconditioner(params["C"], ctx)
+    validate_method(spec.method, params)
+    return params
 
 
 def _run_toynet(config: ExperimentConfig, out_dir: Path) -> RunArtifact:
@@ -495,6 +535,9 @@ def _run_toynet(config: ExperimentConfig, out_dir: Path) -> RunArtifact:
         epochs=int(p.get("epochs", 30)), batch_size=int(p.get("batch_size", 32)),
         methods=tuple(o.method for o in config.optimizers),
         seeds=tuple(p.get("seeds", [0])),
+        # an empty params dict keeps the method's DEFAULT_HYPERPARAMS
+        hyperparams={o.method: dict(o.params)
+                     for o in config.optimizers if o.params} or None,
     )
     t0 = time.perf_counter()
     rows = toynet.train(cfg)
@@ -530,23 +573,23 @@ def run_experiment(config: ExperimentConfig,
 
     Writes one CSV per optimizer and a combined SVG convergence plot. The
     artifact lists every file written; ``any_diverged`` reflects whether
-    some run blew up (the CLI exits nonzero in that case).
+    some run blew up (the CLI exits nonzero in that case). Every
+    optimizer's C and hyperparameters are checked before the first run, so
+    a bad config writes nothing.
     """
     validate_config(config)
-    out_dir = resolve_output_dir(config, out_dir_override)
     if config.problem.name == "toynet":
-        return _run_toynet(config, out_dir)
+        return _run_toynet(config, resolve_output_dir(config, out_dir_override))
 
     obj, ctx = build_problem(config.problem)
     x0 = materialize_x0(config.x0, obj.dim)
+    resolved = [_resolved_params(spec, ctx) for spec in config.optimizers]
+    out_dir = resolve_output_dir(config, out_dir_override)
 
     trajectories: Dict[str, Trajectory] = {}
     wall: Dict[str, float] = {}
     files: List[str] = []
-    for spec in config.optimizers:
-        params = dict(spec.params)
-        if "C" in params:
-            params["C"] = resolve_preconditioner(params["C"], ctx)
+    for spec, params in zip(config.optimizers, resolved):
         t0 = time.perf_counter()
         traj = run_optimizer(obj, spec.method, params, x0,
                              max_iter=config.max_iter,

@@ -9,11 +9,12 @@ variable p:
     x+  = x - tau * C(x) pt
 
 with stepsizes tau, sigma, dual preconditioner scale A, regularization
-eps, extrapolation omega and primal preconditioner C(x). Each step costs
-exactly one gradient evaluation. Baselines: plain gradient descent,
-Nesterov's accelerated gradient, the heavy-ball iteration, and the
-inertial gradient algorithms with Hessian damping (general and strongly
-convex variants).
+eps, extrapolation omega and primal preconditioner C(x); one gradient
+evaluation per step. Baselines: gradient descent, Nesterov's accelerated
+gradient, heavy ball, and the inertial gradient algorithms with Hessian
+damping (general and strongly convex). Each method is one entry of
+`RULES`, a range check plus an init/step pair that `run_optimizer` drives;
+`pdd_step` applies the damping update to a `PddState`.
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ __all__ = [
     "TrajectoryRecord",
     "Trajectory",
     "pdd_step",
-    "gd_step",
-    "nag_step",
-    "igahd_step",
-    "igahd_sc_step",
-    "heavy_ball_step",
     "compute_beta2",
     "compute_nag_beta",
     "run_optimizer",
@@ -184,12 +180,53 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# hyperparameter range checks; each takes its rule's hyperparameters by name
+# update rules: each method is a range check plus an init/step pair in RULES
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Rule:
+    """A method as an init/update pair, after optax's GradientTransformation
+    (https://github.com/google-deepmind/optax): ``init(x0) -> state`` and
+    ``step(x, g, state, hp, obj) -> (x+, state)`` with g = grad f(x); only
+    igahd calls ``obj.gradient`` again. ``step`` is the one copy of the
+    method's formula (pdd's is `_pdd_update`, shared with `pdd_step`) and
+    checks nothing; ``validate`` checks ``hp`` once per run: its keys
+    against ``params`` (required) and ``optional``, its ranges with
+    ``check(**hp)``, which raises ``ValueError``."""
+    params: Tuple[str, ...]
+    init: Callable[[np.ndarray], dict]
+    step: Callable[..., Tuple[np.ndarray, dict]]
+    check: Callable[..., None]
+    optional: Tuple[str, ...] = ()
+
+    def validate(self, method: str, hp: dict) -> None:
+        """Check the names, types and ranges of ``method``'s hyperparameters."""
+        missing = [k for k in self.params if k not in hp]
+        if missing:
+            raise ValueError(f"{method}: missing parameters {missing}")
+        allowed = set(self.params) | set(self.optional)
+        extra = [k for k in hp if k not in allowed]
+        if extra:
+            raise ValueError(f"{method}: unknown parameters {extra}")
+        for k in self.params:
+            v = hp[k]
+            if not isinstance(v, (int, float)) or isinstance(v, bool) \
+                    or not math.isfinite(v):
+                raise ValueError(f"{method}: parameter {k!r} must be a finite number")
+        try:
+            self.check(**hp)
+        except ValueError as exc:
+            raise ValueError(f"{method}: {exc}") from None
+
 
 def _check_tau(tau) -> None:
     if not tau > 0:
         raise ValueError("tau must be positive")
+
+
+def _gd_step(x, g, s, hp, obj):
+    """Plain gradient descent: x+ = x - tau grad f(x)."""
+    return x - hp["tau"] * g, s
 
 
 def _check_momentum(tau, beta) -> None:
@@ -198,10 +235,40 @@ def _check_momentum(tau, beta) -> None:
         raise ValueError("beta must lie in [0, 1)")
 
 
+def _nag_step(x, g, s, hp, obj):
+    """Nesterov accelerated gradient: y+ = x - tau grad f(x),
+    x+ = y+ + beta (y_prev - y_prev2)."""
+    y_new = x - hp["tau"] * g
+    return (y_new + hp["beta"] * (s["y_prev"] - s["y_prev2"]),
+            {"y_prev": y_new, "y_prev2": s["y_prev"]})
+
+
+def _heavy_ball_step(x, g, s, hp, obj):
+    """Discrete heavy-ball iteration x+ = x - tau grad f(x) + beta (x - x_prev)."""
+    return x - hp["tau"] * g + hp["beta"] * (x - s["x_prev"]), {"x_prev": x}
+
+
 def _check_igahd(tau, alpha, beta1) -> None:
     _check_tau(tau)
     if not 0.0 <= beta1 <= 2.0 * math.sqrt(tau):
         raise ValueError("beta1 must lie in [0, 2 sqrt(tau)]")
+
+
+def _igahd_step(x, g, s, hp, obj):
+    """Inertial gradient step with Hessian-driven damping; two gradients per
+    step, g = grad f(x) (the next g_prev) and grad f(y):
+
+    y = x + (1 - alpha/n)(x - x_prev) - beta1 sqrt(tau) (g - g_prev)
+          - (beta1 sqrt(tau) / n) g_prev
+    x+ = y - tau grad f(y)
+    """
+    tau, beta1, n = hp["tau"], hp["beta1"], s["n"]
+    g_prev = g if s["g_prev"] is None else s["g_prev"]
+    st = math.sqrt(tau)
+    a_n = 1.0 - hp["alpha"] / n
+    y = (x + a_n * (x - s["x_prev"]) - beta1 * st * (g - g_prev)
+         - (beta1 * st / n) * g_prev)
+    return y - tau * obj.gradient(y), {"x_prev": x, "g_prev": g, "n": n + 1}
 
 
 def _check_igahd_sc(tau, m1, beta2) -> None:
@@ -211,16 +278,28 @@ def _check_igahd_sc(tau, m1, beta2) -> None:
         raise ValueError("beta2 must not exceed 1/sqrt(m1)")
 
 
+def _igahd_sc_step(x, g, s, hp, obj):
+    """Strongly convex variant of the Hessian-damped inertial step, with
+    r = (1 - sqrt(m1 tau)) / (1 + sqrt(m1 tau)) and s = 1 + sqrt(m1 tau):
+
+    x+ = x + r (x - x_prev) - (beta2 sqrt(tau)/s)(grad f(x) - g_prev)
+           - (tau/s) grad f(x)
+    """
+    g_prev = g if s["g_prev"] is None else s["g_prev"]
+    smt = math.sqrt(hp["m1"] * hp["tau"])
+    r = (1.0 - smt) / (1.0 + smt)
+    sc = 1.0 + smt
+    return (x + r * (x - s["x_prev"])
+            - (hp["beta2"] * math.sqrt(hp["tau"]) / sc) * (g - g_prev)
+            - (hp["tau"] / sc) * g), {"x_prev": x, "g_prev": g}
+
+
 def _check_pdd(tau, sigma, A, epsilon, omega, C=None) -> None:
     if not (tau > 0 and sigma > 0 and A > 0 and epsilon >= 0 and omega >= 0):
         raise ValueError("need tau, sigma, A > 0 and epsilon, omega >= 0")
     if C is not None and not isinstance(C, Preconditioner):
         raise ValueError("C must be a Preconditioner")
 
-
-# ---------------------------------------------------------------------------
-# update formulas, unchecked; g = grad f(x)
-# ---------------------------------------------------------------------------
 
 def _pdd_update(x, p, g, tau, sigma, A, epsilon, omega,
                 C: Optional[Preconditioner]) -> Tuple[np.ndarray, np.ndarray]:
@@ -229,39 +308,6 @@ def _pdd_update(x, p, g, tau, sigma, A, epsilon, omega,
     p_tilde = p_new + omega * (p_new - p)
     return x - tau * (p_tilde if C is None else C.apply(x, p_tilde)), p_new
 
-
-def _gd_update(x, g, tau) -> np.ndarray:
-    return x - tau * g
-
-
-def _nag_update(x, g, y_prev, y_prev2, tau, beta) -> Tuple[np.ndarray, np.ndarray]:
-    y_new = x - tau * g
-    return y_new + beta * (y_prev - y_prev2), y_new
-
-
-def _heavy_ball_update(x, g, x_prev, tau, beta) -> np.ndarray:
-    return x - tau * g + beta * (x - x_prev)
-
-
-def _igahd_update(x, g, x_prev, g_prev, n, tau, alpha, beta1, obj) -> np.ndarray:
-    st = math.sqrt(tau)
-    a_n = 1.0 - alpha / n
-    y = x + a_n * (x - x_prev) - beta1 * st * (g - g_prev) - (beta1 * st / n) * g_prev
-    return y - tau * obj.gradient(y)
-
-
-def _igahd_sc_update(x, g, x_prev, g_prev, m1, tau, beta2) -> np.ndarray:
-    smt = math.sqrt(m1 * tau)
-    r = (1.0 - smt) / (1.0 + smt)
-    s = 1.0 + smt
-    return (x + r * (x - x_prev)
-            - (beta2 * math.sqrt(tau) / s) * (g - g_prev)
-            - (tau / s) * g)
-
-
-# ---------------------------------------------------------------------------
-# single steps: check the hyperparameters, then apply the formula
-# ---------------------------------------------------------------------------
 
 def pdd_step(state: PddState, params: PddParams, obj: Objective,
              grad: Optional[np.ndarray] = None) -> PddState:
@@ -273,67 +319,31 @@ def pdd_step(state: PddState, params: PddParams, obj: Objective,
     return PddState(x=x_new, p=p_new, iter=state.iter + 1)
 
 
-def gd_step(x: np.ndarray, tau: float, obj: Objective,
-            grad: Optional[np.ndarray] = None) -> np.ndarray:
-    """Plain gradient descent: x+ = x - tau grad f(x)."""
-    _check_tau(tau)
-    g = obj.gradient(x) if grad is None else grad
-    return _gd_update(x, g, tau)
+def _pdd_rule_step(x, g, s, hp, obj):
+    x_new, p = _pdd_update(x, s["p"], g, hp["tau"], hp["sigma"], hp["A"],
+                           hp["epsilon"], hp["omega"], hp.get("C"))
+    return x_new, {"p": p}
 
 
-def nag_step(x: np.ndarray, y_prev: np.ndarray, y_prev2: np.ndarray,
-             tau: float, beta: float, obj: Objective,
-             grad: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Nesterov accelerated gradient: y+ = x - tau grad f(x),
-    x+ = y+ + beta (y_prev - y_prev2). Returns (x+, y+)."""
-    _check_momentum(tau, beta)
-    g = obj.gradient(x) if grad is None else grad
-    return _nag_update(x, g, y_prev, y_prev2, tau, beta)
-
-
-def igahd_step(x: np.ndarray, x_prev: np.ndarray, g_prev: np.ndarray,
-               n: int, tau: float, alpha: float, beta1: float, obj: Objective,
-               grad: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Inertial gradient step with Hessian-driven damping.
-
-    y = x + (1 - alpha/n)(x - x_prev) - beta1 sqrt(tau) (g - g_prev)
-          - (beta1 sqrt(tau) / n) g_prev
-    x+ = y - tau grad f(y)
-
-    Two gradient evaluations per call (at x, reused as next g_prev, and at
-    y). Returns (x+, g) with g = grad f(x).
-    """
-    if n < 1:
-        raise ValueError("iteration counter n must be >= 1")
-    _check_igahd(tau, alpha, beta1)
-    g = obj.gradient(x) if grad is None else grad
-    return _igahd_update(x, g, x_prev, g_prev, n, tau, alpha, beta1, obj), g
-
-
-def igahd_sc_step(x: np.ndarray, x_prev: np.ndarray, g_prev: np.ndarray,
-                  m1: float, tau: float, beta2: float, obj: Objective,
-                  grad: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Strongly convex variant of the Hessian-damped inertial step.
-
-    With r = (1 - sqrt(m1 tau)) / (1 + sqrt(m1 tau)) and
-    s = 1 + sqrt(m1 tau):
-
-    x+ = x + r (x - x_prev) - (beta2 sqrt(tau)/s)(grad f(x) - g_prev)
-           - (tau/s) grad f(x)
-
-    One gradient evaluation per call. Returns (x+, g) with g = grad f(x).
-    """
-    _check_igahd_sc(tau, m1, beta2)
-    g = obj.gradient(x) if grad is None else grad
-    return _igahd_sc_update(x, g, x_prev, g_prev, m1, tau, beta2), g
-
-
-def heavy_ball_step(x: np.ndarray, x_prev: np.ndarray, tau: float, beta: float,
-                    obj: Objective, grad: Optional[np.ndarray] = None) -> np.ndarray:
-    """Discrete heavy-ball iteration x+ = x - tau grad f(x) + beta (x - x_prev)."""
-    _check_momentum(tau, beta)
-    g = obj.gradient(x) if grad is None else grad
-    return _heavy_ball_update(x, g, x_prev, tau, beta)
+# method name -> its update rule; igahd's counter n starts at 1 to keep
+# alpha/n finite, and the g_prev of both igahd variants starts as the first g
+RULES = {
+    "gd": Rule(("tau",), lambda x0: {}, _gd_step, _check_tau),
+    "nag": Rule(("tau", "beta"),
+                lambda x0: {"y_prev": x0.copy(), "y_prev2": x0.copy()},
+                _nag_step, _check_momentum),
+    "heavy_ball": Rule(("tau", "beta"), lambda x0: {"x_prev": x0.copy()},
+                       _heavy_ball_step, _check_momentum),
+    "igahd": Rule(("tau", "alpha", "beta1"),
+                  lambda x0: {"x_prev": x0.copy(), "g_prev": None, "n": 1},
+                  _igahd_step, _check_igahd),
+    "igahd_sc": Rule(("tau", "m1", "beta2"),
+                     lambda x0: {"x_prev": x0.copy(), "g_prev": None},
+                     _igahd_sc_step, _check_igahd_sc),
+    "pdd": Rule(("tau", "sigma", "A", "epsilon", "omega"),
+                lambda x0: {"p": np.zeros_like(x0)}, _pdd_rule_step, _check_pdd,
+                optional=("C",)),
+}
 
 
 def compute_nag_beta(kappa: float) -> float:
@@ -364,94 +374,6 @@ def compute_beta2(m1: float, tau: float) -> float:
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Rule:
-    """An update rule as an init/update pair, after optax's
-    GradientTransformation (https://github.com/google-deepmind/optax):
-    ``init(x0) -> state`` and ``step(x, g, state, hp, obj) -> (x+, state)``
-    with g = grad f(x); only igahd calls ``obj.gradient`` again. ``params``
-    and ``optional`` are the required and allowed extra keys of ``hp``, and
-    ``check(**hp)`` raises ``ValueError`` for an out-of-range value.
-    ``step`` checks nothing: it assumes hyperparameters that ``validate``
-    has already accepted once per run (`validate_method`, `toynet.train`)."""
-    params: Tuple[str, ...]
-    init: Callable[[np.ndarray], dict]
-    step: Callable[..., Tuple[np.ndarray, dict]]
-    check: Callable[..., None]
-    optional: Tuple[str, ...] = ()
-
-    def validate(self, method: str, hp: dict) -> None:
-        """Check the names, types and ranges of ``method``'s hyperparameters."""
-        missing = [k for k in self.params if k not in hp]
-        if missing:
-            raise ValueError(f"{method}: missing parameters {missing}")
-        allowed = set(self.params) | set(self.optional)
-        extra = [k for k in hp if k not in allowed]
-        if extra:
-            raise ValueError(f"{method}: unknown parameters {extra}")
-        for k in self.params:
-            v = hp[k]
-            if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                    or not math.isfinite(v):
-                raise ValueError(f"{method}: parameter {k!r} must be a finite number")
-        try:
-            self.check(**hp)
-        except ValueError as exc:
-            raise ValueError(f"{method}: {exc}") from None
-
-
-def _pdd_rule_step(x, g, s, hp, obj):
-    x_new, p = _pdd_update(x, s["p"], g, hp["tau"], hp["sigma"], hp["A"],
-                           hp["epsilon"], hp["omega"], hp.get("C"))
-    return x_new, {"p": p}
-
-
-def _nag_rule_step(x, g, s, hp, obj):
-    x_new, y = _nag_update(x, g, s["y_prev"], s["y_prev2"], hp["tau"], hp["beta"])
-    return x_new, {"y_prev": y, "y_prev2": s["y_prev"]}
-
-
-def _igahd_rule_step(x, g, s, hp, obj):
-    g_prev = g if s["g_prev"] is None else s["g_prev"]
-    x_new = _igahd_update(x, g, s["x_prev"], g_prev, s["n"], hp["tau"],
-                          hp["alpha"], hp["beta1"], obj)
-    return x_new, {"x_prev": x, "g_prev": g, "n": s["n"] + 1}
-
-
-def _igahd_sc_rule_step(x, g, s, hp, obj):
-    g_prev = g if s["g_prev"] is None else s["g_prev"]
-    x_new = _igahd_sc_update(x, g, s["x_prev"], g_prev, hp["m1"], hp["tau"],
-                             hp["beta2"])
-    return x_new, {"x_prev": x, "g_prev": g}
-
-
-# method name -> its update rule; igahd's counter n starts at 1 to keep
-# alpha/n finite, and the g_prev of both igahd variants starts as the first g
-RULES = {
-    "gd": Rule(("tau",), lambda x0: {},
-               lambda x, g, s, hp, obj: (_gd_update(x, g, hp["tau"]), s),
-               _check_tau),
-    "nag": Rule(("tau", "beta"),
-                lambda x0: {"y_prev": x0.copy(), "y_prev2": x0.copy()},
-                _nag_rule_step, _check_momentum),
-    "heavy_ball": Rule(
-        ("tau", "beta"), lambda x0: {"x_prev": x0.copy()},
-        lambda x, g, s, hp, obj: (
-            _heavy_ball_update(x, g, s["x_prev"], hp["tau"], hp["beta"]),
-            {"x_prev": x}),
-        _check_momentum),
-    "igahd": Rule(("tau", "alpha", "beta1"),
-                  lambda x0: {"x_prev": x0.copy(), "g_prev": None, "n": 1},
-                  _igahd_rule_step, _check_igahd),
-    "igahd_sc": Rule(("tau", "m1", "beta2"),
-                     lambda x0: {"x_prev": x0.copy(), "g_prev": None},
-                     _igahd_sc_rule_step, _check_igahd_sc),
-    "pdd": Rule(("tau", "sigma", "A", "epsilon", "omega"),
-                lambda x0: {"p": np.zeros_like(x0)}, _pdd_rule_step, _check_pdd,
-                optional=("C",)),
-}
-
 
 def validate_method(method: str, params: dict) -> None:
     """Check a method name and its hyperparameters (names, types and

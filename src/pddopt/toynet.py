@@ -34,8 +34,6 @@ __all__ = [
     "METHODS",
 ]
 
-METHODS = ("sgd", "nag_momentum", "pdd", "igahd", "adam")
-
 # mini-batch hyperparameters used throughout the training comparison
 DEFAULT_HYPERPARAMS: Dict[str, Dict[str, float]] = {
     "sgd": {"tau": 0.001},
@@ -203,6 +201,8 @@ _RULES = {
         "m": np.zeros_like(x0), "v": np.zeros_like(x0), "t": 0}, _adam_step,
         _check_adam),
 }
+
+METHODS = tuple(_RULES)
 
 
 def _rule(method: str) -> Rule:

@@ -162,6 +162,87 @@ def test_validation_rejects_unsafe_labels(tmp_path, labels):
     assert not (tmp_path / "out").exists()
 
 
+def test_bad_preconditioner_fails_before_any_run(tmp_path):
+    # gd runs first, so a C resolved only when pdd starts would write gd.csv
+    cfg = preset("rosenbrock2d", out_dir=str(tmp_path / "out"))
+    cfg.optimizers = [
+        OptimizerSpec("gd", "gd", {"tau": 0.0002}),
+        OptimizerSpec("pdd", "pdd", {"tau": 0.005, "sigma": 0.005, "A": 5.0,
+                                     "epsilon": 1.0, "omega": 1.0,
+                                     "C": "diag_inv_q"}),
+    ]
+    cfg.max_iter = 10
+    with pytest.raises(ValueError, match="diag_inv_q"):
+        run_experiment(cfg)
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def _toynet_config(tmp_path, optimizers, **params):
+    prob = ProblemSpec(name="toynet", params={
+        "n": 200, "d_in": 5, "k": 3, "epochs": 1, "hidden": [4],
+        "seeds": [0], **params})
+    return ExperimentConfig(problem=prob, optimizers=optimizers, x0=[],
+                            outputs=("csv",), output_dir=str(tmp_path / "out"))
+
+
+def test_toynet_config_checks_params_before_any_batch(tmp_path, monkeypatch):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch ran before the check")
+
+    monkeypatch.setattr(harness.toynet, "stochastic_step", no_batch)
+    cfg = _toynet_config(tmp_path, [
+        OptimizerSpec("sgd", "sgd", {"tau": -1.0, "bogus": 3})])
+    with pytest.raises(ValueError):
+        run_experiment(cfg)
+
+
+def test_toynet_config_passes_its_params(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(harness.toynet, "train",
+                        lambda cfg: seen.append(cfg.hyperparams) or [])
+    monkeypatch.setattr(harness.toynet, "write_metrics_csv",
+                        lambda rows, path: None)
+    run_experiment(_toynet_config(tmp_path, [
+        OptimizerSpec("sgd", "sgd", {"tau": 0.05}),
+        OptimizerSpec("adam", "adam", {})]))
+    run_experiment(_toynet_config(tmp_path, [
+        OptimizerSpec("sgd", "sgd", {})]))
+    # an empty params dict keeps the defaults
+    assert seen == [{"sgd": {"tau": 0.05}}, None]
+
+
+def test_toynet_config_rejects_unread_params_and_repeated_methods(tmp_path):
+    with pytest.raises(ValueError, match="epoch.*valid keys"):
+        run_experiment(_toynet_config(
+            tmp_path, [OptimizerSpec("sgd", "sgd", {})], epoch=3))
+    with pytest.raises(ValueError, match="sgd"):
+        run_experiment(_toynet_config(
+            tmp_path, [OptimizerSpec("sgd", "a", {}),
+                       OptimizerSpec("sgd", "b", {"tau": 0.01})]))
+
+
+@pytest.mark.parametrize("where,key", [
+    (None, "max_iters"), ("problem", "parmas"), ("optimizer", "lable")])
+def test_config_from_dict_rejects_unknown_keys(where, key):
+    d = harness.config_to_dict(preset("quadcos"))
+    target = {None: d, "problem": d["problem"],
+              "optimizer": d["optimizers"][1]}[where]
+    target[key] = 5
+    with pytest.raises(ValueError, match=f"{key}.*valid keys"):
+        harness.config_from_dict(d)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("quadcos", {"dimm": 3}),
+    ("rosenbrock2d", {"n": 5}),
+    ("logsumexp", {"dim": 10}),
+    ("ackley", {"n": 3}),
+])
+def test_build_problem_rejects_params_it_does_not_read(name, params):
+    with pytest.raises(ValueError, match="valid keys"):
+        build_problem(ProblemSpec(name=name, params=params))
+
+
 def test_svg_escapes_text(tmp_path):
     xs = np.array([1, 10, 100])
     ys = np.array([1.0, 0.1, 0.01])

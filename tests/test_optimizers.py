@@ -1,17 +1,16 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
 
-from pddopt import analysis, objective as ob
+from pddopt import analysis, objective as ob, toynet
 from pddopt.optimizers import (
+    RULES,
     PddParams,
     PddState,
     Preconditioner,
     compute_beta2,
-    gd_step,
-    heavy_ball_step,
-    igahd_sc_step,
-    igahd_step,
-    nag_step,
     pdd_step,
     run_optimizer,
     validate_method,
@@ -33,6 +32,11 @@ def counting(obj):
 
 def one_d_quadratic():
     return ob.quadratic(np.array([[1.0]]), name="half-x2")
+
+
+def rule_step(method, x, state, obj, **hp):
+    """One step of ``RULES[method]`` from x with an explicit state dict."""
+    return RULES[method].step(x, obj.gradient(x), state, hp, obj)
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +93,13 @@ def test_pdd_step_matches_vector_field_to_first_order():
 
 def test_gd_step_examples():
     obj = one_d_quadratic()
-    assert gd_step(np.array([0.0]), 0.5, obj)[0] == 0.0
-    assert gd_step(np.array([1.0]), 0.5, obj)[0] == pytest.approx(0.5)
+    assert rule_step("gd", np.array([0.0]), {}, obj, tau=0.5)[0][0] == 0.0
+    assert rule_step("gd", np.array([1.0]), {}, obj,
+                     tau=0.5)[0][0] == pytest.approx(0.5)
 
     quad = ob.quadratic(np.diag([1.0, 4.0]))
     x = np.array([1.0, 1.0])
-    y = gd_step(x, 2.0 / 5.0, quad)
+    y, _ = rule_step("gd", x, {}, quad, tau=2.0 / 5.0)
     assert y[0] == pytest.approx(0.6 * x[0])   # slow mode contracts by |1-0.4|
     assert abs(y[1]) == pytest.approx(0.6 * x[1])
 
@@ -102,13 +107,11 @@ def test_gd_step_examples():
 def test_nag_two_steps_hand_example():
     obj = one_d_quadratic()
     x = np.array([1.0])
-    y_prev = x.copy()
-    y_prev2 = x.copy()
-    x, y = nag_step(x, y_prev, y_prev2, 0.1, 0.9, obj)
+    state = {"y_prev": x.copy(), "y_prev2": x.copy()}
+    x, state = rule_step("nag", x, state, obj, tau=0.1, beta=0.9)
     assert x[0] == pytest.approx(0.9)          # first step: no momentum
-    assert y[0] == pytest.approx(0.9)
-    y_prev2, y_prev = y_prev, y
-    x, y = nag_step(x, y_prev, y_prev2, 0.1, 0.9, obj)
+    assert state["y_prev"][0] == pytest.approx(0.9)
+    x, state = rule_step("nag", x, state, obj, tau=0.1, beta=0.9)
     assert x[0] == pytest.approx(0.72)
 
 
@@ -117,18 +120,19 @@ def test_igahd_reduces_to_gd_when_damping_off():
     x = np.array([1.0, -2.0])
     g = obj.gradient(x)
     # alpha = n = 1 makes the inertia weight vanish; beta1 = 0 kills damping
-    x_new, _ = igahd_step(x, x.copy(), g, n=1, tau=0.05, alpha=1.0, beta1=0.0,
-                          obj=obj)
-    np.testing.assert_allclose(x_new, gd_step(x, 0.05, obj))
+    x_new, _ = rule_step("igahd", x, {"x_prev": x.copy(), "g_prev": g, "n": 1},
+                         obj, tau=0.05, alpha=1.0, beta1=0.0)
+    np.testing.assert_allclose(x_new, rule_step("gd", x, {}, obj, tau=0.05)[0])
 
 
 def test_igahd_stationary():
     obj = ob.quadratic(np.eye(2))
     x = np.zeros(2)
-    x_new, g = igahd_step(x, x.copy(), np.zeros(2), n=3, tau=0.01, alpha=3.0,
-                          beta1=0.1, obj=obj)
+    x_new, state = rule_step("igahd", x,
+                             {"x_prev": x.copy(), "g_prev": np.zeros(2), "n": 3},
+                             obj, tau=0.01, alpha=3.0, beta1=0.1)
     np.testing.assert_array_equal(x_new, x)
-    np.testing.assert_array_equal(g, np.zeros(2))
+    np.testing.assert_array_equal(state["g_prev"], np.zeros(2))
 
 
 def test_igahd_against_direct_transcription():
@@ -146,40 +150,52 @@ def test_igahd_against_direct_transcription():
          - beta1 * np.sqrt(tau) / n * g_prev)
     expected = y - tau * obj.gradient(y)
 
-    got, _ = igahd_step(x, x_prev, g_prev, n, tau, alpha, beta1, obj)
+    got, _ = rule_step("igahd", x, {"x_prev": x_prev, "g_prev": g_prev, "n": n},
+                       obj, tau=tau, alpha=alpha, beta1=beta1)
     np.testing.assert_allclose(got, expected, rtol=1e-15)
 
 
-def test_igahd_rejects_n_zero():
+def test_igahd_counter_starts_at_one_and_counts_steps():
+    # alpha/n needs n >= 1: init starts the counter there, each step adds one
     obj = one_d_quadratic()
-    with pytest.raises(ValueError):
-        igahd_step(np.ones(1), np.ones(1), np.ones(1), 0, 0.01, 3.0, 0.1, obj)
+    x = np.ones(1)
+    state = RULES["igahd"].init(x)
+    assert state["n"] == 1
+    for n in range(1, 4):
+        x, state = rule_step("igahd", x, state, obj, tau=0.01, alpha=3.0,
+                             beta1=0.1)
+        assert state["n"] == n + 1
 
 
 def test_igahd_sc_examples():
     obj = one_d_quadratic()
     # stationary point
-    x_new, _ = igahd_sc_step(np.zeros(1), np.zeros(1), np.zeros(1),
-                             m1=1.0, tau=0.1, beta2=0.5, obj=obj)
+    x_new, _ = rule_step("igahd_sc", np.zeros(1),
+                         {"x_prev": np.zeros(1), "g_prev": np.zeros(1)},
+                         obj, m1=1.0, tau=0.1, beta2=0.5)
     assert x_new[0] == 0.0
     # m1*tau = 1 kills the momentum coefficient
     smt = 1.0
     r = (1.0 - np.sqrt(smt)) / (1.0 + np.sqrt(smt))
     assert r == 0.0
     # hand evaluation: r=1/3, x+ = 1 - (0.25/1.5) = 5/6
-    x_new, _ = igahd_sc_step(np.array([1.0]), np.array([1.0]), np.array([1.0]),
-                             m1=1.0, tau=0.25, beta2=1.0, obj=obj)
+    x_new, _ = rule_step("igahd_sc", np.array([1.0]),
+                         {"x_prev": np.array([1.0]), "g_prev": np.array([1.0])},
+                         obj, m1=1.0, tau=0.25, beta2=1.0)
     assert x_new[0] == pytest.approx(5.0 / 6.0, rel=1e-15)
 
 
 def test_heavy_ball_examples():
     obj = one_d_quadratic()
     x = np.array([1.0])
-    assert heavy_ball_step(x, x, 0.1, 0.5, obj)[0] == pytest.approx(0.9)
+    assert rule_step("heavy_ball", x, {"x_prev": x}, obj, tau=0.1,
+                     beta=0.5)[0][0] == pytest.approx(0.9)
     np.testing.assert_array_equal(
-        heavy_ball_step(np.zeros(1), np.zeros(1), 0.1, 0.5, obj), np.zeros(1))
-    np.testing.assert_allclose(heavy_ball_step(x, x, 0.1, 0.0, obj),
-                               gd_step(x, 0.1, obj))
+        rule_step("heavy_ball", np.zeros(1), {"x_prev": np.zeros(1)}, obj,
+                  tau=0.1, beta=0.5)[0], np.zeros(1))
+    np.testing.assert_allclose(
+        rule_step("heavy_ball", x, {"x_prev": x}, obj, tau=0.1, beta=0.0)[0],
+        rule_step("gd", x, {}, obj, tau=0.1)[0])
 
 
 def test_compute_beta2():
@@ -209,21 +225,22 @@ def test_gradient_evaluation_budget():
              PddParams(tau=0.1, sigma=0.1, A=1.0, epsilon=1.0, omega=1.0), obj)
     assert calls["n"] == 1
 
-    obj, calls = counting(base)
-    gd_step(x, 0.1, obj)
-    assert calls["n"] == 1
-
-    obj, calls = counting(base)
-    nag_step(x, x, x, 0.1, 0.5, obj)
-    assert calls["n"] == 1
-
-    obj, calls = counting(base)
-    igahd_sc_step(x, x, base.gradient(x), 1.0, 0.1, 0.5, obj)
-    assert calls["n"] == 1
-
-    obj, calls = counting(base)
-    igahd_step(x, x, base.gradient(x), 2, 0.01, 3.0, 0.1, obj)
-    assert calls["n"] == 2
+    # k steps: one gradient at the start, then one per step (igahd: two)
+    k = 5
+    for method, hp in [
+        ("gd", {"tau": 0.1}),
+        ("nag", {"tau": 0.1, "beta": 0.5}),
+        ("heavy_ball", {"tau": 0.1, "beta": 0.5}),
+        ("igahd_sc", {"tau": 0.1, "m1": 1.0, "beta2": 0.5}),
+        ("pdd", {"tau": 0.1, "sigma": 0.1, "A": 1.0, "epsilon": 1.0,
+                 "omega": 1.0}),
+        ("igahd", {"tau": 0.01, "alpha": 3.0, "beta1": 0.1}),
+    ]:
+        obj, calls = counting(base)
+        traj = run_optimizer(obj, method, hp, x, max_iter=k, grad_tol=0.0)
+        assert traj.records[-1].iter == k, method
+        per_step = 2 if method == "igahd" else 1
+        assert calls["n"] == per_step * k + 1, method
 
 
 # ---------------------------------------------------------------------------
@@ -370,39 +387,46 @@ def test_out_of_range_hyperparameters_rejected_before_any_step(method, params,
 
 
 def _reference_run(method, hp, obj, x, steps):
-    """Iterate the public checked kernel; returns per-step (f, |g|), x, p."""
+    """Transcribe each method's displayed update formula, independently of
+    the rule table; returns per-step (f, |g|), x, p."""
     x_prev, g_prev, y_prev, y_prev2 = x, None, x, x
-    state = PddState(x=x, p=np.zeros_like(x))
-    params = PddParams(**hp) if method == "pdd" else None
+    p = np.zeros_like(x)
+    tau = hp["tau"]
     rows = []
     for n in range(1, steps + 2):
         g = obj.gradient(x)
         rows.append((obj.value(x), float(np.linalg.norm(g))))
         if n == steps + 1:
             break
+        g_prev = g if g_prev is None else g_prev
         if method == "gd":
-            x = gd_step(x, hp["tau"], obj, grad=g)
+            x_new = x - tau * g
         elif method == "nag":
-            x, y = nag_step(x, y_prev, y_prev2, hp["tau"], hp["beta"], obj, grad=g)
+            y = x - tau * g
+            x_new = y + hp["beta"] * (y_prev - y_prev2)
             y_prev, y_prev2 = y, y_prev
         elif method == "heavy_ball":
-            x, x_prev = heavy_ball_step(x, x_prev, hp["tau"], hp["beta"], obj,
-                                        grad=g), x
+            x_new = x - tau * g + hp["beta"] * (x - x_prev)
         elif method == "igahd":
-            x_new, g_prev = igahd_step(x, x_prev, g if g_prev is None else g_prev,
-                                       n, hp["tau"], hp["alpha"], hp["beta1"],
-                                       obj, grad=g)
-            x, x_prev = x_new, x
+            b = hp["beta1"] * math.sqrt(tau)
+            y = (x + (1.0 - hp["alpha"] / n) * (x - x_prev) - b * (g - g_prev)
+                 - (b / n) * g_prev)
+            x_new = y - tau * obj.gradient(y)
         elif method == "igahd_sc":
-            x_new, g_prev = igahd_sc_step(x, x_prev,
-                                          g if g_prev is None else g_prev,
-                                          hp["m1"], hp["tau"], hp["beta2"], obj,
-                                          grad=g)
-            x, x_prev = x_new, x
+            smt = math.sqrt(hp["m1"] * tau)
+            r, s = (1.0 - smt) / (1.0 + smt), 1.0 + smt
+            x_new = (x + r * (x - x_prev)
+                     - (hp["beta2"] * math.sqrt(tau) / s) * (g - g_prev)
+                     - (tau / s) * g)
         else:
-            state = pdd_step(state, params, obj, grad=g)
-            x = state.x
-    return rows, x, state.p if method == "pdd" else None
+            sA = hp["sigma"] * hp["A"]
+            p_new = (p + sA * g) / (1.0 + hp["sigma"] * hp["epsilon"] * hp["A"])
+            pt = p_new + hp["omega"] * (p_new - p)
+            if "C" in hp:  # a diagonal C scales each coordinate
+                pt = hp["C"].payload * pt
+            x_new, p = x - tau * pt, p_new
+        x_prev, g_prev, x = x, g, x_new
+    return rows, x, p if method == "pdd" else None
 
 
 @pytest.mark.parametrize("method,hp", [
@@ -417,6 +441,8 @@ def _reference_run(method, hp, obj, x, steps):
              "omega": 1.0, "C": Preconditioner.diagonal([0.5, 0.25])}),
 ])
 def test_driver_matches_public_kernels_bitwise(method, hp):
+    # the reference transcribes the formulas, so a reordered floating-point
+    # operation in a rule step fails the == comparisons
     obj = ob.rosenbrock(n=2)
     x0 = np.array([-3.0, -4.0])
     steps = 300
@@ -429,3 +455,13 @@ def test_driver_matches_public_kernels_bitwise(method, hp):
         assert traj.final_p is None
     else:
         assert traj.final_p.tobytes() == p.tobytes()
+
+
+@pytest.mark.parametrize("table", [RULES, toynet._RULES],
+                         ids=["optimizers", "toynet"])
+def test_rule_parameter_names_match_check_signature(table):
+    # validate checks names from params + optional and then calls
+    # check(**hp): the two lists must agree or a valid config fails
+    for method, rule in table.items():
+        names = tuple(inspect.signature(rule.check).parameters)
+        assert rule.params + rule.optional == names, method
