@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, harness, toynet
+from . import analysis, harness
 from .dynamics import DynParams, integrate_rk4
 from .objective import as_vector
 from .optimizers import PddState, Preconditioner, pdd_step

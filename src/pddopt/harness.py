@@ -14,7 +14,7 @@ import math
 import os
 import re
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from html import escape
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -68,6 +68,9 @@ _PROBLEM_PARAMS = {
 }
 _TOYNET_PARAMS = ("n", "d_in", "k", "spread", "epochs", "batch_size", "hidden",
                   "seeds")
+# the keys `pddopt analyze` and `pddopt dynamics` read from these sections
+_ANALYSIS_KEYS = ("delta", "num_samples", "sample_scale", "pdd_steps", "seed")
+_DYNAMICS_KEYS = ("A", "epsilon", "gamma", "p0", "t_end", "dt")
 
 
 @dataclass
@@ -117,21 +120,38 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return d
 
 
-def _check_keys(d: dict, valid: Sequence[str], where: str) -> None:
+def _check_keys(d: dict, valid: Sequence[str], where: str,
+                required: Sequence[str] = ()) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(d).__name__}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"{where}: missing keys {missing}; "
+                         f"required keys are {list(required)}")
     unknown = [k for k in d if k not in valid]
     if unknown:
         raise ValueError(f"{where}: unknown keys {unknown}; "
                          f"valid keys are {list(valid)}")
 
 
+def _check_fields(d: dict, cls, where: str) -> None:
+    """Reject keys that are not fields of the dataclass ``cls`` and missing
+    fields that have no default."""
+    _check_keys(d, [f.name for f in fields(cls)], where,
+                [f.name for f in fields(cls)
+                 if f.default is MISSING and f.default_factory is MISSING])
+
+
 def _spec(cls, d: dict, where: str):
-    """``cls(**d)``, rejecting keys that are not fields of ``cls``."""
-    _check_keys(d, [f.name for f in fields(cls)], where)
+    """``cls(**d)`` once `_check_fields` has accepted ``d``."""
+    _check_fields(d, cls, where)
     return cls(**d)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    _check_keys(d, [f.name for f in fields(ExperimentConfig)], "config")
+    _check_fields(d, ExperimentConfig, "config")
+    _check_keys(d.get("analysis", {}), _ANALYSIS_KEYS, "analysis")
+    _check_keys(d.get("dynamics", {}), _DYNAMICS_KEYS, "dynamics")
     return ExperimentConfig(
         problem=_spec(ProblemSpec, d["problem"], "problem"),
         optimizers=[_spec(OptimizerSpec, o, f"optimizers[{i}]")
@@ -491,9 +511,9 @@ def resolve_output_dir(config: ExperimentConfig, override: Optional[str] = None,
 
 def validate_config(config: ExperimentConfig) -> None:
     """Check what needs no built problem: the labels and, for toynet, the
-    problem params keys and the methods. `run_experiment` checks the other
-    problems' params and optimizer hyperparameters once the problem is
-    built."""
+    problem params keys, the methods and that each label is its method.
+    `run_experiment` checks the other problems' params and optimizer
+    hyperparameters once the problem is built."""
     if not config.optimizers:
         raise ValueError("config needs at least one optimizer")
     seen = set()
@@ -507,12 +527,14 @@ def validate_config(config: ExperimentConfig) -> None:
     if config.problem.name == "toynet":
         _check_keys(config.problem.params, _TOYNET_PARAMS,
                     "problem 'toynet' params")
-        methods = [o.method for o in config.optimizers]
-        for m in methods:
-            if m not in toynet.METHODS:
-                raise ValueError(f"unknown stochastic method {m!r}")
-            if methods.count(m) > 1:  # toynet rows are keyed by method
-                raise ValueError(f"toynet method {m!r} listed twice")
+        for o in config.optimizers:
+            if o.method not in toynet.METHODS:
+                raise ValueError(f"unknown stochastic method {o.method!r}")
+            # rows, CSV and legend are keyed by method; unique labels then
+            # also rule out a method listed twice
+            if o.label != o.method:
+                raise ValueError(f"toynet optimizer label {o.label!r} must "
+                                 f"equal its method {o.method!r}")
 
 
 def _resolved_params(spec: OptimizerSpec, ctx: dict) -> dict:

@@ -187,10 +187,11 @@ class Trajectory:
 class Rule:
     """A method as an init/update pair, after optax's GradientTransformation
     (https://github.com/google-deepmind/optax): ``init(x0) -> state`` and
-    ``step(x, g, state, hp, obj) -> (x+, state)`` with g = grad f(x); only
-    igahd calls ``obj.gradient`` again. ``step`` is the one copy of the
-    method's formula (pdd's is `_pdd_update`, shared with `pdd_step`) and
-    checks nothing; ``validate`` checks ``hp`` once per run: its keys
+    ``step(x, g, state, hp, grad) -> (x+, state)`` with g = grad f(x) and
+    ``grad`` the gradient as a callable (``obj.gradient``, or toynet's batch
+    gradient); only igahd calls ``grad`` again. ``step`` is the one copy of
+    the method's formula (pdd's is `_pdd_update`, shared with `pdd_step`)
+    and checks nothing; ``validate`` checks ``hp`` once per run: its keys
     against ``params`` (required) and ``optional``, its ranges with
     ``check(**hp)``, which raises ``ValueError``."""
     params: Tuple[str, ...]
@@ -224,7 +225,7 @@ def _check_tau(tau) -> None:
         raise ValueError("tau must be positive")
 
 
-def _gd_step(x, g, s, hp, obj):
+def _gd_step(x, g, s, hp, grad):
     """Plain gradient descent: x+ = x - tau grad f(x)."""
     return x - hp["tau"] * g, s
 
@@ -235,7 +236,7 @@ def _check_momentum(tau, beta) -> None:
         raise ValueError("beta must lie in [0, 1)")
 
 
-def _nag_step(x, g, s, hp, obj):
+def _nag_step(x, g, s, hp, grad):
     """Nesterov accelerated gradient: y+ = x - tau grad f(x),
     x+ = y+ + beta (y_prev - y_prev2)."""
     y_new = x - hp["tau"] * g
@@ -243,7 +244,7 @@ def _nag_step(x, g, s, hp, obj):
             {"y_prev": y_new, "y_prev2": s["y_prev"]})
 
 
-def _heavy_ball_step(x, g, s, hp, obj):
+def _heavy_ball_step(x, g, s, hp, grad):
     """Discrete heavy-ball iteration x+ = x - tau grad f(x) + beta (x - x_prev)."""
     return x - hp["tau"] * g + hp["beta"] * (x - s["x_prev"]), {"x_prev": x}
 
@@ -254,7 +255,7 @@ def _check_igahd(tau, alpha, beta1) -> None:
         raise ValueError("beta1 must lie in [0, 2 sqrt(tau)]")
 
 
-def _igahd_step(x, g, s, hp, obj):
+def _igahd_step(x, g, s, hp, grad):
     """Inertial gradient step with Hessian-driven damping; two gradients per
     step, g = grad f(x) (the next g_prev) and grad f(y):
 
@@ -268,7 +269,7 @@ def _igahd_step(x, g, s, hp, obj):
     a_n = 1.0 - hp["alpha"] / n
     y = (x + a_n * (x - s["x_prev"]) - beta1 * st * (g - g_prev)
          - (beta1 * st / n) * g_prev)
-    return y - tau * obj.gradient(y), {"x_prev": x, "g_prev": g, "n": n + 1}
+    return y - tau * grad(y), {"x_prev": x, "g_prev": g, "n": n + 1}
 
 
 def _check_igahd_sc(tau, m1, beta2) -> None:
@@ -278,7 +279,7 @@ def _check_igahd_sc(tau, m1, beta2) -> None:
         raise ValueError("beta2 must not exceed 1/sqrt(m1)")
 
 
-def _igahd_sc_step(x, g, s, hp, obj):
+def _igahd_sc_step(x, g, s, hp, grad):
     """Strongly convex variant of the Hessian-damped inertial step, with
     r = (1 - sqrt(m1 tau)) / (1 + sqrt(m1 tau)) and s = 1 + sqrt(m1 tau):
 
@@ -319,7 +320,7 @@ def pdd_step(state: PddState, params: PddParams, obj: Objective,
     return PddState(x=x_new, p=p_new, iter=state.iter + 1)
 
 
-def _pdd_rule_step(x, g, s, hp, obj):
+def _pdd_rule_step(x, g, s, hp, grad):
     x_new, p = _pdd_update(x, s["p"], g, hp["tau"], hp["sigma"], hp["A"],
                            hp["epsilon"], hp["omega"], hp.get("C"))
     return x_new, {"p": p}
@@ -441,7 +442,7 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
                 if it % record_every != 0:
                     record(it, x, g)
                 break
-            x, state = rule.step(x, g, state, params, obj)
+            x, state = rule.step(x, g, state, params, obj.gradient)
             it += 1
             g = obj.gradient(x)
 

@@ -2,8 +2,9 @@
 
 Manual forward/backward passes on a ReLU network with softmax
 cross-entropy, synthetic Gaussian-blob data, and five mini-batch update
-rules: sgd, nag_momentum, pdd (flattened parameters as the primal, a
-persistent dual carried across batches, C = I), igahd, and adam. All but
+rules: sgd, nag_momentum, pdd (a persistent dual carried across batches,
+C = I), igahd, and adam. The parameters are one flat float64 vector from
+start to finish; `layers` views it as per-layer (W, b) pairs. All but
 adam run the deterministic rules of `optimizers.RULES` on the batch loss.
 Runs are deterministic per seed.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,10 +22,11 @@ from .optimizers import RULES, Rule
 
 __all__ = [
     "Dataset",
-    "MlpParams",
     "make_blobs",
+    "init_params",
+    "layers",
     "mlp_loss_grad",
-    "init_state",
+    "accuracy",
     "stochastic_step",
     "TrainConfig",
     "train",
@@ -80,67 +81,54 @@ def make_blobs(seed: int, n: int, d_in: int, k: int, spread: float) -> Dataset:
     return Dataset(X=X, y=y, train_idx=train_idx, test_idx=test_idx, seed=seed)
 
 
-@dataclass
-class MlpParams:
-    """ReLU network weights (input -> hidden... -> logits)."""
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
-
-    @classmethod
-    def init(cls, sizes: Sequence[int], seed: int) -> "MlpParams":
-        """Uniform(+-sqrt(6/(fan_in+fan_out))) weights, zero biases."""
-        rng = np.random.default_rng(seed)
-        weights, biases = [], []
-        for fi, fo in zip(sizes[:-1], sizes[1:]):
-            lim = math.sqrt(6.0 / (fi + fo))
-            weights.append(rng.uniform(-lim, lim, size=(fi, fo)))
-            biases.append(np.zeros(fo))
-        return cls(weights=weights, biases=biases)
-
-    @property
-    def sizes(self) -> List[int]:
-        return [self.weights[0].shape[0]] + [W.shape[1] for W in self.weights]
-
-    def flatten(self) -> np.ndarray:
-        parts = []
-        for W, b in zip(self.weights, self.biases):
-            parts.append(W.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
-
-    def with_flat(self, vec: np.ndarray) -> "MlpParams":
-        """New parameters with the same shapes filled from a flat vector."""
-        weights, biases = [], []
-        k = 0
-        for W, b in zip(self.weights, self.biases):
-            weights.append(vec[k:k + W.size].reshape(W.shape))
-            k += W.size
-            biases.append(vec[k:k + b.size].copy())
-            k += b.size
-        if k != vec.size:
-            raise ValueError("flat vector size mismatch")
-        return MlpParams(weights=weights, biases=biases)
+def init_params(sizes: Sequence[int], seed: int) -> np.ndarray:
+    """Flat parameters of a ReLU network with layer widths ``sizes``:
+    Uniform(+-sqrt(6/(fan_in+fan_out))) weights, zero biases."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros(sum(fi * fo + fo for fi, fo in zip(sizes[:-1], sizes[1:])))
+    for W, _ in layers(x, sizes):
+        lim = math.sqrt(6.0 / sum(W.shape))
+        W[...] = rng.uniform(-lim, lim, size=W.shape)
+    return x
 
 
-def mlp_loss_grad(params: MlpParams, X: np.ndarray,
-                  y: np.ndarray) -> Tuple[float, MlpParams]:
-    """Mean softmax cross-entropy over the batch plus its gradients.
+def layers(x: np.ndarray, sizes: Sequence[int]) -> list:
+    """The (W, b) pair of every layer as views into the flat vector ``x``,
+    which stores each layer's row-major W followed by its b."""
+    pairs, k = [], 0
+    for fi, fo in zip(sizes[:-1], sizes[1:]):
+        W = x[k:k + fi * fo].reshape(fi, fo)
+        pairs.append((W, x[k + W.size:k + W.size + fo]))
+        k += W.size + fo
+    if k != x.size:
+        raise ValueError("flat vector size mismatch")
+    return pairs
 
-    Hidden activations are ReLU; the log-softmax is max-shifted. Gradients
-    come from a manual backward pass and average over the batch, so
-    duplicating every batch row changes nothing.
+
+def _forward(pairs, X: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Activations of every layer (X first, the logits last) and the hidden
+    pre-activations; hidden layers are ReLU."""
+    acts, zs = [X], []
+    for W, b in pairs[:-1]:
+        zs.append(acts[-1] @ W + b)
+        acts.append(np.maximum(zs[-1], 0.0))
+    W, b = pairs[-1]
+    acts.append(acts[-1] @ W + b)
+    return acts, zs
+
+
+def mlp_loss_grad(x: np.ndarray, sizes: Sequence[int], X: np.ndarray,
+                  y: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy over the batch plus its flat gradient.
+
+    The log-softmax is max-shifted. Gradients come from a manual backward
+    pass and average over the batch, so duplicating every batch row
+    changes nothing.
     """
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    n_layers = len(params.weights)
-    acts = [X]
-    zs = []
-    a = X
-    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ W + b
-        zs.append(z)
-        a = np.maximum(z, 0.0) if i < n_layers - 1 else z
-        acts.append(a)
+    pairs = layers(x, sizes)
+    acts, zs = _forward(pairs, X)
     logits = acts[-1]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
@@ -151,31 +139,26 @@ def mlp_loss_grad(params: MlpParams, X: np.ndarray,
     delta = np.exp(log_probs)
     delta[np.arange(B), y] -= 1.0
     delta /= B
-    gw: List[np.ndarray] = [np.empty(0)] * n_layers
-    gb: List[np.ndarray] = [np.empty(0)] * n_layers
-    for i in range(n_layers - 1, -1, -1):
-        gw[i] = acts[i].T @ delta
-        gb[i] = delta.sum(axis=0)
+    g = np.empty_like(x)
+    for i, (gW, gb) in reversed(list(enumerate(layers(g, sizes)))):
+        gW[...] = acts[i].T @ delta
+        gb[...] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ params.weights[i].T) * (zs[i - 1] > 0.0)
-    return loss, MlpParams(weights=gw, biases=gb)
+            delta = (delta @ pairs[i][0].T) * (zs[i - 1] > 0.0)
+    return loss, g
 
 
-def accuracy(params: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
-    a = X
-    n_layers = len(params.weights)
-    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        a = a @ W + b
-        if i < n_layers - 1:
-            a = np.maximum(a, 0.0)
-    return float(np.mean(np.argmax(a, axis=1) == y))
+def accuracy(x: np.ndarray, sizes: Sequence[int], X: np.ndarray,
+             y: np.ndarray) -> float:
+    logits = _forward(layers(x, sizes), X)[0][-1]
+    return float(np.mean(np.argmax(logits, axis=1) == y))
 
 
 # ---------------------------------------------------------------------------
-# stochastic updates on the flattened parameter vector
+# stochastic updates of the flat parameter vector
 # ---------------------------------------------------------------------------
 
-def _adam_step(x, g, s, hp, obj):
+def _adam_step(x, g, s, hp, grad):
     t = s["t"] + 1
     m = hp["beta1"] * s["m"] + (1.0 - hp["beta1"]) * g
     v = hp["beta2"] * s["v"] + (1.0 - hp["beta2"]) * g * g
@@ -211,31 +194,20 @@ def _rule(method: str) -> Rule:
     return _RULES[method]
 
 
-def init_state(method: str, dim: int, x0: np.ndarray) -> dict:
-    """Initial state of ``method`` for the flat start ``x0`` (of size ``dim``)."""
-    return _rule(method).init(x0)
-
-
-def stochastic_step(method: str, state: dict, params: MlpParams,
-                    batch: Tuple[np.ndarray, np.ndarray],
+def stochastic_step(method: str, state: dict, x: np.ndarray,
+                    sizes: Sequence[int], batch: Tuple[np.ndarray, np.ndarray],
                     hp: Optional[Dict[str, float]] = None
-                    ) -> Tuple[dict, MlpParams, float]:
-    """One mini-batch update. Returns (state, params, batch loss).
+                    ) -> Tuple[dict, np.ndarray, float]:
+    """One mini-batch update of the flat parameters ``x``. Returns
+    (state, x+, batch loss).
 
     ``hp`` is used as given: the rule step checks no range, so pass values
     that ``Rule.validate`` has accepted (`train` checks them once)."""
-    rule = _rule(method)
+    step = _rule(method).step
     hp = hp or DEFAULT_HYPERPARAMS[method]
-
-    def grad_at(vec):
-        loss, g = mlp_loss_grad(params.with_flat(vec), *batch)
-        return loss, g.flatten()
-
-    x = params.flatten()
-    loss, g = grad_at(x)
-    batch_loss = SimpleNamespace(gradient=lambda vec: grad_at(vec)[1])  # for igahd
-    x_new, state = rule.step(x, g, state, hp, batch_loss)
-    return state, params.with_flat(x_new), loss
+    loss, g = mlp_loss_grad(x, sizes, *batch)
+    x_new, state = step(x, g, state, hp, lambda v: mlp_loss_grad(v, sizes, *batch)[1])
+    return state, x_new, loss
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +241,8 @@ def train(config: TrainConfig) -> List[dict]:
     hp_table = config.hyperparams or DEFAULT_HYPERPARAMS
     hps = {}
     for method in config.methods:
-        rule = _rule(method)
         hps[method] = hp_table.get(method, DEFAULT_HYPERPARAMS[method])
-        rule.validate(method, hps[method])
+        _rule(method).validate(method, hps[method])
 
     data = make_blobs(config.data_seed, config.n, config.d_in, config.k,
                       config.spread)
@@ -281,11 +252,9 @@ def train(config: TrainConfig) -> List[dict]:
     rows: List[dict] = []
 
     for seed in config.seeds:
-        init = MlpParams.init(sizes, seed)
-        x0 = init.flatten()
+        x0 = init_params(sizes, seed)
         for method in config.methods:
-            params = init.with_flat(x0)
-            state = init_state(method, x0.size, x0)
+            x, state = x0, _rule(method).init(x0)
             hp = hps[method]
             diverged = False
             for epoch in range(config.epochs):
@@ -293,8 +262,8 @@ def train(config: TrainConfig) -> List[dict]:
                 losses = []
                 for s in range(0, len(order), config.batch_size):
                     idx = order[s:s + config.batch_size]
-                    state, params, loss = stochastic_step(
-                        method, state, params, (Xtr[idx], ytr[idx]), hp)
+                    state, x, loss = stochastic_step(
+                        method, state, x, sizes, (Xtr[idx], ytr[idx]), hp)
                     losses.append(loss)
                     if not math.isfinite(loss):
                         diverged = True
@@ -304,7 +273,8 @@ def train(config: TrainConfig) -> List[dict]:
                     "method": method,
                     "seed": seed,
                     "train_loss": float("nan") if diverged else float(np.mean(losses)),
-                    "test_acc": float("nan") if diverged else accuracy(params, Xte, yte),
+                    "test_acc": (float("nan") if diverged
+                                 else accuracy(x, sizes, Xte, yte)),
                 })
                 if diverged:
                     break

@@ -221,6 +221,15 @@ def test_toynet_config_rejects_unread_params_and_repeated_methods(tmp_path):
                        OptimizerSpec("sgd", "b", {"tau": 0.01})]))
 
 
+def test_toynet_config_rejects_label_other_than_method(tmp_path):
+    # rows, toynet_metrics.csv and the legend are keyed by method, so the
+    # label my-sgd would be dropped silently
+    with pytest.raises(ValueError, match="my-sgd"):
+        run_experiment(_toynet_config(
+            tmp_path, [OptimizerSpec("sgd", "my-sgd", {})]))
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("where,key", [
     (None, "max_iters"), ("problem", "parmas"), ("optimizer", "lable")])
 def test_config_from_dict_rejects_unknown_keys(where, key):
@@ -229,6 +238,51 @@ def test_config_from_dict_rejects_unknown_keys(where, key):
               "optimizer": d["optimizers"][1]}[where]
     target[key] = 5
     with pytest.raises(ValueError, match=f"{key}.*valid keys"):
+        harness.config_from_dict(d)
+
+
+@pytest.mark.parametrize("where,key", [
+    (None, "problem"), (None, "optimizers"), (None, "x0"), ("problem", "name"),
+    ("optimizer", "method"), ("optimizer", "label")])
+def test_config_from_dict_names_missing_required_keys(where, key):
+    d = harness.config_to_dict(preset("quadcos"))
+    target = {None: d, "problem": d["problem"],
+              "optimizer": d["optimizers"][1]}[where]
+    del target[key]
+    section = {None: "config", "problem": "problem",
+               "optimizer": r"optimizers\[1\]"}[where]
+    with pytest.raises(ValueError, match=f"{section}: missing keys.*{key}"
+                                         ".*required keys"):
+        harness.config_from_dict(d)
+
+
+@pytest.mark.parametrize("key,value,where", [
+    ("analysis", None, "analysis"), ("problem", "quadcos", "problem"),
+    ("optimizers", {"method": "gd", "label": "gd"}, r"optimizers\[0\]")])
+def test_config_from_dict_rejects_sections_that_are_not_objects(key, value,
+                                                                where):
+    d = harness.config_to_dict(preset("quadcos"))
+    d[key] = value
+    with pytest.raises(ValueError, match=f"{where} must be a JSON object"):
+        harness.config_from_dict(d)
+
+
+def test_analyze_rejects_unknown_analysis_and_dynamics_keys(tmp_path):
+    from pddopt.cli import main
+
+    cfg = preset("quadcos", out_dir=str(tmp_path / "out"))
+    cfg.problem.params["dim"] = 5
+    cfg.analysis = {"pdd_step": 5, "num_samples": 2}  # typo of pdd_steps
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
+    with pytest.raises(ValueError, match="analysis.*pdd_step.*valid keys"):
+        main(["analyze", str(cfg_path)])
+    assert not (tmp_path / "out").exists()
+
+    d = harness.config_to_dict(cfg)
+    d["analysis"] = {}
+    d["dynamics"] = {"t_end": 1.0, "tend": 2.0}
+    with pytest.raises(ValueError, match="dynamics.*tend.*valid keys"):
         harness.config_from_dict(d)
 
 

@@ -36,7 +36,7 @@ def one_d_quadratic():
 
 def rule_step(method, x, state, obj, **hp):
     """One step of ``RULES[method]`` from x with an explicit state dict."""
-    return RULES[method].step(x, obj.gradient(x), state, hp, obj)
+    return RULES[method].step(x, obj.gradient(x), state, hp, obj.gradient)
 
 
 # ---------------------------------------------------------------------------

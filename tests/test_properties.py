@@ -1,11 +1,15 @@
-"""Property tests of the update-rule table over random hyperparameters."""
+"""Property tests of the update-rule table over random hyperparameters and
+of the config round trip."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pddopt import harness
 from pddopt import objective as ob
 from pddopt.optimizers import RULES
 
@@ -40,7 +44,8 @@ def test_stationary_point_is_a_fixed_point_of_every_rule(data, diag):
     for method, rule in RULES.items():
         hp = data.draw(hyperparams(method), label=method)
         rule.validate(method, hp)
-        x_new, _ = rule.step(x, obj.gradient(x), rule.init(x), hp, obj)
+        x_new, _ = rule.step(x, obj.gradient(x), rule.init(x), hp,
+                             obj.gradient)
         assert x_new.tobytes() == x.tobytes(), method
 
 
@@ -53,3 +58,49 @@ def test_pdd_dual_update_closed_form(sigma, A, eps, g, p):
     hp = {"tau": 0.1, "sigma": sigma, "A": A, "epsilon": eps, "omega": 1.0}
     _, state = RULES["pdd"].step(np.zeros(3), g, {"p": p}, hp, None)
     np.testing.assert_array_equal(state["p"], (p + sigma * A * g) / (1 + sigma * eps * A))
+
+
+# ---------------------------------------------------------------------------
+# config round trip
+# ---------------------------------------------------------------------------
+
+numbers = st.floats(allow_nan=False, allow_infinity=False)
+small_ints = st.integers(0, 10**6)
+
+
+def section(keys):
+    """A dict over a subset of ``keys`` with JSON-exact values."""
+    if not keys:
+        return st.just({})
+    return st.dictionaries(st.sampled_from(keys), numbers | small_ints)
+
+
+problems = st.sampled_from(sorted(harness._PROBLEM_PARAMS)).flatmap(
+    lambda name: st.builds(harness.ProblemSpec, st.just(name),
+                           section(harness._PROBLEM_PARAMS[name]),
+                           small_ints))
+optimizer_specs = st.builds(
+    harness.OptimizerSpec, st.sampled_from(sorted(RULES)),
+    st.from_regex(r"[A-Za-z0-9._-]{1,12}", fullmatch=True),
+    st.dictionaries(st.sampled_from(("tau", "beta", "sigma", "C")),
+                    numbers | st.just("identity")))
+configs = st.builds(
+    harness.ExperimentConfig, problems,
+    st.lists(optimizer_specs, min_size=1, max_size=4),
+    st.lists(numbers, max_size=5) | st.builds(dict, fill=numbers),
+    max_iter=st.integers(1, 10**7), grad_tol=numbers,
+    record_every=st.integers(1, 1000),
+    outputs=st.sampled_from([("csv", "svg"), ("csv",), ("svg",), ()]),
+    output_dir=st.none() | st.text(min_size=1, max_size=10),
+    analysis=section(harness._ANALYSIS_KEYS),
+    dynamics=section(harness._DYNAMICS_KEYS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=configs)
+def test_config_round_trip(config):
+    assert harness.config_from_dict(harness.config_to_dict(config)) == config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        harness.save_config(config, path)
+        assert harness.load_config(path) == config

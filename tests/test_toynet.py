@@ -50,31 +50,53 @@ def test_blobs_tiny_spread_linearly_separable():
 # network and backprop
 # ---------------------------------------------------------------------------
 
+def test_layers_are_views_of_the_flat_parameters():
+    sizes = [4, 3, 2]
+    x = tn.init_params(sizes, seed=7)
+    # weights drawn layer by layer from one generator, biases zero
+    rng = np.random.default_rng(7)
+    expected = []
+    for fi, fo in zip(sizes[:-1], sizes[1:]):
+        lim = math.sqrt(6.0 / (fi + fo))
+        expected += [rng.uniform(-lim, lim, size=(fi, fo)).ravel(), np.zeros(fo)]
+    np.testing.assert_array_equal(x, np.concatenate(expected))
+    pairs = tn.layers(x, sizes)
+    assert [(W.shape, b.shape) for W, b in pairs] == [((4, 3), (3,)), ((3, 2), (2,))]
+    pairs[1][1][:] = 5.0
+    assert np.all(x[-2:] == 5.0)
+    with pytest.raises(ValueError):
+        tn.layers(x[:-1], sizes)
+
+
 def test_zero_network_loss_is_log_k():
-    params = tn.MlpParams.init([4, 3, 3, 5], seed=0)
-    for W in params.weights:
+    sizes = [4, 3, 3, 5]
+    x = tn.init_params(sizes, seed=0)
+    for W, _ in tn.layers(x, sizes):
         W[:] = 0.0
     X, y = tiny_batch(d=4, k=5)
-    loss, _ = tn.mlp_loss_grad(params, X, y)
+    loss, _ = tn.mlp_loss_grad(x, sizes, X, y)
     assert loss == pytest.approx(math.log(5), rel=1e-12)
 
 
 def test_zero_final_layer_loss_is_log_k():
-    params = tn.MlpParams.init([4, 6, 6, 3], seed=3)
-    params.weights[-1][:] = 0.0
-    params.biases[-1][:] = 0.0
+    sizes = [4, 6, 6, 3]
+    x = tn.init_params(sizes, seed=3)
+    W, b = tn.layers(x, sizes)[-1]
+    W[:] = 0.0
+    b[:] = 0.0
     X, y = tiny_batch(d=4, k=3)
-    loss, _ = tn.mlp_loss_grad(params, X, y)
+    loss, _ = tn.mlp_loss_grad(x, sizes, X, y)
     assert loss == pytest.approx(math.log(3), rel=1e-12)
 
 
-def off_kink(params, X, margin=1e-3):
+def off_kink(x, sizes, X, margin=1e-3):
     # central differences straddle the ReLU kink when a pre-activation sits
     # within h of zero; only probe configurations away from it
     a = X
-    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
+    pairs = tn.layers(x, sizes)
+    for k, (W, b) in enumerate(pairs):
         z = a @ W + b
-        if k == len(params.weights) - 1:
+        if k == len(pairs) - 1:
             return True
         if np.min(np.abs(z)) < margin:
             return False
@@ -83,40 +105,39 @@ def off_kink(params, X, margin=1e-3):
 
 def test_backprop_matches_finite_differences():
     rng = np.random.default_rng(8)
+    sizes = [4, 2, 2, 2]
     probed = 0
     trial = 0
     while probed < 10:
         trial += 1
-        params = tn.MlpParams.init([4, 2, 2, 2], seed=trial)
-        for b in params.biases:
+        flat = tn.init_params(sizes, seed=trial)
+        for _, b in tn.layers(flat, sizes):
             b[:] = 0.1 * rng.standard_normal(b.shape)
         X = rng.standard_normal((3, 4))
         y = rng.integers(0, 2, size=3)
-        if not off_kink(params, X):
+        if not off_kink(flat, sizes, X):
             continue
         probed += 1
-        _, grads = tn.mlp_loss_grad(params, X, y)
-        flat = params.flatten()
-        gflat = grads.flatten()
+        _, gflat = tn.mlp_loss_grad(flat, sizes, X, y)
         h = 1e-6
         for i in range(flat.size):
             e = np.zeros_like(flat)
             e[i] = h
-            lp, _ = tn.mlp_loss_grad(params.with_flat(flat + e), X, y)
-            lm, _ = tn.mlp_loss_grad(params.with_flat(flat - e), X, y)
+            lp, _ = tn.mlp_loss_grad(flat + e, sizes, X, y)
+            lm, _ = tn.mlp_loss_grad(flat - e, sizes, X, y)
             fd = (lp - lm) / (2 * h)
             scale = max(1.0, abs(fd), abs(gflat[i]))
             assert abs(fd - gflat[i]) / scale <= 1e-5
 
 
 def test_duplicating_batch_changes_nothing():
-    params = tn.MlpParams.init([4, 3, 3, 2], seed=1)
+    sizes = [4, 3, 3, 2]
+    x = tn.init_params(sizes, seed=1)
     X, y = tiny_batch(seed=5)
-    l1, g1 = tn.mlp_loss_grad(params, X, y)
-    l2, g2 = tn.mlp_loss_grad(params, np.vstack([X, X]), np.concatenate([y, y]))
+    l1, g1 = tn.mlp_loss_grad(x, sizes, X, y)
+    l2, g2 = tn.mlp_loss_grad(x, sizes, np.vstack([X, X]), np.concatenate([y, y]))
     assert l1 == pytest.approx(l2, rel=1e-14)
-    for a, b in zip(g1.weights, g2.weights):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -128,70 +149,71 @@ def zero_gradient_setup():
     # bias vanishes only if classes balance; use a crafted batch instead:
     # all-zero input rows make hidden activations zero, so only the final
     # bias has gradient; balanced labels cancel it
-    params = tn.MlpParams.init([2, 3, 3, 2], seed=0)
-    for W in params.weights:
+    sizes = [2, 3, 3, 2]
+    x = tn.init_params(sizes, seed=0)
+    for W, _ in tn.layers(x, sizes):
         W[:] = 0.0
     X = np.zeros((2, 2))
     y = np.array([0, 1])
-    return params, (X, y)
+    return x, sizes, (X, y)
 
 
 def test_sgd_zero_gradient_is_fixed_point():
-    params, batch = zero_gradient_setup()
-    _, grads = tn.mlp_loss_grad(params, *batch)
-    assert np.linalg.norm(grads.flatten()) == 0.0
-    state = tn.init_state("sgd", params.flatten().size, params.flatten())
-    _, new_params, _ = tn.stochastic_step("sgd", state, params, batch)
-    np.testing.assert_array_equal(new_params.flatten(), params.flatten())
+    x, sizes, batch = zero_gradient_setup()
+    _, g = tn.mlp_loss_grad(x, sizes, *batch)
+    assert np.linalg.norm(g) == 0.0
+    state = tn._rule("sgd").init(x)
+    _, x_new, _ = tn.stochastic_step("sgd", state, x, sizes, batch)
+    np.testing.assert_array_equal(x_new, x)
 
 
 def test_pdd_stochastic_fixed_point_and_dual_update():
-    params, batch = zero_gradient_setup()
-    x0 = params.flatten()
-    state = tn.init_state("pdd", x0.size, x0)
+    x0, sizes, batch = zero_gradient_setup()
+    x = x0
+    state = tn._rule("pdd").init(x0)
     for _ in range(3):
-        state, params, _ = tn.stochastic_step("pdd", state, params, batch)
-    np.testing.assert_array_equal(params.flatten(), x0)
+        state, x, _ = tn.stochastic_step("pdd", state, x, sizes, batch)
+    np.testing.assert_array_equal(x, x0)
     np.testing.assert_array_equal(state["p"], np.zeros_like(x0))
 
     # dual update with default hyperparameters: p+ = (p + 5 g) / 1.025
-    params = tn.MlpParams.init([4, 3, 3, 2], seed=2)
+    sizes = [4, 3, 3, 2]
+    x = tn.init_params(sizes, seed=2)
     X, y = tiny_batch(seed=9)
-    _, grads = tn.mlp_loss_grad(params, X, y)
-    g = grads.flatten()
-    state = tn.init_state("pdd", g.size, params.flatten())
-    state, _, _ = tn.stochastic_step("pdd", state, params, (X, y))
+    _, g = tn.mlp_loss_grad(x, sizes, X, y)
+    state = tn._rule("pdd").init(x)
+    state, _, _ = tn.stochastic_step("pdd", state, x, sizes, (X, y))
     np.testing.assert_allclose(state["p"], 5.0 * g / 1.025, rtol=1e-12)
 
 
 def test_adam_first_step_is_signlike():
-    params = tn.MlpParams.init([4, 3, 3, 2], seed=4)
+    sizes = [4, 3, 3, 2]
+    x0 = tn.init_params(sizes, seed=4)
     X, y = tiny_batch(seed=11)
-    _, grads = tn.mlp_loss_grad(params, X, y)
-    g = grads.flatten()
-    x0 = params.flatten()
-    state = tn.init_state("adam", x0.size, x0)
-    _, new_params, _ = tn.stochastic_step("adam", state, params, (X, y))
+    _, g = tn.mlp_loss_grad(x0, sizes, X, y)
+    state = tn._rule("adam").init(x0)
+    _, x_new, _ = tn.stochastic_step("adam", state, x0, sizes, (X, y))
     hp = tn.DEFAULT_HYPERPARAMS["adam"]
     expected = x0 - hp["tau"] * g / (np.abs(g) + hp["eps"])
-    np.testing.assert_allclose(new_params.flatten(), expected, rtol=1e-10)
+    np.testing.assert_allclose(x_new, expected, rtol=1e-10)
 
 
 def test_igahd_uses_two_evaluations_and_moves():
-    params = tn.MlpParams.init([4, 3, 3, 2], seed=6)
+    sizes = [4, 3, 3, 2]
+    x0 = tn.init_params(sizes, seed=6)
     batch = tiny_batch(seed=13)
-    x0 = params.flatten()
-    state = tn.init_state("igahd", x0.size, x0)
-    state, new_params, loss = tn.stochastic_step("igahd", state, params, batch)
+    state = tn._rule("igahd").init(x0)
+    state, x_new, loss = tn.stochastic_step("igahd", state, x0, sizes, batch)
     assert state["n"] == 2
-    assert np.linalg.norm(new_params.flatten() - x0) > 0
+    assert np.linalg.norm(x_new - x0) > 0
     assert math.isfinite(loss)
 
 
 def test_unknown_method_rejected():
-    params = tn.MlpParams.init([2, 2, 2], seed=0)
+    sizes = [2, 2, 2]
+    x = tn.init_params(sizes, seed=0)
     with pytest.raises(ValueError):
-        tn.init_state("lbfgs", 4, params.flatten())
+        tn.stochastic_step("lbfgs", {}, x, sizes, tiny_batch(d=2))
 
 
 # ---------------------------------------------------------------------------
