@@ -3,9 +3,16 @@
 Manual forward/backward passes on a ReLU network with softmax
 cross-entropy, synthetic Gaussian-blob data, and five mini-batch update
 rules: sgd, nag_momentum, pdd (a persistent dual carried across batches,
-C = I), igahd, and adam. The parameters are one flat float64 vector from
-start to finish; `layers` views it as per-layer (W, b) pairs. All but
+C = I), igahd, and adam. A run's parameters are one flat float64 vector
+from start to finish; `layers` views it as per-layer (W, b) pairs. All but
 adam run the deterministic rules of `optimizers.RULES` on the batch loss.
+
+`train` advances every (method, seed) run together as one (M, S, P) stack.
+The mini-batch order depends only on (seed, epoch), so one batched
+forward/backward pass per mini-batch serves all runs, and each method's
+rule updates its (S, P) block. The network functions take any leading
+batch axes; a 1-d ``x`` is one run. Every reduction runs along one run's
+axis, so a run's rows do not depend on which other runs share the stack.
 Runs are deterministic per seed.
 """
 
@@ -93,69 +100,78 @@ def init_params(sizes: Sequence[int], seed: int) -> np.ndarray:
 
 
 def layers(x: np.ndarray, sizes: Sequence[int]) -> list:
-    """The (W, b) pair of every layer as views into the flat vector ``x``,
-    which stores each layer's row-major W followed by its b."""
-    pairs, k = [], 0
+    """The (W, b) pair of every layer as views into the flat parameters
+    ``x`` of shape (..., P), which store each layer's row-major W followed
+    by its b; W has shape (..., fan_in, fan_out) and b (..., fan_out)."""
+    lead, pairs, k = x.shape[:-1], [], 0
     for fi, fo in zip(sizes[:-1], sizes[1:]):
-        W = x[k:k + fi * fo].reshape(fi, fo)
-        pairs.append((W, x[k + W.size:k + W.size + fo]))
-        k += W.size + fo
-    if k != x.size:
+        W = x[..., k:k + fi * fo].reshape(*lead, fi, fo)
+        pairs.append((W, x[..., k + fi * fo:k + fi * fo + fo]))
+        k += fi * fo + fo
+    if k != x.shape[-1]:
         raise ValueError("flat vector size mismatch")
     return pairs
 
 
-def _forward(pairs, X: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Activations of every layer (X first, the logits last) and the hidden
-    pre-activations; hidden layers are ReLU."""
-    acts, zs = [X], []
-    for W, b in pairs[:-1]:
-        zs.append(acts[-1] @ W + b)
-        acts.append(np.maximum(zs[-1], 0.0))
-    W, b = pairs[-1]
-    acts.append(acts[-1] @ W + b)
-    return acts, zs
+def _forward(pairs, X: np.ndarray) -> List[np.ndarray]:
+    """Activations of every layer, X first and the logits last; hidden
+    layers are ReLU, computed in place of their pre-activations."""
+    acts = [X]
+    for k, (W, b) in enumerate(pairs):
+        a = acts[-1] @ W
+        a += b[..., None, :]
+        if k < len(pairs) - 1:
+            np.maximum(a, 0.0, out=a)
+        acts.append(a)
+    return acts
 
 
 def mlp_loss_grad(x: np.ndarray, sizes: Sequence[int], X: np.ndarray,
-                  y: np.ndarray) -> Tuple[float, np.ndarray]:
+                  y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Mean softmax cross-entropy over the batch plus its flat gradient.
 
-    The log-softmax is max-shifted. Gradients come from a manual backward
-    pass and average over the batch, so duplicating every batch row
-    changes nothing.
+    ``x`` has shape (..., P), the batch ``X`` (..., B, d_in) and its labels
+    ``y`` (..., B). The leading axes broadcast: the loss has their shape,
+    the gradient theirs plus (P,). The log-softmax is max-shifted.
+    Gradients come from a manual backward pass and average over the batch,
+    so duplicating every batch row changes nothing.
     """
-    if X.shape[0] == 0:
+    B = X.shape[-2]
+    if B == 0:
         raise ValueError("empty batch")
     pairs = layers(x, sizes)
-    acts, zs = _forward(pairs, X)
+    acts = _forward(pairs, X)
     logits = acts[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     log_probs = shifted - log_z
-    B = X.shape[0]
-    loss = -float(np.mean(log_probs[np.arange(B), y]))
+    label = np.broadcast_to(y[..., None], log_probs.shape[:-1] + (1,))
+    picked = np.take_along_axis(log_probs, label, axis=-1)
+    loss = -np.mean(picked[..., 0], axis=-1)
 
     delta = np.exp(log_probs)
-    delta[np.arange(B), y] -= 1.0
+    np.put_along_axis(delta, label, np.exp(picked) - 1.0, axis=-1)
     delta /= B
-    g = np.empty_like(x)
+    g = np.empty(delta.shape[:-2] + x.shape[-1:])
     for i, (gW, gb) in reversed(list(enumerate(layers(g, sizes)))):
-        gW[...] = acts[i].T @ delta
-        gb[...] = delta.sum(axis=0)
+        gW[...] = np.swapaxes(acts[i], -1, -2) @ delta
+        gb[...] = delta.sum(axis=-2)
         if i > 0:
-            delta = (delta @ pairs[i][0].T) * (zs[i - 1] > 0.0)
+            # a ReLU output is positive exactly where its pre-activation is
+            delta = (delta @ np.swapaxes(pairs[i][0], -1, -2)) * (acts[i] > 0.0)
     return loss, g
 
 
 def accuracy(x: np.ndarray, sizes: Sequence[int], X: np.ndarray,
-             y: np.ndarray) -> float:
-    logits = _forward(layers(x, sizes), X)[0][-1]
-    return float(np.mean(np.argmax(logits, axis=1) == y))
+             y: np.ndarray) -> np.ndarray:
+    """Share of the rows of ``X`` whose largest logit is the label, with
+    the shapes of `mlp_loss_grad`."""
+    logits = _forward(layers(x, sizes), X)[-1]
+    return np.mean(np.argmax(logits, axis=-1) == y, axis=-1)
 
 
 # ---------------------------------------------------------------------------
-# stochastic updates of the flat parameter vector
+# stochastic updates of the parameter stack
 # ---------------------------------------------------------------------------
 
 def _adam_step(x, g, s, hp, grad):
@@ -194,20 +210,30 @@ def _rule(method: str) -> Rule:
     return _RULES[method]
 
 
-def stochastic_step(method: str, state: dict, x: np.ndarray,
+def stochastic_step(methods: Sequence[str], states: List[dict], x: np.ndarray,
                     sizes: Sequence[int], batch: Tuple[np.ndarray, np.ndarray],
-                    hp: Optional[Dict[str, float]] = None
-                    ) -> Tuple[dict, np.ndarray, float]:
-    """One mini-batch update of the flat parameters ``x``. Returns
-    (state, x+, batch loss).
+                    hps: Optional[Dict[str, Dict[str, float]]] = None
+                    ) -> Tuple[List[dict], np.ndarray, np.ndarray]:
+    """One mini-batch update of the parameter stack ``x`` of shape
+    (M, ..., P), whose leading axis runs over ``methods``; ``states[i]`` is
+    the state of method i's block ``x[i]``. One `mlp_loss_grad` call gives
+    every run's loss and gradient, then each method's rule updates its
+    block; igahd evaluates its second gradient on its own block only.
+    Returns (states, x+, batch losses of shape x.shape[:-1]).
 
-    ``hp`` is used as given: the rule step checks no range, so pass values
-    that ``Rule.validate`` has accepted (`train` checks them once)."""
-    step = _rule(method).step
-    hp = hp or DEFAULT_HYPERPARAMS[method]
+    ``hps`` maps each method to its hyperparameters (default
+    `DEFAULT_HYPERPARAMS`) and is used as given: the rule steps check no
+    range, so pass values that ``Rule.validate`` has accepted (`train`
+    checks them once)."""
+    hps = hps or DEFAULT_HYPERPARAMS
     loss, g = mlp_loss_grad(x, sizes, *batch)
-    x_new, state = step(x, g, state, hp, lambda v: mlp_loss_grad(v, sizes, *batch)[1])
-    return state, x_new, loss
+    x_new, new_states = np.empty_like(x), []
+    for i, method in enumerate(methods):
+        x_new[i], state = _rule(method).step(
+            x[i], g[i], states[i], hps[method],
+            lambda v: mlp_loss_grad(v, sizes, *batch)[1])
+        new_states.append(state)
+    return new_states, x_new, loss
 
 
 # ---------------------------------------------------------------------------
@@ -232,52 +258,67 @@ class TrainConfig:
 def train(config: TrainConfig) -> List[dict]:
     """Train every method on the shared blobs for every seed.
 
-    Returns one row per (epoch, method, seed): mean mini-batch train loss
-    over the epoch and test accuracy at the epoch end. A non-finite loss
-    marks the method diverged (nan row) and the run continues with the
-    remaining methods. Identical configs produce identical rows. Every
-    method's hyperparameters are checked before the first batch.
+    Returns one row per (epoch, method, seed), ordered by seed, method and
+    epoch: mean mini-batch train loss over the epoch and test accuracy at
+    the epoch end. All runs advance together as one (M, S, P) stack, one
+    `stochastic_step` per mini-batch. A run whose batch loss goes
+    non-finite gets a nan row for that epoch and no later rows; the other
+    runs are unaffected. Identical configs produce identical rows. The
+    counts and every method's hyperparameters are checked before the first
+    batch.
     """
+    for name in ("batch_size", "epochs"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be at least 1")
+    for name in ("methods", "seeds"):
+        if len(getattr(config, name)) == 0:
+            raise ValueError(f"{name} must not be empty")
     hp_table = config.hyperparams or DEFAULT_HYPERPARAMS
     hps = {}
     for method in config.methods:
         hps[method] = hp_table.get(method, DEFAULT_HYPERPARAMS[method])
         _rule(method).validate(method, hps[method])
 
-    data = make_blobs(config.data_seed, config.n, config.d_in, config.k,
-                      config.spread)
-    Xtr, ytr = data.train
-    Xte, yte = data.test
-    sizes = [config.d_in, *config.hidden, config.k]
-    rows: List[dict] = []
+    with np.errstate(all="ignore"):
+        data = make_blobs(config.data_seed, config.n, config.d_in, config.k,
+                          config.spread)
+        Xtr, ytr = data.train
+        Xte, yte = data.test
+        sizes = [config.d_in, *config.hidden, config.k]
+        methods, seeds, B = config.methods, config.seeds, config.batch_size
+        x0 = np.stack([init_params(sizes, seed) for seed in seeds])
+        x = np.stack([x0] * len(methods))
+        states = [_rule(method).init(x0) for method in methods]
+        n_train = len(ytr)
+        n_batches = -(-n_train // B)
 
-    for seed in config.seeds:
-        x0 = init_params(sizes, seed)
-        for method in config.methods:
-            x, state = x0, _rule(method).init(x0)
-            hp = hps[method]
-            diverged = False
-            for epoch in range(config.epochs):
-                order = np.random.default_rng([seed, epoch]).permutation(len(ytr))
-                losses = []
-                for s in range(0, len(order), config.batch_size):
-                    idx = order[s:s + config.batch_size]
-                    state, x, loss = stochastic_step(
-                        method, state, x, sizes, (Xtr[idx], ytr[idx]), hp)
-                    losses.append(loss)
-                    if not math.isfinite(loss):
-                        diverged = True
-                        break
-                rows.append({
-                    "epoch": epoch,
-                    "method": method,
-                    "seed": seed,
-                    "train_loss": float("nan") if diverged else float(np.mean(losses)),
-                    "test_acc": (float("nan") if diverged
-                                 else accuracy(x, sizes, Xte, yte)),
-                })
-                if diverged:
+        live = np.ones(x.shape[:-1], dtype=bool)
+        history = []  # per epoch: (live at its start, mean loss, test accuracy)
+        for epoch in range(config.epochs):
+            order = np.stack([np.random.default_rng([seed, epoch]).permutation(n_train)
+                              for seed in seeds])
+            # one row of batch losses per run, so each mean runs along its own row
+            losses = np.empty(x.shape[:-1] + (n_batches,))
+            for j in range(n_batches):
+                idx = order[:, j * B:(j + 1) * B]
+                states, x, losses[..., j] = stochastic_step(
+                    methods, states, x, sizes, (Xtr[idx], ytr[idx]), hps)
+            ok = np.isfinite(losses).all(axis=-1)
+            history.append((live, np.where(ok, losses.mean(axis=-1), np.nan),
+                            np.where(ok, accuracy(x, sizes, Xte, yte), np.nan)))
+            live = live & ok
+            if not live.any():
+                break
+
+    rows: List[dict] = []
+    for j, seed in enumerate(seeds):
+        for i, method in enumerate(methods):
+            for epoch, (was_live, loss, acc) in enumerate(history):
+                if not was_live[i, j]:
                     break
+                rows.append({"epoch": epoch, "method": method, "seed": seed,
+                             "train_loss": float(loss[i, j]),
+                             "test_acc": float(acc[i, j])})
     return rows
 
 

@@ -144,6 +144,13 @@ def test_duplicating_batch_changes_nothing():
 # stochastic updates
 # ---------------------------------------------------------------------------
 
+def step_one(method, state, x, sizes, batch):
+    """`stochastic_step` on a stack of one method and one run."""
+    states, x_new, loss = tn.stochastic_step((method,), [state], x[None], sizes,
+                                             batch)
+    return states[0], x_new[0], loss[0]
+
+
 def zero_gradient_setup():
     # zero weights and biases with uniform labels -> gradient of the final
     # bias vanishes only if classes balance; use a crafted batch instead:
@@ -163,7 +170,7 @@ def test_sgd_zero_gradient_is_fixed_point():
     _, g = tn.mlp_loss_grad(x, sizes, *batch)
     assert np.linalg.norm(g) == 0.0
     state = tn._rule("sgd").init(x)
-    _, x_new, _ = tn.stochastic_step("sgd", state, x, sizes, batch)
+    _, x_new, _ = step_one("sgd", state, x, sizes, batch)
     np.testing.assert_array_equal(x_new, x)
 
 
@@ -172,7 +179,7 @@ def test_pdd_stochastic_fixed_point_and_dual_update():
     x = x0
     state = tn._rule("pdd").init(x0)
     for _ in range(3):
-        state, x, _ = tn.stochastic_step("pdd", state, x, sizes, batch)
+        state, x, _ = step_one("pdd", state, x, sizes, batch)
     np.testing.assert_array_equal(x, x0)
     np.testing.assert_array_equal(state["p"], np.zeros_like(x0))
 
@@ -182,7 +189,7 @@ def test_pdd_stochastic_fixed_point_and_dual_update():
     X, y = tiny_batch(seed=9)
     _, g = tn.mlp_loss_grad(x, sizes, X, y)
     state = tn._rule("pdd").init(x)
-    state, _, _ = tn.stochastic_step("pdd", state, x, sizes, (X, y))
+    state, _, _ = step_one("pdd", state, x, sizes, (X, y))
     np.testing.assert_allclose(state["p"], 5.0 * g / 1.025, rtol=1e-12)
 
 
@@ -192,7 +199,7 @@ def test_adam_first_step_is_signlike():
     X, y = tiny_batch(seed=11)
     _, g = tn.mlp_loss_grad(x0, sizes, X, y)
     state = tn._rule("adam").init(x0)
-    _, x_new, _ = tn.stochastic_step("adam", state, x0, sizes, (X, y))
+    _, x_new, _ = step_one("adam", state, x0, sizes, (X, y))
     hp = tn.DEFAULT_HYPERPARAMS["adam"]
     expected = x0 - hp["tau"] * g / (np.abs(g) + hp["eps"])
     np.testing.assert_allclose(x_new, expected, rtol=1e-10)
@@ -203,7 +210,7 @@ def test_igahd_uses_two_evaluations_and_moves():
     x0 = tn.init_params(sizes, seed=6)
     batch = tiny_batch(seed=13)
     state = tn._rule("igahd").init(x0)
-    state, x_new, loss = tn.stochastic_step("igahd", state, x0, sizes, batch)
+    state, x_new, loss = step_one("igahd", state, x0, sizes, batch)
     assert state["n"] == 2
     assert np.linalg.norm(x_new - x0) > 0
     assert math.isfinite(loss)
@@ -213,7 +220,7 @@ def test_unknown_method_rejected():
     sizes = [2, 2, 2]
     x = tn.init_params(sizes, seed=0)
     with pytest.raises(ValueError):
-        tn.stochastic_step("lbfgs", {}, x, sizes, tiny_batch(d=2))
+        tn.stochastic_step(("lbfgs",), [{}], x[None], sizes, tiny_batch(d=2))
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +277,138 @@ def test_train_metrics_deterministic(tmp_path):
     rows = list(csv.DictReader(open(p1)))
     assert set(rows[0].keys()) == {"epoch", "method", "seed", "train_loss",
                                    "test_acc"}
+
+
+# ---------------------------------------------------------------------------
+# the run stack
+# ---------------------------------------------------------------------------
+
+def test_stacked_loss_grad_and_accuracy_match_each_run():
+    # a (2, 3, P) stack against per-seed batches of shape (3, B, d_in): every
+    # run's loss, gradient and accuracy equal its own 1-d call bitwise
+    sizes = [4, 5, 3]
+    rng = np.random.default_rng(21)
+    x = np.stack([np.stack([tn.init_params(sizes, seed=10 * m + s)
+                            for s in range(3)]) for m in range(2)])
+    X = rng.standard_normal((3, 6, 4))
+    y = rng.integers(0, 3, size=(3, 6))
+    loss, g = tn.mlp_loss_grad(x, sizes, X, y)
+    acc = tn.accuracy(x, sizes, X, y)
+    assert loss.shape == acc.shape == (2, 3) and g.shape == x.shape
+    for m in range(2):
+        for s in range(3):
+            l1, g1 = tn.mlp_loss_grad(x[m, s], sizes, X[s], y[s])
+            assert loss[m, s] == l1
+            np.testing.assert_array_equal(g[m, s], g1)
+            assert acc[m, s] == tn.accuracy(x[m, s], sizes, X[s], y[s])
+
+
+def test_stochastic_step_makes_one_stack_pass_and_one_igahd_pass(monkeypatch):
+    sizes = [4, 3, 2]
+    x0 = np.stack([tn.init_params(sizes, seed=s) for s in range(2)])
+    x = np.stack([x0] * len(tn.METHODS))
+    X, y = tiny_batch(seed=3, d=4)
+    shapes = []
+    loss_grad = tn.mlp_loss_grad
+
+    def counted(v, *args):
+        shapes.append(v.shape)
+        return loss_grad(v, *args)
+
+    monkeypatch.setattr(tn, "mlp_loss_grad", counted)
+    states = [tn._rule(m).init(x0) for m in tn.METHODS]
+    _, x_new, loss = tn.stochastic_step(tn.METHODS, states, x, sizes,
+                                        (X[None], y[None]))
+    assert shapes == [x.shape, x0.shape]
+    assert x_new.shape == x.shape and loss.shape == x.shape[:-1]
+
+
+def serial_train(cfg):
+    """Transcription of `train` one (seed, method) run at a time, with 1-d
+    parameters, the rules' own steps, the same batch order and the same
+    per-epoch mean."""
+    hps = {m: (cfg.hyperparams or {}).get(m, tn.DEFAULT_HYPERPARAMS[m])
+           for m in cfg.methods}
+    data = tn.make_blobs(cfg.data_seed, cfg.n, cfg.d_in, cfg.k, cfg.spread)
+    Xtr, ytr = data.train
+    Xte, yte = data.test
+    sizes = [cfg.d_in, *cfg.hidden, cfg.k]
+    rows = []
+    with np.errstate(all="ignore"):
+        for seed in cfg.seeds:
+            x0 = tn.init_params(sizes, seed)
+            for method in cfg.methods:
+                rule = tn._RULES[method]
+                x, state = x0, rule.init(x0)
+                for epoch in range(cfg.epochs):
+                    order = np.random.default_rng([seed, epoch]).permutation(len(ytr))
+                    losses = []
+                    for s in range(0, len(order), cfg.batch_size):
+                        idx = order[s:s + cfg.batch_size]
+                        batch = (Xtr[idx], ytr[idx])
+                        loss, g = tn.mlp_loss_grad(x, sizes, *batch)
+                        x, state = rule.step(
+                            x, g, state, hps[method],
+                            lambda v: tn.mlp_loss_grad(v, sizes, *batch)[1])
+                        losses.append(loss)
+                        if not math.isfinite(loss):
+                            break
+                    diverged = not math.isfinite(losses[-1])
+                    rows.append({
+                        "epoch": epoch, "method": method, "seed": seed,
+                        "train_loss": math.nan if diverged else float(np.mean(losses)),
+                        "test_acc": (math.nan if diverged
+                                     else float(tn.accuracy(x, sizes, Xte, yte)))})
+                    if diverged:
+                        break
+    return rows
+
+
+def nan_as_none(rows):
+    # nan != nan, so compare nan fields as None
+    return [{k: None if isinstance(v, float) and math.isnan(v) else v
+             for k, v in r.items()} for r in rows]
+
+
+DIVERGING_SGD = {**tn.DEFAULT_HYPERPARAMS, "sgd": {"tau": 1e30}}
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(methods=("pdd",), seeds=(3,)),
+    dict(hidden=(), seeds=(0, 1)),
+    dict(methods=("sgd", "pdd"), hyperparams=DIVERGING_SGD),
+    dict(seeds=(2, 0, 1), batch_size=7),
+    dict(methods=("igahd", "adam", "nag_momentum"), seeds=(5, 6), hidden=(3, 4, 2)),
+])
+def test_train_matches_serial_transcription(kwargs):
+    cfg = tn.TrainConfig(**{**dict(n=200, d_in=5, k=3, epochs=3, hidden=(6,),
+                                   batch_size=16), **kwargs})
+    rows = tn.train(cfg)
+    assert len(rows) > 0
+    assert nan_as_none(rows) == nan_as_none(serial_train(cfg))
+
+
+def test_diverging_run_gets_a_nan_row_and_the_others_go_on():
+    # tau = 1e30 overflows sgd in its first epoch; with RuntimeWarnings as
+    # errors this used to raise instead of writing the nan row
+    cfg = tn.TrainConfig(methods=("sgd", "pdd"), epochs=3,
+                         hyperparams=DIVERGING_SGD)
+    rows = tn.train(cfg)
+    assert [(r["epoch"], r["method"]) for r in rows] == [
+        (0, "sgd"), (0, "pdd"), (1, "pdd"), (2, "pdd")]
+    assert math.isnan(rows[0]["train_loss"]) and math.isnan(rows[0]["test_acc"])
+    assert all(math.isfinite(r["train_loss"]) and math.isfinite(r["test_acc"])
+               for r in rows[1:])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("epochs", 0), ("seeds", ()), ("methods", ())])
+def test_bad_counts_rejected_before_the_data(monkeypatch, field, value):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data built before the check")
+
+    monkeypatch.setattr(tn, "make_blobs", no_data)
+    cfg = tn.TrainConfig(**{**dict(n=200, d_in=5, k=3, epochs=1, hidden=(4,)),
+                            field: value})
+    with pytest.raises(ValueError, match=field):
+        tn.train(cfg)
