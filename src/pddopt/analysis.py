@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .objective import Objective, as_vector
-from .optimizers import PddParams, PddState, Preconditioner
+from .optimizers import PddParams, Preconditioner
 
 __all__ = [
     "SpectralMode",
@@ -43,11 +43,12 @@ __all__ = [
 ]
 
 
-def lyapunov_I(obj: Objective, x, p) -> float:
-    """I(x, p) = (|p|^2 + |grad f(x)|^2) / 2."""
-    x = np.asarray(x, dtype=float)
+def lyapunov_I(obj: Objective, x, p,
+               grad: Optional[np.ndarray] = None) -> float:
+    """I(x, p) = (|p|^2 + |grad f(x)|^2) / 2; evaluates the gradient unless
+    a precomputed ``grad`` at ``x`` is supplied."""
     p = np.asarray(p, dtype=float)
-    g = obj.gradient(x)
+    g = obj.gradient(np.asarray(x, dtype=float)) if grad is None else grad
     return 0.5 * (float(p @ p) + float(g @ g))
 
 
@@ -250,24 +251,22 @@ class DiscreteRateReport:
     lyapunov_values: List[float]
 
 
-def discrete_decay_check(states: Sequence, obj: Objective,
+def discrete_decay_check(values: Sequence[float],
                          recipe: Optional[Theorem6Recipe] = None) -> DiscreteRateReport:
-    """Ratios I(x^{n+1}, p^{n+1}) / I(x^n, p^n) along a damping trajectory.
+    """Ratios I^{n+1} / I^n of the Lyapunov values I^n = I(x^n, p^n) along a
+    damping trajectory, given in step order (the caller evaluates them, as a
+    stepping loop has grad f at each state already).
 
     A ratio with zero denominator is reported as 0 (a stationary start stays
     stationary). When a recipe is given, ``within_bound`` says whether every
     ratio is at most its decay factor; without one the ratios are compared
-    against 1.
+    against 1. A trajectory with no step (fewer than 2 values) raises
+    ValueError: it holds no ratio to certify.
     """
-    if len(states) == 0:
-        raise ValueError("empty trajectory")
-
-    def as_pair(s):
-        if isinstance(s, PddState):
-            return s.x, s.p
-        return np.asarray(s[0], dtype=float), np.asarray(s[1], dtype=float)
-
-    values = [lyapunov_I(obj, *as_pair(s)) for s in states]
+    values = list(values)
+    if len(values) < 2:
+        raise ValueError(f"decay check needs at least one step (2 Lyapunov "
+                         f"values), got {len(values)}")
     ratios = []
     for prev, cur in zip(values[:-1], values[1:]):
         ratios.append(cur / prev if prev > 0.0 else 0.0)

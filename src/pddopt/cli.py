@@ -70,15 +70,19 @@ def cmd_preset(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = _apply_overrides(harness.load_config(args.config), args)
+    opts = config.analysis
+    n_steps = opts.get("pdd_steps", 2000)
+    # a decay certificate needs at least one measured ratio
+    if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
+        raise ValueError(f"analysis.pdd_steps must be an integer >= 1, "
+                         f"got {n_steps!r}")
     out_dir = harness.resolve_output_dir(config, args.out, tag="analyze")
     obj, ctx = harness.build_problem(config.problem)
     x0 = harness.materialize_x0(config.x0, obj.dim)
 
-    opts = config.analysis
     delta = float(opts.get("delta", 1.0))
     n_samples = int(opts.get("num_samples", 20))
     scale = float(opts.get("sample_scale", 0.5))
-    n_steps = int(opts.get("pdd_steps", 2000))
     seed = int(opts.get("seed", config.problem.seed))
 
     C = Preconditioner.identity()
@@ -94,10 +98,15 @@ def cmd_analyze(args) -> int:
     recipe = analysis.theorem6_params(est.mu_hat, est.L_hat,
                                       max(est.Lp_hat, est.L_hat), delta=delta, C=C)
 
-    states = [PddState(x=x0.copy(), p=np.zeros(obj.dim))]
+    # one gradient per state: it drives the next step and gives I(x, p)
+    state = PddState(x=x0.copy(), p=np.zeros(obj.dim))
+    g = obj.gradient(state.x)
+    values = [analysis.lyapunov_I(obj, state.x, state.p, grad=g)]
     for _ in range(n_steps):
-        states.append(pdd_step(states[-1], recipe.params, obj))
-    report = analysis.discrete_decay_check(states, obj, recipe)
+        state = pdd_step(state, recipe.params, obj, grad=g)
+        g = obj.gradient(state.x)
+        values.append(analysis.lyapunov_I(obj, state.x, state.p, grad=g))
+    report = analysis.discrete_decay_check(values, recipe)
     d0 = analysis.sample_D0_lower_bound(obj, pts[:5], seed=seed)
 
     summary = out_dir / "rate_summary.csv"
@@ -168,9 +177,7 @@ def cmd_dynamics(args) -> int:
     with open(path, "w", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "f", "grad_norm", "lyapunov"])
-        for k in range(traj.times.shape[0]):
-            g = obj.gradient(traj.xs[k])
-            gn = float(np.linalg.norm(g))
+        for k, gn in enumerate(traj.grad_norms.tolist()):
             lyap = 0.5 * (float(traj.ps[k] @ traj.ps[k]) + gn * gn)
             w.writerow([format(traj.times[k], ".17g"),
                         format(obj.value(traj.xs[k]), ".17g"),

@@ -65,12 +65,17 @@ class DynParams:
 
 @dataclass
 class OdeTrajectory:
-    """Uniformly sampled solution of the (x, p) system."""
+    """Uniformly sampled solution of the (x, p) system.
+
+    ``grad_norms[k]`` is |grad f(xs[k])| when the integrator supplies it
+    (`integrate_rk4` does); hand-built trajectories may leave it out.
+    """
     times: np.ndarray
     xs: np.ndarray  # shape (n+1, d)
     ps: np.ndarray  # shape (n+1, d)
     dt: float
     diverged: bool = False
+    grad_norms: Optional[np.ndarray] = None  # shape (n+1,)
 
     def norms(self) -> np.ndarray:
         """Euclidean norm of the stacked state (x, p) at each time."""
@@ -113,7 +118,13 @@ def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
 
     For time-dependent epsilon the start time defaults to t0 = dt so that
     eps is never evaluated at t = 0. The trajectory is flagged diverged (and
-    integration stops) on the first non-finite state.
+    integration stops) on the first non-finite state; its arrays then end
+    at that state.
+
+    The state advances as one stacked vector (x, p); ``xs`` and ``ps`` are
+    views of its halves. Each step evaluates grad f once, at stage k1, and
+    hands it to `pdd_vector_field`; its norms, plus one more gradient at the
+    last state, come back as ``grad_norms``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -121,35 +132,41 @@ def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
         t0 = dt if callable(params.epsilon) else 0.0
     if t_end < t0 + dt:
         raise ValueError("t_end must allow at least one step")
-    x = as_vector(x0, obj.dim, "x0")
-    p = as_vector(p0, obj.dim, "p0")
+    d = obj.dim
+    z = np.concatenate((as_vector(x0, d, "x0"), as_vector(p0, d, "p0")))
 
     n_steps = int(round((t_end - t0) / dt))
     times = t0 + dt * np.arange(n_steps + 1)
-    xs = np.empty((n_steps + 1, obj.dim))
-    ps = np.empty((n_steps + 1, obj.dim))
-    xs[0], ps[0] = x, p
+    zs = np.empty((n_steps + 1, 2 * d))
+    zs[0] = z
+    sq_norms = np.empty(n_steps + 1)
     diverged = False
 
-    def f(t, x, p):
-        return pdd_vector_field(x, p, t, params, obj)
+    def f(t, z, grad=None):
+        return np.concatenate(pdd_vector_field(z[:d], z[d:], t, params, obj,
+                                               grad=grad))
 
     with np.errstate(all="ignore"):
         for k in range(n_steps):
             t = times[k]
-            k1x, k1p = f(t, x, p)
-            k2x, k2p = f(t + 0.5 * dt, x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
-            k3x, k3p = f(t + 0.5 * dt, x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
-            k4x, k4p = f(t + dt, x + dt * k3x, p + dt * k3p)
-            x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            xs[k + 1], ps[k + 1] = x, p
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+            g = obj.gradient(z[:d])
+            sq_norms[k] = g.dot(g)
+            k1 = f(t, z, g)
+            k2 = f(t + 0.5 * dt, z + 0.5 * dt * k1)
+            k3 = f(t + 0.5 * dt, z + 0.5 * dt * k2)
+            k4 = f(t + dt, z + dt * k3)
+            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            zs[k + 1] = z
+            if not np.isfinite(z).all():
                 diverged = True
-                xs, ps, times = xs[:k + 2], ps[:k + 2], times[:k + 2]
+                n_steps = k + 1
                 break
+        g = obj.gradient(z[:d])
+        sq_norms[n_steps] = g.dot(g)
 
-    return OdeTrajectory(times=times, xs=xs, ps=ps, dt=dt, diverged=diverged)
+    n = n_steps + 1
+    return OdeTrajectory(times=times[:n], xs=zs[:n, :d], ps=zs[:n, d:], dt=dt,
+                         diverged=diverged, grad_norms=np.sqrt(sq_norms[:n]))
 
 
 def second_order_residual(traj: OdeTrajectory, params: DynParams,
@@ -192,27 +209,39 @@ def discrete_continuous_consistency(obj: Objective, taus: Sequence[float],
 
     For each tau (with sigma = tau and omega = gamma/sigma held so that
     sigma*omega stays fixed) the discrete iterates at times n*tau are
-    compared against a Runge-Kutta reference on the same grid; returned is
-    the max-over-time state distance per tau. The error is first order, so
-    halving tau should roughly halve it.
+    compared against one Runge-Kutta reference, integrated once with step
+    min(taus)/ref_refine and read at every tau's grid points; returned is
+    the max-over-time state distance per tau. The taus must nest: each is
+    an integer multiple of the smallest (up to rounding), else ValueError.
+    The error is first order, so halving tau should roughly halve it.
     """
     C = C or Preconditioner.identity()
     x0 = as_vector(x0, obj.dim, "x0")
     p0 = as_vector(p0, obj.dim, "p0")
-    dyn = DynParams(A=A, epsilon=eps, gamma=gamma, C=C)
-    errors = []
+    tau_min = min(taus)
+    if not tau_min > 0:
+        raise ValueError("taus must be positive")
+    plan = []  # (tau, pdd steps, reference steps per pdd step)
     for tau in taus:
-        n = int(round(t_end / tau))
-        ref = integrate_rk4(dyn, obj, x0, p0, t_end=n * tau, dt=tau / ref_refine,
-                            t0=0.0)
+        m = round(tau / tau_min)
+        if abs(tau / tau_min - m) > 1e-9 * m:
+            raise ValueError(f"taus must be integer multiples of the smallest, "
+                             f"{tau_min!r}; {tau!r} is not")
+        plan.append((tau, int(round(t_end / tau)), m * ref_refine))
+    dt = tau_min / ref_refine
+    ref_steps = max(n * stride for _, n, stride in plan)
+    ref = integrate_rk4(DynParams(A=A, epsilon=eps, gamma=gamma, C=C), obj,
+                        x0, p0, t_end=ref_steps * dt, dt=dt, t0=0.0)
+    errors = []
+    for tau, n, stride in plan:
         params = PddParams(tau=tau, sigma=tau, A=A, epsilon=eps,
                            omega=gamma / tau, C=C)
         state = PddState(x=x0.copy(), p=p0.copy())
         worst = 0.0
         for k in range(1, n + 1):
             state = pdd_step(state, params, obj)
-            rx = ref.xs[k * ref_refine]
-            rp = ref.ps[k * ref_refine]
+            rx = ref.xs[k * stride]
+            rp = ref.ps[k * stride]
             err = np.sqrt(float(np.sum((state.x - rx) ** 2)
                                 + np.sum((state.p - rp) ** 2)))
             worst = max(worst, err)

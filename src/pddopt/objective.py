@@ -142,28 +142,29 @@ class Objective:
 # evaluation kernels
 # ---------------------------------------------------------------------------
 
-def _lse_softmax(z: np.ndarray):
-    # max-shifted: finite for |z_i| up to ~1e4 and beyond
-    m = float(np.max(z))
+def _lse_exp(z: np.ndarray):
+    """exp(z - m), m = max(z), and its sum; max-shifted, so finite for
+    |z_i| up to ~1e4 and beyond. log sum exp(z) = m + log(sum)."""
+    m = float(z.max())
     e = np.exp(z - m)
-    se = float(np.sum(e))
-    return e / se, m + float(np.log(se))
+    return e, m, float(e.sum())
 
 
 def _lse_value(Q: np.ndarray, x: np.ndarray) -> float:
     z = Q @ x
-    _, lse = _lse_softmax(z)
-    return lse + 0.5 * float(x @ z)
+    _, m, se = _lse_exp(z)
+    return m + float(np.log(se)) + 0.5 * float(x @ z)
 
 
 def _lse_grad(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
     z = Q @ x
-    s, _ = _lse_softmax(z)
-    return Q @ s + z
+    e, _, se = _lse_exp(z)
+    return Q @ (e / se) + z
 
 
 def _lse_hess(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    s, _ = _lse_softmax(Q @ x)
+    e, _, se = _lse_exp(Q @ x)
+    s = e / se
     H = Q @ (np.diag(s) - np.outer(s, s)) @ Q + Q
     return 0.5 * (H + H.T)
 

@@ -134,11 +134,16 @@ def mlp_loss_grad(x: np.ndarray, sizes: Sequence[int], X: np.ndarray,
     ``y`` (..., B). The leading axes broadcast: the loss has their shape,
     the gradient theirs plus (P,). The log-softmax is max-shifted.
     Gradients come from a manual backward pass and average over the batch,
-    so duplicating every batch row changes nothing.
+    so duplicating every batch row changes nothing. Labels outside
+    [0, k), k = sizes[-1], raise ValueError.
     """
     B = X.shape[-2]
     if B == 0:
         raise ValueError("empty batch")
+    lo, hi = y.min(), y.max()
+    if lo < 0 or hi >= sizes[-1]:
+        raise ValueError(f"labels must lie in [0, {sizes[-1]}), got "
+                         f"[{lo}, {hi}]")
     pairs = layers(x, sizes)
     acts = _forward(pairs, X)
     logits = acts[-1]

@@ -135,7 +135,8 @@ def test_criterion_5_discrete_geometric_decay():
     for _ in range(2000):
         state = pdd_step(state, recipe.params, obj)
         states.append(state)
-    rep = analysis.discrete_decay_check(states, obj, recipe)
+    values = [analysis.lyapunov_I(obj, s.x, s.p) for s in states]
+    rep = analysis.discrete_decay_check(values, recipe)
     assert rep.within_bound
     I0 = analysis.lyapunov_I(obj, states[0].x, states[0].p)
     for n in (1, 10, 100, 500, 1000, 2000):

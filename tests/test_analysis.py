@@ -29,6 +29,7 @@ def test_lyapunov_values():
     p = np.array([0.4])
     diff = lyapunov_I(obj, x, 2 * p) - lyapunov_I(obj, x, p)
     assert diff == pytest.approx(1.5 * float(p @ p))
+    assert lyapunov_I(obj, x, p, grad=obj.gradient(x)) == lyapunov_I(obj, x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +251,8 @@ def test_N_norm_bound_on_logsumexp():
 
 def test_decay_check_stationary_start():
     obj = ob.quadratic(np.array([[1.0]]))
-    states = [(np.zeros(1), np.zeros(1))] * 5
-    rep = discrete_decay_check(states, obj)
+    values = [lyapunov_I(obj, np.zeros(1), np.zeros(1))] * 5
+    rep = discrete_decay_check(values)
     assert rep.per_step_ratios == [0.0] * 4
     assert rep.within_bound
 
@@ -264,7 +265,8 @@ def test_decay_check_with_recipe():
     for _ in range(500):
         state = pdd_step(state, recipe.params, obj)
         states.append(state)
-    rep = discrete_decay_check(states, obj, recipe)
+    rep = discrete_decay_check([lyapunov_I(obj, s.x, s.p) for s in states],
+                               recipe)
     assert rep.within_bound
     assert max(rep.per_step_ratios) <= 1.0 - 1.0 / 1152.0
     assert rep.decay_factor == recipe.decay_factor
@@ -282,12 +284,18 @@ def test_decay_check_flags_oversized_stepsize():
     for _ in range(200):
         state = pdd_step(state, big, obj)
         states.append(state)
-    rep = discrete_decay_check(states, obj, recipe)
+    rep = discrete_decay_check([lyapunov_I(obj, s.x, s.p) for s in states],
+                               recipe)
     assert not rep.within_bound
     assert max(rep.per_step_ratios) > 1.0
 
-    with pytest.raises(ValueError):
-        discrete_decay_check([], obj)
+
+@pytest.mark.parametrize("values", [[], [0.5]])
+def test_decay_check_rejects_a_trajectory_without_a_step(values):
+    # no step means no ratio: a certificate would rest on no evidence
+    recipe = theorem6_params(1.0, 1.0, 1.0, delta=0.0)
+    with pytest.raises(ValueError, match="at least one step"):
+        discrete_decay_check(values, recipe)
 
 
 # ---------------------------------------------------------------------------

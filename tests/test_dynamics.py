@@ -10,7 +10,7 @@ from pddopt.dynamics import (
     pdd_vector_field,
     second_order_residual,
 )
-from pddopt.optimizers import Preconditioner
+from pddopt.optimizers import PddParams, PddState, Preconditioner, pdd_step
 
 
 def test_field_vanishes_at_stationary_state():
@@ -74,6 +74,31 @@ def test_rk4_constant_at_stationary_start():
     assert not traj.diverged
     np.testing.assert_array_equal(traj.xs, np.zeros_like(traj.xs))
     np.testing.assert_array_equal(traj.ps, np.zeros_like(traj.ps))
+
+
+def test_rk4_grad_norms_are_the_gradient_norms_of_the_states():
+    obj = ob.reg_log_sum_exp(ob.make_diag_dominant_Q(6, seed=1))
+    params = DynParams(A=1.0, epsilon=1.0, gamma=0.5)
+    traj = integrate_rk4(params, obj, np.linspace(-1.0, 1.0, 6), np.zeros(6),
+                         t_end=1.0, dt=0.01)
+    assert traj.grad_norms.shape == traj.times.shape == (101,)
+    for k in range(traj.times.shape[0]):
+        assert traj.grad_norms[k] == np.linalg.norm(obj.gradient(traj.xs[k]))
+
+
+def test_rk4_grad_norms_of_a_diverging_run_end_with_its_arrays():
+    # dt far beyond RK4's stability limit on a stiff quadratic overflows
+    obj = ob.quadratic(np.diag([1.0, 1e3]))
+    params = DynParams(A=1.0, epsilon=1.0, gamma=0.0)
+    traj = integrate_rk4(params, obj, np.array([1.0, 1.0]), np.zeros(2),
+                         t_end=1e3, dt=1.0)
+    assert traj.diverged
+    n = traj.times.shape[0]
+    assert n < 1001
+    assert traj.xs.shape[0] == traj.ps.shape[0] == traj.grad_norms.shape[0] == n
+    with np.errstate(all="ignore"):
+        expected = [np.linalg.norm(obj.gradient(x)) for x in traj.xs]
+    np.testing.assert_array_equal(traj.grad_norms, expected)
 
 
 def test_rk4_conserves_harmonic_rotation():
@@ -176,6 +201,58 @@ def test_discrete_continuous_consistency_first_order():
     assert errs[0] > errs[1] > errs[2]
     for e1, e2 in zip(errs[:-1], errs[1:]):
         assert 1.7 <= e1 / e2 <= 2.3
+
+
+def per_tau_reference_consistency(obj, taus, gamma, eps, A, x0, p0, t_end,
+                                  ref_refine=20):
+    # the probe as it was before it shared one reference: a fresh RK4
+    # reference on each tau's own grid
+    dyn = DynParams(A=A, epsilon=eps, gamma=gamma)
+    errors = []
+    for tau in taus:
+        n = int(round(t_end / tau))
+        ref = integrate_rk4(dyn, obj, x0, p0, t_end=n * tau,
+                            dt=tau / ref_refine, t0=0.0)
+        params = PddParams(tau=tau, sigma=tau, A=A, epsilon=eps,
+                           omega=gamma / tau)
+        state = PddState(x=x0.copy(), p=p0.copy())
+        worst = 0.0
+        for k in range(1, n + 1):
+            state = pdd_step(state, params, obj)
+            rx = ref.xs[k * ref_refine]
+            rp = ref.ps[k * ref_refine]
+            err = np.sqrt(float(np.sum((state.x - rx) ** 2)
+                                + np.sum((state.p - rp) ** 2)))
+            worst = max(worst, err)
+        errors.append(worst)
+    return errors
+
+
+@pytest.mark.parametrize("obj, taus, gamma, x0, p0, t_end", [
+    (ob.quadratic(np.array([[1.0]])), [0.1, 0.05, 0.025, 0.0125], 0.5,
+     np.array([1.0]), np.array([0.0]), 4.0),
+    (ob.rosenbrock(n=2), [0.002, 0.001, 0.0005], 0.005,
+     np.array([-0.5, 0.5]), np.zeros(2), 1.0),
+], ids=["quadratic-1d", "rosenbrock"])
+def test_consistency_shared_reference_matches_per_tau_references(
+        obj, taus, gamma, x0, p0, t_end):
+    # a coarser tau now reads a finer RK4 reference; RK4's own error is far
+    # below the first-order discrete error, and the finest reference is the
+    # same integration as before
+    args = dict(taus=taus, gamma=gamma, eps=1.0, A=1.0, x0=x0, p0=p0,
+                t_end=t_end)
+    errs = discrete_continuous_consistency(obj, **args)
+    ref = per_tau_reference_consistency(obj, **args)
+    np.testing.assert_allclose(errs, ref, rtol=1e-6, atol=0.0)
+    assert errs[-1] == ref[-1]
+
+
+def test_consistency_rejects_taus_that_do_not_nest():
+    obj = ob.quadratic(np.array([[1.0]]))
+    with pytest.raises(ValueError, match="integer multiples"):
+        discrete_continuous_consistency(
+            obj, taus=(0.1, 0.03), gamma=0.5, eps=1.0, A=1.0,
+            x0=np.array([1.0]), p0=np.array([0.0]), t_end=1.0)
 
 
 def test_consistency_zero_from_stationary_start():

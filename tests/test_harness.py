@@ -286,6 +286,22 @@ def test_analyze_rejects_unknown_analysis_and_dynamics_keys(tmp_path):
         harness.config_from_dict(d)
 
 
+@pytest.mark.parametrize("pdd_steps", [0, -3, 2.7, 5.0, "5", True, None])
+def test_analyze_rejects_pdd_steps_that_are_not_a_positive_integer(
+        tmp_path, pdd_steps):
+    # 0 steps used to write within_bound = 1 after checking no ratio, and
+    # 2.7 ran 2 steps
+    from pddopt.cli import main
+
+    cfg = preset("quadcos", out_dir=str(tmp_path / "out"))
+    cfg.analysis = {"pdd_steps": pdd_steps, "num_samples": 2}
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
+    with pytest.raises(ValueError, match="analysis.pdd_steps"):
+        main(["analyze", str(cfg_path)])
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name,params", [
     ("quadcos", {"dimm": 3}),
     ("rosenbrock2d", {"n": 5}),

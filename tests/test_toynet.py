@@ -89,6 +89,16 @@ def test_zero_final_layer_loss_is_log_k():
     assert loss == pytest.approx(math.log(3), rel=1e-12)
 
 
+@pytest.mark.parametrize("labels", [[0, -1, 2], [0, 3, 1]])
+def test_labels_outside_the_classes_rejected(labels):
+    # a negative label would wrap to class k + y, one >= k index past the end
+    sizes = [4, 5, 3]
+    x = tn.init_params(sizes, seed=0)
+    X, _ = tiny_batch(d=4, k=3)
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+        tn.mlp_loss_grad(x, sizes, X, np.array(labels))
+
+
 def off_kink(x, sizes, X, margin=1e-3):
     # central differences straddle the ReLU kink when a pre-activation sits
     # within h of zero; only probe configurations away from it
