@@ -322,17 +322,16 @@ def sample_D0_lower_bound(obj: Objective, points: Sequence, n_dirs: int = 8,
     return best
 
 
-def _c0_eigvals(Hess: np.ndarray, C: Preconditioner, x: np.ndarray) -> np.ndarray:
-    """Eigenvalues of hess f(x) . C(x) (= hess f . B . hess f)."""
+def _c_sqrt(C: Preconditioner, x: np.ndarray,
+            dim: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """C(x) and its square root S = C(x)^{1/2} (None for C = I)."""
+    Cmat = C.matrix(x, dim)
     if C.kind == "identity":
-        return np.linalg.eigvalsh(Hess)
-    Cmat = C.matrix(x, Hess.shape[0])
-    # hess.C is similar to C^{1/2} hess C^{1/2}, symmetric for SPD C
+        return Cmat, None
     w, V = np.linalg.eigh(Cmat)
     if np.any(w <= 0):
         raise ValueError("preconditioner must be positive definite")
-    S = (V * np.sqrt(w)) @ V.T
-    return np.linalg.eigvalsh(S @ Hess @ S)
+    return Cmat, (V * np.sqrt(w)) @ V.T
 
 
 def estimate_constants(obj: Objective, sample_points: Sequence,
@@ -346,22 +345,28 @@ def estimate_constants(obj: Objective, sample_points: Sequence,
     approximated by a central difference of the Hessian along the gradient
     direction. Sampled estimates are lower bounds on the true global
     constants; include any points you intend to certify in the sample.
+    A constant C is factored once, a callback C at every point.
     """
     C = C or Preconditioner.identity()
     mu_hat = math.inf
     L_hat = -math.inf
     Lp_hat = -math.inf
+    factored = None
     for pt in sample_points:
         x = as_vector(pt, obj.dim)
+        if factored is None or not C.is_constant:
+            factored = _c_sqrt(C, x, obj.dim)
+        Cmat, S = factored
         Hess = obj.hessian_at(x)
-        w = _c0_eigvals(Hess, C, x)
+        # eigenvalues of hess.C (= hess f . B . hess f); hess.C is similar
+        # to S hess S, symmetric for SPD C
+        w = np.linalg.eigvalsh(Hess if S is None else S @ Hess @ S)
         mu_hat = min(mu_hat, float(w[0]))
         L_hat = max(L_hat, float(w[-1]))
 
         v = obj.gradient(x)
         h = fd_scale * (1.0 + np.linalg.norm(x)) / (1.0 + np.linalg.norm(v))
         T = (obj.hessian_at(x + h * v) - obj.hessian_at(x - h * v)) / (2.0 * h)
-        Cmat = C.matrix(x, obj.dim)
         M = Cmat.T @ (T + Hess @ Hess) @ Cmat
         M = 0.5 * (M + M.T)
         Lp_hat = max(Lp_hat, float(np.linalg.eigvalsh(M)[-1]))

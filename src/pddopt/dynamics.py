@@ -212,7 +212,8 @@ def discrete_continuous_consistency(obj: Objective, taus: Sequence[float],
     compared against one Runge-Kutta reference, integrated once with step
     min(taus)/ref_refine and read at every tau's grid points; returned is
     the max-over-time state distance per tau. The taus must nest: each is
-    an integer multiple of the smallest (up to rounding), else ValueError.
+    an integer multiple of the smallest (up to rounding), else ValueError;
+    a reference that diverges before t_end also raises ValueError.
     The error is first order, so halving tau should roughly halve it.
     """
     C = C or Preconditioner.identity()
@@ -232,6 +233,10 @@ def discrete_continuous_consistency(obj: Objective, taus: Sequence[float],
     ref_steps = max(n * stride for _, n, stride in plan)
     ref = integrate_rk4(DynParams(A=A, epsilon=eps, gamma=gamma, C=C), obj,
                         x0, p0, t_end=ref_steps * dt, dt=dt, t0=0.0)
+    if ref.diverged:
+        raise ValueError(f"the RK4 reference (dt = {dt!r}) diverged at "
+                         f"t = {float(ref.times[-1])!r}; raise ref_refine "
+                         f"or shorten t_end")
     errors = []
     for tau, n, stride in plan:
         params = PddParams(tau=tau, sigma=tau, A=A, epsilon=eps,

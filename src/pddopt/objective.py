@@ -4,10 +4,19 @@ Every test problem used by the optimizer benchmarks lives here, together
 with a finite-difference oracle for checking analytic derivatives. All
 evaluation is pure and objectives are immutable after construction, so they
 are safe to share between concurrent runs.
+
+The optimizers call `Objective.gradient` once per step on vectors of 2 to
+100 entries, where numpy's per-call dispatch outweighs the arithmetic. The
+2-d Rosenbrock gradient is therefore evaluated in Python floats, with the
+array formula's operations in its order, so it is bitwise equal to the
+array path (±0, inf and nan included). Ackley stays on numpy: `math.cos`
+raises on inf, and numpy's float64 exp/sin/cos loops are not guaranteed to
+round like libm, so a float transcription could move its pinned values.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from typing import Callable, Optional
 
@@ -82,6 +91,7 @@ class Objective:
         if dim < 1:
             raise ValueError("dim must be a positive integer")
         self.dim = int(dim)
+        self._shape = (self.dim,)
         self._value: Callable[[np.ndarray], float] = value
         self._gradient: Callable[[np.ndarray], np.ndarray] = gradient
         self._hessian = hessian
@@ -112,7 +122,11 @@ class Objective:
         return float(self._value(self._point(x)))
 
     def gradient(self, x) -> np.ndarray:
-        return np.asarray(self._gradient(self._point(x)), dtype=float)
+        # `_point` inlined: the optimizers call this once per step
+        x = np.asarray(x, dtype=float)
+        if x.shape != self._shape:
+            self._point(x)
+        return np.asarray(self._gradient(x), dtype=float)
 
     def hessian(self, x) -> np.ndarray:
         if self._hessian is None:
@@ -175,10 +189,21 @@ def _rosenbrock_value(a: float, b: float, x: np.ndarray) -> float:
 
 
 def _rosenbrock_grad(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    g = np.zeros(x.shape)
-    d = x[1:] - x[:-1] ** 2
-    g[:-1] = -2.0 * (a - x[:-1]) - 4.0 * b * x[:-1] * d
-    g[1:] += 2.0 * b * d
+    if x.shape == (2,):
+        # the array path below in Python floats, operation for operation;
+        # `0.0 +` turns a -0.0 into +0.0 as `tail +=` on a zero does
+        x0, x1 = x.tolist()
+        d = x1 - x0 * x0
+        return np.array((-2.0 * (a - x0) - 4.0 * b * x0 * d, 0.0 + 2.0 * b * d))
+    # g before d: allocated after it, g lands elsewhere in glibc's heap and
+    # peak RSS of a 4-optimizer run at n = 1e6 rose from 194 to 224 MB
+    g = np.empty(x.shape)
+    head = x[:-1]
+    d = x[1:] - head ** 2
+    g[:-1] = -2.0 * (a - head) - 4.0 * b * head * d
+    g[-1] = 0.0
+    tail = g[1:]  # a view: `g[1:] += ...` would copy the sum back into g
+    tail += 2.0 * b * d
     return g
 
 
@@ -292,7 +317,7 @@ def rosenbrock(a: float = 1.0, b: float = 100.0, n: int = 2,
     return Objective(
         n,
         value=lambda x: _rosenbrock_value(a, b, x),
-        gradient=lambda x: _rosenbrock_grad(a, b, x),
+        gradient=functools.partial(_rosenbrock_grad, a, b),
         minimizer=minimizer,
         name=name or f"rosenbrock{n}d",
     )

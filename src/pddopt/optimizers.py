@@ -427,11 +427,15 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
 
     it = 0
     gtol2 = grad_tol * grad_tol
+    step, gradient = rule.step, obj.gradient
+    # x . 0 is +-0 while x is finite and nan once an entry is inf or nan,
+    # so one finiteness test covers both the gradient and the iterate
+    zero = np.zeros(obj.dim)
     with np.errstate(all="ignore"):  # divergent runs must not spam warnings
-        g = obj.gradient(x)
+        g = gradient(x)
         while True:
-            gn2 = float(g @ g)
-            if not (math.isfinite(gn2) and np.isfinite(x).all()):
+            gn2 = float(g.dot(g))
+            if not math.isfinite(gn2 + x.dot(zero)):
                 traj.diverged = True
                 record(it, x, g)
                 break
@@ -442,9 +446,9 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
                 if it % record_every != 0:
                     record(it, x, g)
                 break
-            x, state = rule.step(x, g, state, params, obj.gradient)
+            x, state = step(x, g, state, params, gradient)
             it += 1
-            g = obj.gradient(x)
+            g = gradient(x)
 
     traj.final_x = x.copy()
     traj.final_p = state["p"].copy() if "p" in state else None

@@ -329,6 +329,29 @@ def test_estimate_constants_with_inverse_hessian_preconditioner():
     assert est.Lp_hat == pytest.approx(1.0, abs=1e-9)
 
 
+def test_estimate_constants_factors_a_constant_C_once(monkeypatch):
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(M):
+        calls.append(M.shape)
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    obj = ob.reg_log_sum_exp(ob.make_diag_dominant_Q(6, seed=2))
+    pts = np.random.default_rng(21).standard_normal((4, 6))
+    diag = np.linspace(0.5, 2.0, 6)
+    est = estimate_constants(obj, pts, C=Preconditioner.diagonal(diag))
+    assert len(calls) == 1
+    # the same matrix as a callback is factored at every point, to the same
+    # estimates
+    calls.clear()
+    per_point = estimate_constants(
+        obj, pts, C=Preconditioner.from_callback(lambda x: np.diag(diag)))
+    assert len(calls) == 4
+    assert per_point == est
+
+
 def test_D0_sample_is_zero_for_quadratics():
     from pddopt.analysis import sample_D0_lower_bound
 

@@ -255,6 +255,16 @@ def test_consistency_rejects_taus_that_do_not_nest():
             x0=np.array([1.0]), p0=np.array([0.0]), t_end=1.0)
 
 
+def test_consistency_rejects_a_diverged_reference():
+    # dt = 0.5 is far outside RK4's stability region for the 1e4 mode: the
+    # reference overflows to nan at t = 13, long before t_end
+    obj = ob.quadratic(np.diag([1.0, 1e4]))
+    with pytest.raises(ValueError, match=r"reference .* diverged at t = 13\.0"):
+        discrete_continuous_consistency(
+            obj, taus=[1.0, 0.5], gamma=0.5, eps=1.0, A=1.0,
+            x0=np.ones(2), p0=np.zeros(2), t_end=2000.0, ref_refine=1)
+
+
 def test_consistency_zero_from_stationary_start():
     obj = ob.quadratic(np.eye(2))
     errs = discrete_continuous_consistency(

@@ -21,6 +21,32 @@ from pddopt.harness import (
 from pddopt.optimizers import Trajectory, TrajectoryRecord
 
 
+# final iteration of each preset run (what the traced optimizers.iters.*
+# metrics report); the three longest runs are left out to keep the suite
+# fast: gd on rosenbrock2d (214,268) and rosenbrockNd (51,502) and igahd on
+# rosenbrockNd (37,119)
+PRESET_FINAL_ITERS = {
+    "logsumexp": {"gd": 52, "nag": 146, "pdd-identity": 242,
+                  "pdd-diagonal": 78, "igahd-sc": 79},
+    "quadcos": {"gd": 454, "nag": 75, "pdd": 26, "igahd-sc": 67},
+    "ackley": {"gd": 286, "nag": 387, "pdd": 22426, "igahd": 42},
+    "rosenbrock2d": {"nag": 27083, "pdd": 9317, "igahd": 19458},
+    "rosenbrockNd": {"nag": 2409, "pdd": 2126},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_FINAL_ITERS))
+def test_preset_final_iterations_are_pinned(name, tmp_path):
+    pinned = PRESET_FINAL_ITERS[name]
+    cfg = preset(name)
+    cfg.optimizers = [o for o in cfg.optimizers if o.label in pinned]
+    cfg.outputs = ()
+    art = run_experiment(cfg, str(tmp_path))
+    assert not art.any_diverged
+    assert {label: t.records[-1].iter
+            for label, t in art.trajectories.items()} == pinned
+
+
 def test_preset_parameter_pins():
     cfg = preset("rosenbrock2d")
     pdd = next(o for o in cfg.optimizers if o.method == "pdd")

@@ -10,6 +10,7 @@ from pddopt.optimizers import (
     PddParams,
     PddState,
     Preconditioner,
+    TrajectoryRecord,
     compute_beta2,
     pdd_step,
     run_optimizer,
@@ -294,6 +295,53 @@ def test_divergence_sets_flag_instead_of_raising():
     traj = run_optimizer(obj, "gd", {"tau": 10.0}, np.array([1.0, 1.0]),
                          max_iter=5000, record_every=100)
     assert traj.diverged
+
+
+def constant_gradient(g, dim=2):
+    """An objective with f = 1 and gradient g everywhere, finite at any x."""
+    return ob.Objective(dim, value=lambda x: 1.0,
+                        gradient=lambda x: np.array(g, dtype=float))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_iterate_with_finite_gradient_diverges(bad):
+    # C's first row sends x[0] to -inf or nan on the first step while the
+    # gradient stays [1, 1]; the run stops there with one last record
+    C = Preconditioner.from_callback(
+        lambda x: np.array([[bad, 0.0], [0.0, 1.0]]))
+    hp = {"tau": 0.5, "sigma": 1.0, "A": 1.0, "epsilon": 0.0, "omega": 0.0,
+          "C": C}
+    traj = run_optimizer(constant_gradient([1.0, 1.0]), "pdd", hp, np.zeros(2),
+                         max_iter=10, record_every=1)
+    assert traj.diverged
+    gn = float(np.linalg.norm([1.0, 1.0]))
+    assert traj.records == [
+        TrajectoryRecord(0, 1.0, gn, 0.5 * (0.0 + gn * gn)),
+        TrajectoryRecord(1, 1.0, gn, 0.5 * (2.0 + gn * gn)),
+    ]
+    np.testing.assert_array_equal(traj.final_x, [-bad, -0.5])
+
+
+def test_huge_finite_iterate_is_not_divergence():
+    # x . 0 must stay 0 for entries near the top of the float range
+    x, g, tau = np.array([1e308, -1e308]), np.array([1e140, -1e140]), 1e160
+    traj = run_optimizer(constant_gradient(g), "gd", {"tau": tau}, x,
+                         max_iter=3, record_every=1)
+    assert not traj.diverged
+    assert [r.iter for r in traj.records] == [0, 1, 2, 3]
+    for _ in range(3):
+        x = x - tau * g
+    np.testing.assert_array_equal(traj.final_x, x)
+    assert abs(x[0]) > 9e307
+
+
+def test_gradient_overflow_is_divergence():
+    # finite entries whose squared norm overflows
+    traj = run_optimizer(constant_gradient([1e200, 1e200]), "gd", {"tau": 1.0},
+                         np.zeros(2), max_iter=10, record_every=5)
+    assert traj.diverged
+    assert [(r.iter, r.grad_norm) for r in traj.records] == [(0, math.inf)]
+    np.testing.assert_array_equal(traj.final_x, np.zeros(2))
 
 
 def test_run_is_deterministic():

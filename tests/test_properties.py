@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pddopt import harness
 from pddopt import objective as ob
@@ -58,6 +59,42 @@ def test_pdd_dual_update_closed_form(sigma, A, eps, g, p):
     hp = {"tau": 0.1, "sigma": sigma, "A": A, "epsilon": eps, "omega": 1.0}
     _, state = RULES["pdd"].step(np.zeros(3), g, {"p": p}, hp, None)
     np.testing.assert_array_equal(state["p"], (p + sigma * A * g) / (1 + sigma * eps * A))
+
+
+# ---------------------------------------------------------------------------
+# Rosenbrock gradient: the 2-d float path and the array path
+# ---------------------------------------------------------------------------
+
+def rosenbrock_grad_reference(a, b, x):
+    """The array formula, transcribed; the kernel's n = 2 float path must
+    match it bit for bit."""
+    g = np.zeros(x.shape)
+    d = x[1:] - x[:-1] ** 2
+    g[:-1] = -2.0 * (a - x[:-1]) - 4.0 * b * x[:-1] * d
+    g[1:] += 2.0 * b * d
+    return g
+
+
+# moderate values, where a reordered product rounds differently, and
+# magnitudes up to 1e160, where x_i^2 and the products overflow to inf
+entries = (st.floats(-10.0, 10.0)
+           | st.floats(1e-5, 1e160) | st.floats(-1e160, -1e-5)
+           | st.sampled_from((0.0, -0.0, math.inf, -math.inf,
+                              math.nan, -math.nan)))
+coefficients = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=coefficients, b=coefficients, data=st.data(),
+       n=st.sampled_from((2, 3, 100)))
+def test_rosenbrock_grad_matches_the_array_formula(a, b, data, n):
+    x = data.draw(hnp.arrays(np.float64, n, elements=entries), label="x")
+    with np.errstate(all="ignore"):
+        got = ob._rosenbrock_grad(a, b, x)
+        want = rosenbrock_grad_reference(a, b, x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # +-0, +-nan
 
 
 # ---------------------------------------------------------------------------
