@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import re
 import time
@@ -148,6 +149,20 @@ def _spec(cls, d: dict, where: str):
     return cls(**d)
 
 
+def _number(d: dict, key: str, default, kind, where: str):
+    """``d[key]``, or ``default``, as ``kind`` (int or float). A bool, a
+    string, and for int a non-integer, are rejected rather than converted:
+    int() would truncate 2.5 to 2 and float() would parse "1e-3"."""
+    v = d.get(key, default)
+    integral = kind is int
+    if isinstance(v, bool) or not isinstance(
+            v, numbers.Integral if integral else numbers.Real):
+        raise ValueError(f"{where}: {key!r} must be "
+                         f"{'an integer' if integral else 'a number'}, "
+                         f"got {v!r}")
+    return kind(v)
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     _check_fields(d, ExperimentConfig, "config")
     _check_keys(d.get("analysis", {}), _ANALYSIS_KEYS, "analysis")
@@ -157,9 +172,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         optimizers=[_spec(OptimizerSpec, o, f"optimizers[{i}]")
                     for i, o in enumerate(d["optimizers"])],
         x0=d["x0"],
-        max_iter=int(d.get("max_iter", 10000)),
-        grad_tol=float(d.get("grad_tol", 1e-10)),
-        record_every=int(d.get("record_every", 10)),
+        max_iter=_number(d, "max_iter", 10000, int, "config"),
+        grad_tol=_number(d, "grad_tol", 1e-10, float, "config"),
+        record_every=_number(d, "record_every", 10, int, "config"),
         outputs=tuple(d.get("outputs", ("csv", "svg"))),
         output_dir=d.get("output_dir"),
         analysis=d.get("analysis", {}),
@@ -192,16 +207,17 @@ def build_problem(spec: ProblemSpec) -> Tuple[Objective, dict]:
     name, p, seed = spec.name, spec.params, spec.seed
     if name not in _PROBLEM_PARAMS:
         raise ValueError(f"unknown problem {name!r}")
-    _check_keys(p, _PROBLEM_PARAMS[name], f"problem {name!r} params")
+    where = f"problem {name!r} params"
+    _check_keys(p, _PROBLEM_PARAMS[name], where)
     ctx: dict = {}
     if name == "quadratic":
         diag = p.get("diag")
         Q = np.diag(np.asarray(diag, dtype=float)) if diag is not None \
-            else make_diag_dominant_Q(int(p.get("n", 10)), seed)
+            else make_diag_dominant_Q(_number(p, "n", 10, int, where), seed)
         ctx["Q"] = Q
         return quadratic(Q), ctx
     if name == "logsumexp":
-        n = int(p.get("n", 100))
+        n = _number(p, "n", 100, int, where)
         # scale > 1 reproduces the magnitude of a matrix whose off-diagonals
         # are uniform(-1, 1) without the 1/n normalization
         Q = float(p.get("scale", 1.0)) * make_diag_dominant_Q(n, seed)
@@ -210,7 +226,7 @@ def build_problem(spec: ProblemSpec) -> Tuple[Objective, dict]:
         ctx["lambda_min"], ctx["lambda_max"] = float(w[0]), float(w[-1])
         return reg_log_sum_exp(Q), ctx
     if name == "quadcos":
-        d = int(p.get("dim", 100))
+        d = _number(p, "dim", 100, int, where)
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(d)
         c *= math.sqrt(p.get("c_norm2", 1.9)) / np.linalg.norm(c)
@@ -221,7 +237,7 @@ def build_problem(spec: ProblemSpec) -> Tuple[Objective, dict]:
                           n=2), ctx
     if name == "rosenbrockNd":
         return rosenbrock(a=float(p.get("a", 1.0)), b=float(p.get("b", 100.0)),
-                          n=int(p.get("n", 100))), ctx
+                          n=_number(p, "n", 100, int, where)), ctx
     return ackley(), ctx
 
 

@@ -147,7 +147,12 @@ def mlp_loss_grad(x: np.ndarray, sizes: Sequence[int], X: np.ndarray,
     pairs = layers(x, sizes)
     acts = _forward(pairs, X)
     logits = acts[-1]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # the row maximum one class column at a time: exact like `max(axis=-1)`,
+    # which runs numpy's inner loop once per k-entry row
+    top = logits[..., :1]
+    for j in range(1, sizes[-1]):
+        top = np.maximum(top, logits[..., j:j + 1])
+    shifted = logits - top
     log_z = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     log_probs = shifted - log_z
     label = np.broadcast_to(y[..., None], log_probs.shape[:-1] + (1,))

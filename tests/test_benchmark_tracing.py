@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import io
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -11,18 +12,21 @@ from pddopt.harness import (ExperimentConfig, OptimizerSpec, ProblemSpec,
                             save_config)
 from pddopt.objective import Objective
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations there
     spec.loader.exec_module(module)
     return module
 
 
 @pytest.mark.parametrize("module, attr", [
-    (module, attr) for module, attr, _, _ in load_tracing().BOUNDARIES],
+    (module, attr) for module, attr, _, _ in
+    load_benchmark_module("tracing").BOUNDARIES],
     ids=lambda v: getattr(v, "__name__", v))
 def test_traced_boundary_is_a_module_callable(module, attr):
     # the benchmark tracer wraps these attributes by name; a refactor that
@@ -99,3 +103,13 @@ def test_analyze_makes_one_pdd_step_and_one_gradient_per_step(
         assert cli.main(["analyze", str(tmp_path / "cfg.json")]) == 0
     assert counts["step"] == 40
     assert counts["grad"] == 40 + 1
+
+
+def test_large_d_workload_passes_its_check_at_full_size(tmp_path):
+    # the benchmark's large-d pass (4 methods, n = 1e6, 10 steps each) as
+    # run.py runs it; a gradient change that breaks it fails here first
+    large_d = load_benchmark_module("workloads").WORKLOADS["large-d"]
+    inp = large_d.setup(1, False, tmp_path)
+    assert inp.obj.dim == 1_000_000
+    res = large_d.check(inp, large_d.body(inp))
+    assert res.attempted == 4 and res.failed == 0, res.problems

@@ -465,3 +465,32 @@ def test_cli_exit_code_on_divergence(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     save_config(cfg, cfg_path)
     assert main(["run", str(cfg_path)]) == 1
+
+
+@pytest.mark.parametrize("key,value", [
+    ("max_iter", 2.5), ("max_iter", True), ("max_iter", "10"),
+    ("record_every", 1.5), ("record_every", None),
+    ("grad_tol", "1e-3"), ("grad_tol", False)])
+def test_config_from_dict_rejects_counts_and_tolerances_of_the_wrong_type(
+        key, value):
+    # int() truncated 2.5 to 2 and took True as 1; float() parsed "1e-3"
+    d = harness.config_to_dict(preset("quadcos"))
+    d[key] = value
+    with pytest.raises(ValueError, match=f"config: '{key}' must be"):
+        harness.config_from_dict(d)
+
+
+def test_config_from_dict_takes_an_integral_grad_tol():
+    d = harness.config_to_dict(preset("quadcos"))
+    d["grad_tol"] = 0
+    cfg = harness.config_from_dict(d)
+    assert cfg.grad_tol == 0.0 and type(cfg.grad_tol) is float
+
+
+@pytest.mark.parametrize("name,key", [
+    ("quadratic", "n"), ("logsumexp", "n"), ("quadcos", "dim"),
+    ("rosenbrockNd", "n")])
+def test_build_problem_rejects_a_non_integral_dimension(name, key):
+    # int() truncated 3.9 to 3
+    with pytest.raises(ValueError, match=f"problem '{name}' params: '{key}'"):
+        build_problem(ProblemSpec(name=name, params={key: 3.9}))

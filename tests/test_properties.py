@@ -6,13 +6,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pddopt import harness
 from pddopt import objective as ob
-from pddopt.optimizers import RULES
+from pddopt.optimizers import RULES, run_optimizer
 
 positive = st.floats(1e-3, 10.0)
 nonnegative = st.floats(0.0, 10.0)
@@ -62,12 +63,12 @@ def test_pdd_dual_update_closed_form(sigma, A, eps, g, p):
 
 
 # ---------------------------------------------------------------------------
-# Rosenbrock gradient: the 2-d float path and the array path
+# Rosenbrock gradient: the 2-d float path and the strip loop
 # ---------------------------------------------------------------------------
 
 def rosenbrock_grad_reference(a, b, x):
-    """The array formula, transcribed; the kernel's n = 2 float path must
-    match it bit for bit."""
+    """The whole-array formula, transcribed; the kernel's n = 2 float path
+    and its strip loop must match it bit for bit."""
     g = np.zeros(x.shape)
     d = x[1:] - x[:-1] ** 2
     g[:-1] = -2.0 * (a - x[:-1]) - 4.0 * b * x[:-1] * d
@@ -84,17 +85,41 @@ entries = (st.floats(-10.0, 10.0)
 coefficients = st.floats(-1e3, 1e3)
 
 
-@settings(max_examples=200, deadline=None)
+# strips of 1 to 7 entries put strip boundaries, one-entry last strips and
+# special values next to a boundary inside n <= 40; the real strip size
+# covers the one-strip case
+@settings(max_examples=300, deadline=None)
 @given(a=coefficients, b=coefficients, data=st.data(),
-       n=st.sampled_from((2, 3, 100)))
-def test_rosenbrock_grad_matches_the_array_formula(a, b, data, n):
+       n=st.integers(2, 40) | st.just(100),
+       strip=st.sampled_from((1, 2, 3, 7, ob._STRIP)))
+def test_rosenbrock_grad_matches_the_array_formula(a, b, data, n, strip):
     x = data.draw(hnp.arrays(np.float64, n, elements=entries), label="x")
-    with np.errstate(all="ignore"):
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(ob, "_STRIP", strip)
         got = ob._rosenbrock_grad(a, b, x)
         want = rosenbrock_grad_reference(a, b, x)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))  # +-0, +-nan
+
+
+def test_rosenbrock_runs_across_strips_match_the_array_formula():
+    # n - 1 = 32770 differences: two full strips and a 2-entry last one,
+    # whose last 2b d term lands on g[-1]
+    n = 2 * ob._STRIP + 3
+    a, b = 1.0, 100.0
+    strips = ob.rosenbrock(a, b, n)
+    reference = ob.Objective(
+        n, value=strips.value,
+        gradient=lambda x: rosenbrock_grad_reference(a, b, x),
+        minimizer=strips.minimizer, name=strips.name)
+    x0 = np.linspace(-1.0, 1.5, n)
+    for spec in harness.preset("rosenbrockNd").optimizers:
+        runs = [run_optimizer(obj, spec.method, spec.params, x0, max_iter=30)
+                for obj in (strips, reference)]
+        assert not runs[0].diverged, spec.method
+        assert runs[0].records == runs[1].records, spec.method
+        assert runs[0].final_x.tobytes() == runs[1].final_x.tobytes()
 
 
 # ---------------------------------------------------------------------------
