@@ -28,13 +28,23 @@ from .optimizers import PddState, Preconditioner, pdd_step
 
 
 def _apply_overrides(config, args):
+    """``config`` with the command line's values, checked."""
     if getattr(args, "seed", None) is not None:
         config.problem.seed = args.seed
     if getattr(args, "max_iter", None) is not None:
         config.max_iter = args.max_iter
     if getattr(args, "grad_tol", None) is not None:
         config.grad_tol = args.grad_tol
+    harness.validate_config(config)
     return config
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="\n") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    return path
 
 
 def _report_artifact(artifact) -> int:
@@ -59,8 +69,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    config = harness.preset(args.name, out_dir=args.out, seed=args.seed)
-    config = _apply_overrides(config, args)
+    config = _apply_overrides(
+        harness.preset(args.name, out_dir=args.out, seed=args.seed), args)
     if args.dump_config:
         harness.save_config(config, args.dump_config)
         print(f"  wrote {args.dump_config}")
@@ -70,63 +80,46 @@ def cmd_preset(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = _apply_overrides(harness.load_config(args.config), args)
-    opts = config.analysis
-    n_steps = opts.get("pdd_steps", 2000)
-    # a decay certificate needs at least one measured ratio
-    if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
-        raise ValueError(f"analysis.pdd_steps must be an integer >= 1, "
-                         f"got {n_steps!r}")
-    out_dir = harness.resolve_output_dir(config, args.out, tag="analyze")
+    opts = harness.read_section(
+        "analysis", {"seed": config.problem.seed, **config.analysis})
     obj, ctx = harness.build_problem(config.problem)
     x0 = harness.materialize_x0(config.x0, obj.dim)
+    C = next((harness.resolve_preconditioner(o.params["C"], ctx)
+              for o in config.optimizers if o.method == "pdd" and "C" in o.params),
+             Preconditioner.identity())
 
-    delta = float(opts.get("delta", 1.0))
-    n_samples = int(opts.get("num_samples", 20))
-    scale = float(opts.get("sample_scale", 0.5))
-    seed = int(opts.get("seed", config.problem.seed))
-
-    C = Preconditioner.identity()
-    for o in config.optimizers:
-        if o.method == "pdd" and "C" in o.params:
-            C = harness.resolve_preconditioner(o.params["C"], ctx)
-            break
-
-    rng = np.random.default_rng(seed)
-    pts = x0 + scale * rng.standard_normal((n_samples, obj.dim))
-    pts = np.vstack([x0, pts])
+    rng = np.random.default_rng(opts["seed"])
+    pts = np.vstack([x0, x0 + opts["sample_scale"] * rng.standard_normal(
+        (opts["num_samples"], obj.dim))])
     est = analysis.estimate_constants(obj, pts, C=C)
     recipe = analysis.theorem6_params(est.mu_hat, est.L_hat,
-                                      max(est.Lp_hat, est.L_hat), delta=delta, C=C)
+                                      max(est.Lp_hat, est.L_hat),
+                                      delta=opts["delta"], C=C)
 
     # one gradient per state: it drives the next step and gives I(x, p)
     state = PddState(x=x0.copy(), p=np.zeros(obj.dim))
     g = obj.gradient(state.x)
     values = [analysis.lyapunov_I(obj, state.x, state.p, grad=g)]
-    for _ in range(n_steps):
+    for _ in range(opts["pdd_steps"]):
         state = pdd_step(state, recipe.params, obj, grad=g)
         g = obj.gradient(state.x)
         values.append(analysis.lyapunov_I(obj, state.x, state.p, grad=g))
     report = analysis.discrete_decay_check(values, recipe)
-    d0 = analysis.sample_D0_lower_bound(obj, pts[:5], seed=seed)
+    d0 = analysis.sample_D0_lower_bound(obj, pts[:5], seed=opts["seed"])
 
-    summary = out_dir / "rate_summary.csv"
-    with open(summary, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["mu_hat", "L_hat", "Lp_hat", "tau", "gamma", "A",
-                    "epsilon", "omega", "decay_factor", "lambda_min_H",
-                    "M_bound", "D0_sample_lb", "within_bound"])
-        p = recipe.params
-        w.writerow([est.mu_hat, est.L_hat, est.Lp_hat, p.tau, p.gamma, p.A,
-                    p.epsilon, p.omega, recipe.decay_factor,
-                    report.lambda_min_H, report.M_bound, d0,
-                    int(report.within_bound)])
-    ratios = out_dir / "rate_report.csv"
-    with open(ratios, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["step", "lyapunov", "ratio"])
-        cells = [""] + [format(r, ".17g") for r in report.per_step_ratios]
-        for n, (val, r) in enumerate(zip(report.lyapunov_values, cells)):
-            w.writerow([n, format(val, ".17g"), r])
+    p = recipe.params
+    out_dir = harness.resolve_output_dir(config, args.out, tag="analyze")
+    summary = _write_csv(out_dir / "rate_summary.csv", [
+        "mu_hat", "L_hat", "Lp_hat", "tau", "gamma", "A", "epsilon", "omega",
+        "decay_factor", "lambda_min_H", "M_bound", "D0_sample_lb",
+        "within_bound"], [[
+            est.mu_hat, est.L_hat, est.Lp_hat, p.tau, p.gamma, p.A, p.epsilon,
+            p.omega, recipe.decay_factor, report.lambda_min_H, report.M_bound,
+            d0, int(report.within_bound)]])
+    cells = [""] + [format(r, ".17g") for r in report.per_step_ratios]
+    ratios = _write_csv(out_dir / "rate_report.csv", ["step", "lyapunov", "ratio"],
+                        ([n, format(val, ".17g"), r] for n, (val, r) in
+                         enumerate(zip(report.lyapunov_values, cells))))
     print(f"  constants: mu={est.mu_hat:.6g} L={est.L_hat:.6g} "
           f"L'={est.Lp_hat:.6g}")
     print(f"  recipe: tau=sigma={recipe.params.tau:.6g} "
@@ -143,15 +136,13 @@ def cmd_analyze(args) -> int:
         rep = analysis.quadratic_spectral_rate(
             np.sort(mus)[::-1], np.full(obj.dim, A_scalar),
             gamma=recipe.params.gamma, eps=recipe.params.epsilon)
-        spath = out_dir / "spectral.csv"
-        with open(spath, "w", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["mu", "a", "root1_re", "root1_im", "root2_re",
-                        "root2_im", "alpha", "converges"])
-            for m in rep.modes:
-                w.writerow([m.mu, m.a, m.roots[0].real, m.roots[0].imag,
-                            m.roots[1].real, m.roots[1].imag, rep.alpha,
-                            int(rep.converges)])
+        spath = _write_csv(
+            out_dir / "spectral.csv", ["mu", "a", "root1_re", "root1_im",
+                                       "root2_re", "root2_im", "alpha",
+                                       "converges"],
+            ([m.mu, m.a, m.roots[0].real, m.roots[0].imag, m.roots[1].real,
+              m.roots[1].imag, rep.alpha, int(rep.converges)]
+             for m in rep.modes))
         print(f"  spectral alpha={rep.alpha:.6g} converges={rep.converges}")
         print(f"  wrote {spath}")
     return 0
@@ -159,29 +150,23 @@ def cmd_analyze(args) -> int:
 
 def cmd_dynamics(args) -> int:
     config = _apply_overrides(harness.load_config(args.config), args)
-    out_dir = harness.resolve_output_dir(config, args.out, tag="dynamics")
+    d = harness.read_section("dynamics", config.dynamics)
     obj, _ = harness.build_problem(config.problem)
     x0 = harness.materialize_x0(config.x0, obj.dim)
 
-    d = config.dynamics
-    eps_spec = d.get("epsilon", 1.0)
-    epsilon = (lambda t: 3.0 / t) if eps_spec == "3/t" else float(eps_spec)
-    params = DynParams(A=float(d.get("A", 1.0)), epsilon=epsilon,
-                       gamma=float(d.get("gamma", 0.0)))
-    p0 = as_vector(d["p0"], obj.dim) if "p0" in d else np.zeros(obj.dim)
-    t_end = float(d.get("t_end", 10.0))
-    dt = float(d.get("dt", 1e-3))
+    params = DynParams(A=d["A"], gamma=d["gamma"], epsilon=(lambda t: 3.0 / t)
+                       if d["epsilon"] == "3/t" else float(d["epsilon"]))
+    p0 = np.zeros(obj.dim) if d["p0"] is None \
+        else as_vector(d["p0"], obj.dim, "dynamics p0")
 
-    traj = integrate_rk4(params, obj, x0, p0, t_end=t_end, dt=dt)
-    path = out_dir / "dynamics.csv"
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "f", "grad_norm", "lyapunov"])
-        for k, gn in enumerate(traj.grad_norms.tolist()):
-            lyap = 0.5 * (float(traj.ps[k] @ traj.ps[k]) + gn * gn)
-            w.writerow([format(traj.times[k], ".17g"),
-                        format(obj.value(traj.xs[k]), ".17g"),
-                        format(gn, ".17g"), format(lyap, ".17g")])
+    traj = integrate_rk4(params, obj, x0, p0, t_end=d["t_end"], dt=d["dt"])
+    out_dir = harness.resolve_output_dir(config, args.out, tag="dynamics")
+    path = _write_csv(
+        out_dir / "dynamics.csv", ["t", "f", "grad_norm", "lyapunov"],
+        ([format(v, ".17g") for v in (t, obj.value(x), gn,
+                                      0.5 * (float(p @ p) + gn * gn))]
+         for t, x, p, gn in zip(traj.times, traj.xs, traj.ps,
+                                traj.grad_norms.tolist())))
     print(f"  integrated to t={traj.times[-1]:.4g} "
           f"({'diverged' if traj.diverged else 'ok'})")
     print(f"  wrote {path}")
@@ -189,17 +174,16 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_toynet(args) -> int:
-    config = harness.preset("toynet", out_dir=args.out)
-    config.problem.params["seeds"] = list(range(args.seeds))
-    config.problem.params["epochs"] = args.epochs
-    if args.seed is not None:
-        config.problem.seed = args.seed
+    config = harness.preset("toynet", out_dir=args.out, seed=args.seed)
+    p = config.problem.params
+    if args.seeds is not None:
+        p["seeds"] = list(range(args.seeds))
+    if args.epochs is not None:
+        p["epochs"] = args.epochs
     artifact = harness.run_experiment(config, out_dir_override=args.out)
-    print(f"  trained {args.seeds} seeds x {len(config.optimizers)} methods "
+    print(f"  trained {len(p['seeds'])} seeds x {len(config.optimizers)} methods "
           f"({artifact.wall_clock['toynet']:.1f}s)")
-    for f in artifact.files:
-        print(f"  wrote {f}")
-    return 1 if artifact.any_diverged else 0
+    return _report_artifact(artifact)
 
 
 def main(argv=None) -> int:
@@ -208,40 +192,31 @@ def main(argv=None) -> int:
         description="primal-dual damping optimization benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_arg=True):
+    def command(name, fn, help, config_arg=True, overrides=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
         if config_arg:
             p.add_argument("config", help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-        p.add_argument("--grad-tol", type=float, default=None, dest="grad_tol")
+        p.add_argument("--seed", type=int, default=None,
+                       help="problem seed (toynet: the dataset's)")
+        if overrides:
+            p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
+            p.add_argument("--grad-tol", type=float, default=None, dest="grad_tol")
+        return p
 
-    p = sub.add_parser("run", help="run a config file")
-    common(p)
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser("preset", help="run a named experiment")
+    command("run", cmd_run, "run a config file")
+    p = command("preset", cmd_preset, "run a named experiment", config_arg=False)
     p.add_argument("name", choices=harness.PRESET_NAMES)
-    common(p, config_arg=False)
     p.add_argument("--dump-config", default=None,
                    help="also write the materialized config JSON here")
-    p.set_defaults(fn=cmd_preset)
-
-    p = sub.add_parser("analyze", help="rate certificates for a config")
-    common(p)
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("dynamics", help="integrate the continuous system")
-    common(p)
-    p.set_defaults(fn=cmd_dynamics)
-
-    p = sub.add_parser("toynet", help="stochastic training comparison")
-    p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None,
-                   help="dataset seed (training seeds are 0..seeds-1)")
-    p.set_defaults(fn=cmd_toynet)
+    command("analyze", cmd_analyze, "rate certificates for a config")
+    command("dynamics", cmd_dynamics, "integrate the continuous system")
+    p = command("toynet", cmd_toynet, "stochastic training comparison",
+                config_arg=False, overrides=False)
+    p.add_argument("--seeds", type=int, default=None,
+                   help="train seeds 0..seeds-1 (default: the preset's)")
+    p.add_argument("--epochs", type=int, default=None)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -9,16 +9,18 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import numbers
+import operator
 import os
 import re
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from html import escape
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,21 +59,6 @@ DEFAULT_OUT_ROOT_ENV = "PDD_OUT_DIR"
 
 # labels name the CSV files and key the trajectories
 _LABEL_RE = re.compile(r"[A-Za-z0-9._-]+")
-
-# problem name -> the params keys it reads
-_PROBLEM_PARAMS = {
-    "quadratic": ("diag", "n"),
-    "logsumexp": ("n", "scale"),
-    "quadcos": ("dim", "c_norm2"),
-    "rosenbrock2d": ("a", "b"),
-    "rosenbrockNd": ("a", "b", "n"),
-    "ackley": (),
-}
-_TOYNET_PARAMS = ("n", "d_in", "k", "spread", "epochs", "batch_size", "hidden",
-                  "seeds")
-# the keys `pddopt analyze` and `pddopt dynamics` read from these sections
-_ANALYSIS_KEYS = ("delta", "num_samples", "sample_scale", "pdd_steps", "seed")
-_DYNAMICS_KEYS = ("A", "epsilon", "gamma", "p0", "t_end", "dt")
 
 
 @dataclass
@@ -112,74 +99,168 @@ class RunArtifact:
 
 
 # ---------------------------------------------------------------------------
-# configuration files
+# configuration: one declaration per key
 # ---------------------------------------------------------------------------
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    d = asdict(config)
-    d["outputs"] = list(config.outputs)
-    return d
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _check_keys(d: dict, valid: Sequence[str], where: str,
-                required: Sequence[str] = ()) -> None:
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) \
+        and math.isfinite(v)
+
+
+def _list_of(item, min_len: int = 0):
+    return lambda v: (isinstance(v, (list, tuple, np.ndarray))
+                      and len(v) >= min_len and all(map(item, v)))
+
+
+# kind -> (what a value must be, its test); a section is a JSON object that
+# is checked when it is read against its own table
+KINDS = {
+    "int": ("an integer", _is_int),
+    "real": ("a finite number", _is_real),
+    "vector": ("a list of finite numbers", _list_of(_is_real)),
+    "ints": ("a list of integers", _list_of(_is_int)),
+    "seeds": ("a non-empty list of integers", _list_of(_is_int, 1)),
+    "x0": ('a list of finite numbers or {"fill": number}',
+           lambda v: _list_of(_is_real)(v) or isinstance(v, dict)
+           and list(v) == ["fill"] and _is_real(v["fill"])),
+    "epsilon": ('a finite number or "3/t"', lambda v: v == "3/t" or _is_real(v)),
+    "outputs": ('a list of distinct values from ["csv", "svg"]',
+                lambda v: _list_of(("csv", "svg").__contains__)(v)
+                and len(set(v)) == len(v)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "label": (f"a string matching {_LABEL_RE.pattern}",
+              lambda v: isinstance(v, str) and bool(_LABEL_RE.fullmatch(v))),
+    "path": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "object": ("a JSON object", lambda v: isinstance(v, dict)),
+    "list": ("a non-empty list", _list_of(lambda item: True, 1)),
+    "section": ("a JSON object", None),
+}
+_OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+class Key(NamedTuple):
+    """A config key's kind (a `KINDS` name), default (MISSING: required) and
+    range ("" or bounds such as ">= 0, < 2" on a number or each list entry)."""
+    kind: str
+    default: object = MISSING
+    range: str = ""
+
+
+def _in_range(v, rng: str) -> bool:
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return all(_in_range(e, rng) for e in v)
+    return isinstance(v, str) or all(  # a string such as "3/t" has no range
+        _OPS[op](v, float(b)) for op, b in (c.split() for c in rng.split(",") if c))
+
+
+def _defaults_from(cls, **keys: Key) -> Dict[str, Key]:
+    """``keys``, each defaulting as the same-named field of ``cls`` does."""
+    default = {f.name: f.default if f.default_factory is MISSING
+               else f.default_factory() for f in fields(cls)}
+    return {k: key._replace(default=default[k]) for k, key in keys.items()}
+
+
+SECTIONS = {
+    "config": _defaults_from(
+        ExperimentConfig, problem=Key("section"), optimizers=Key("list"),
+        x0=Key("x0"), max_iter=Key("int", range=">= 1"),
+        grad_tol=Key("real", range=">= 0"), record_every=Key("int", range=">= 1"),
+        outputs=Key("outputs"), output_dir=Key("path"),
+        analysis=Key("section"), dynamics=Key("section")),
+    "problem": _defaults_from(ProblemSpec, name=Key("str"), params=Key("section"),
+                              seed=Key("int", range=">= 0")),
+    "optimizer": _defaults_from(OptimizerSpec, method=Key("str"),
+                                label=Key("label"), params=Key("object")),
+    # read by `pddopt analyze`; a seed of None is the problem's
+    "analysis": dict(
+        delta=Key("real", 1.0, ">= 0"), num_samples=Key("int", 20, ">= 1"),
+        sample_scale=Key("real", 0.5, ">= 0"), pdd_steps=Key("int", 2000, ">= 1"),
+        seed=Key("int", None, ">= 0")),
+    # read by `pddopt dynamics`; a p0 of None is the zero vector
+    "dynamics": dict(
+        A=Key("real", 1.0, "> 0"), epsilon=Key("epsilon", 1.0, ">= 0"),
+        gamma=Key("real", 0.0, ">= 0"), p0=Key("vector", None),
+        t_end=Key("real", 10.0, "> 0"), dt=Key("real", 1e-3, "> 0")),
+}
+_ROSENBROCK = dict(a=Key("real", 1.0), b=Key("real", 100.0))
+# problem name -> its params; a quadratic's diag of None generates Q
+PROBLEM_PARAMS = {
+    "quadratic": dict(diag=Key("vector", None), n=Key("int", 10, ">= 1")),
+    "logsumexp": dict(n=Key("int", 100, ">= 1"), scale=Key("real", 1.0, "> 0")),
+    "quadcos": dict(dim=Key("int", 100, ">= 1"),
+                    c_norm2=Key("real", 1.9, ">= 0, < 2")),
+    "rosenbrock2d": _ROSENBROCK,
+    "rosenbrockNd": dict(**_ROSENBROCK, n=Key("int", 100, ">= 2")),
+    "ackley": {},
+    "toynet": _defaults_from(
+        toynet.TrainConfig, n=Key("int", range=">= 1"),
+        d_in=Key("int", range=">= 1"), k=Key("int", range=">= 2"),
+        spread=Key("real", range=">= 0"), epochs=Key("int", range=">= 1"),
+        batch_size=Key("int", range=">= 1"), hidden=Key("ints", range=">= 1"),
+        seeds=Key("seeds", range=">= 0")),
+}
+
+
+def read_section(name: str, d, where: Optional[str] = None) -> dict:
+    """Check ``d``'s keys, and each value's kind and range, against the table
+    `SECTIONS[name]` (or `PROBLEM_PARAMS[name]`). Returns every key's value,
+    reals as float and integers as int, absent keys at their defaults.
+    Errors name ``where`` (default ``name``) and the key."""
+    table = SECTIONS[name] if name in SECTIONS else PROBLEM_PARAMS[name]
+    where = where or name
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object, not {type(d).__name__}")
+    required = [k for k, key in table.items() if key.default is MISSING]
     missing = [k for k in required if k not in d]
     if missing:
         raise ValueError(f"{where}: missing keys {missing}; "
-                         f"required keys are {list(required)}")
-    unknown = [k for k in d if k not in valid]
+                         f"required keys are {required}")
+    unknown = [k for k in d if k not in table]
     if unknown:
         raise ValueError(f"{where}: unknown keys {unknown}; "
-                         f"valid keys are {list(valid)}")
+                         f"valid keys are {list(table)}")
+    out = {k: copy.copy(key.default) for k, key in table.items() if k not in d}
+    for k, v in d.items():
+        key = table[k]
+        what, test = KINDS[key.kind]
+        if test is not None and not (test(v) and _in_range(v, key.range)):
+            bound = f" ({key.range})" if key.range else ""
+            raise ValueError(f"{where}: {k!r} must be {what}{bound}, got {v!r}")
+        out[k] = float(v) if key.kind == "real" else int(v) if key.kind == "int" \
+            else v
+    return out
 
 
-def _check_fields(d: dict, cls, where: str) -> None:
-    """Reject keys that are not fields of the dataclass ``cls`` and missing
-    fields that have no default."""
-    _check_keys(d, [f.name for f in fields(cls)], where,
-                [f.name for f in fields(cls)
-                 if f.default is MISSING and f.default_factory is MISSING])
+def problem_params(spec: ProblemSpec) -> dict:
+    """The named problem's params, read by `read_section`."""
+    if spec.name not in PROBLEM_PARAMS:
+        raise ValueError(f"unknown problem {spec.name!r}; "
+                         f"choose from {list(PROBLEM_PARAMS)}")
+    return read_section(spec.name, spec.params, f"problem {spec.name!r} params")
 
 
-def _spec(cls, d: dict, where: str):
-    """``cls(**d)`` once `_check_fields` has accepted ``d``."""
-    _check_fields(d, cls, where)
-    return cls(**d)
-
-
-def _number(d: dict, key: str, default, kind, where: str):
-    """``d[key]``, or ``default``, as ``kind`` (int or float). A bool, a
-    string, and for int a non-integer, are rejected rather than converted:
-    int() would truncate 2.5 to 2 and float() would parse "1e-3"."""
-    v = d.get(key, default)
-    integral = kind is int
-    if isinstance(v, bool) or not isinstance(
-            v, numbers.Integral if integral else numbers.Real):
-        raise ValueError(f"{where}: {key!r} must be "
-                         f"{'an integer' if integral else 'a number'}, "
-                         f"got {v!r}")
-    return kind(v)
+def config_to_dict(config: ExperimentConfig) -> dict:
+    return {**asdict(config), "outputs": list(config.outputs)}
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    _check_fields(d, ExperimentConfig, "config")
-    _check_keys(d.get("analysis", {}), _ANALYSIS_KEYS, "analysis")
-    _check_keys(d.get("dynamics", {}), _DYNAMICS_KEYS, "dynamics")
-    return ExperimentConfig(
-        problem=_spec(ProblemSpec, d["problem"], "problem"),
-        optimizers=[_spec(OptimizerSpec, o, f"optimizers[{i}]")
-                    for i, o in enumerate(d["optimizers"])],
-        x0=d["x0"],
-        max_iter=_number(d, "max_iter", 10000, int, "config"),
-        grad_tol=_number(d, "grad_tol", 1e-10, float, "config"),
-        record_every=_number(d, "record_every", 10, int, "config"),
-        outputs=tuple(d.get("outputs", ("csv", "svg"))),
-        output_dir=d.get("output_dir"),
-        analysis=d.get("analysis", {}),
-        dynamics=d.get("dynamics", {}),
-    )
+    """Check every section of ``d`` and build the config; its dict sections
+    keep exactly the keys they were given."""
+    c = read_section("config", d)
+    config = ExperimentConfig(**{
+        **c, "outputs": tuple(c["outputs"]),
+        "problem": ProblemSpec(**read_section("problem", c["problem"])),
+        "optimizers": [OptimizerSpec(**read_section("optimizer", o,
+                                                    f"optimizers[{i}]"))
+                       for i, o in enumerate(c["optimizers"])]})
+    problem_params(config.problem)
+    read_section("analysis", config.analysis)
+    read_section("dynamics", config.dynamics)
+    return config
 
 
 def save_config(config: ExperimentConfig, path) -> None:
@@ -202,42 +283,35 @@ def build_problem(spec: ProblemSpec) -> Tuple[Objective, dict]:
 
     Returns the objective plus a context dict (generated matrices and
     spectral data the preset stepsizes derive from). Rejects ``params``
-    keys that the problem does not read.
+    that `PROBLEM_PARAMS` does not declare for the problem.
     """
-    name, p, seed = spec.name, spec.params, spec.seed
-    if name not in _PROBLEM_PARAMS:
-        raise ValueError(f"unknown problem {name!r}")
-    where = f"problem {name!r} params"
-    _check_keys(p, _PROBLEM_PARAMS[name], where)
+    name, seed = spec.name, spec.seed
+    if name == "toynet":
+        raise ValueError("problem 'toynet' has no objective: run_experiment "
+                         "trains it")
+    p = problem_params(spec)
     ctx: dict = {}
     if name == "quadratic":
-        diag = p.get("diag")
-        Q = np.diag(np.asarray(diag, dtype=float)) if diag is not None \
-            else make_diag_dominant_Q(_number(p, "n", 10, int, where), seed)
+        Q = np.diag(np.asarray(p["diag"], dtype=float)) if p["diag"] is not None \
+            else make_diag_dominant_Q(p["n"], seed)
         ctx["Q"] = Q
         return quadratic(Q), ctx
     if name == "logsumexp":
-        n = _number(p, "n", 100, int, where)
         # scale > 1 reproduces the magnitude of a matrix whose off-diagonals
         # are uniform(-1, 1) without the 1/n normalization
-        Q = float(p.get("scale", 1.0)) * make_diag_dominant_Q(n, seed)
+        Q = p["scale"] * make_diag_dominant_Q(p["n"], seed)
         ctx["Q"] = Q
         w = np.linalg.eigvalsh(Q)
         ctx["lambda_min"], ctx["lambda_max"] = float(w[0]), float(w[-1])
         return reg_log_sum_exp(Q), ctx
     if name == "quadcos":
-        d = _number(p, "dim", 100, int, where)
         rng = np.random.default_rng(seed)
-        c = rng.standard_normal(d)
-        c *= math.sqrt(p.get("c_norm2", 1.9)) / np.linalg.norm(c)
+        c = rng.standard_normal(p["dim"])
+        c *= math.sqrt(p["c_norm2"]) / np.linalg.norm(c)
         ctx["c"] = c
         return quad_minus_cos(c), ctx
-    if name == "rosenbrock2d":
-        return rosenbrock(a=float(p.get("a", 1.0)), b=float(p.get("b", 100.0)),
-                          n=2), ctx
-    if name == "rosenbrockNd":
-        return rosenbrock(a=float(p.get("a", 1.0)), b=float(p.get("b", 100.0)),
-                          n=_number(p, "n", 100, int, where)), ctx
+    if name.startswith("rosenbrock"):
+        return rosenbrock(**p), ctx  # rosenbrock2d leaves n at 2
     return ackley(), ctx
 
 
@@ -276,115 +350,84 @@ def resolve_preconditioner(spec, ctx: dict) -> Optional[Preconditioner]:
 # presets: the experiment suite with its published parameter choices
 # ---------------------------------------------------------------------------
 
+def _opt(method: str, label: Optional[str] = None, **params) -> OptimizerSpec:
+    return OptimizerSpec(method, label or method, params)
+
+
 def preset(name: str, out_dir: Optional[str] = None,
            seed: Optional[int] = None) -> ExperimentConfig:
     """Named experiment configurations with the reference hyperparameters."""
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
+    def config(params, default_seed, opts, **top):
+        problem = ProblemSpec(name, params,
+                              default_seed if seed is None else seed)
+        return ExperimentConfig(problem, opts, output_dir=out_dir, **top)
+
     if name == "toynet":
-        prob = ProblemSpec(name="toynet", params={
-            "n": 2000, "d_in": 20, "k": 5, "spread": 0.5,
-            "epochs": 30, "batch_size": 32, "hidden": [16, 16],
-            "seeds": list(range(10)),
-        }, seed=seed if seed is not None else 0)
-        return ExperimentConfig(problem=prob, optimizers=[
-            OptimizerSpec(method=m, label=m, params={}) for m in toynet.METHODS
-        ], x0=[], max_iter=1, outputs=("csv", "svg"), output_dir=out_dir)
+        # TrainConfig's defaults, with ten training seeds
+        params = problem_params(ProblemSpec("toynet"))
+        params.update(hidden=list(params["hidden"]), seeds=list(range(10)))
+        return config(params, 0, [_opt(m) for m in toynet.METHODS], x0=[],
+                      max_iter=1)
 
     if name == "logsumexp":
         # the dual preconditioner scale A = 10 is only stable at the
         # reference matrix magnitude, hence scale = n/2
-        prob = ProblemSpec(name="logsumexp", params={"n": 100, "scale": 50.0},
-                           seed=seed if seed is not None else 7)
-        _, ctx = build_problem(prob)
+        cfg = config({"n": 100, "scale": 50.0}, 7, [], x0={"fill": 0.1},
+                     max_iter=20000)
+        _, ctx = build_problem(cfg.problem)
         lmin, lmax = ctx["lambda_min"], ctx["lambda_max"]
-        kappa_p = 10.0 * lmax / lmin
-        beta_nag = compute_nag_beta(kappa_p)
         tau_att = 0.0016
-        m1 = lmin
-        opts = [
-            OptimizerSpec("gd", "gd", {"tau": 2.0 / (3.0 * lmax + lmin)}),
-            OptimizerSpec("nag", "nag", {"tau": 4.0 / (30.0 * lmax + lmin),
-                                         "beta": beta_nag}),
-            OptimizerSpec("pdd", "pdd-identity",
-                          {"tau": 2.0 / (lmax + lmin), "sigma": 2.0 / (lmax + lmin),
-                           "A": 10.0, "epsilon": 1.0, "omega": 1.0}),
-            OptimizerSpec("pdd", "pdd-diagonal",
-                          {"tau": 0.5, "sigma": 0.5, "A": 1.0, "epsilon": 1.0,
-                           "omega": 1.0, "C": "diag_inv_q"}),
-            OptimizerSpec("igahd_sc", "igahd-sc",
-                          {"tau": tau_att, "m1": m1,
-                           "beta2": compute_beta2(m1, tau_att)}),
+        cfg.optimizers = [
+            _opt("gd", tau=2.0 / (3.0 * lmax + lmin)),
+            _opt("nag", tau=4.0 / (30.0 * lmax + lmin),
+                 beta=compute_nag_beta(10.0 * lmax / lmin)),
+            _opt("pdd", "pdd-identity", tau=2.0 / (lmax + lmin),
+                 sigma=2.0 / (lmax + lmin), A=10.0, epsilon=1.0, omega=1.0),
+            _opt("pdd", "pdd-diagonal", tau=0.5, sigma=0.5, A=1.0, epsilon=1.0,
+                 omega=1.0, C="diag_inv_q"),
+            _opt("igahd_sc", "igahd-sc", tau=tau_att, m1=lmin,
+                 beta2=compute_beta2(lmin, tau_att)),
         ]
-        return ExperimentConfig(problem=prob, optimizers=opts,
-                                x0={"fill": 0.1}, max_iter=20000,
-                                grad_tol=1e-10, record_every=10,
-                                output_dir=out_dir)
+        return cfg
 
     if name == "quadcos":
-        prob = ProblemSpec(name="quadcos", params={"dim": 100},
-                           seed=seed if seed is not None else 3)
         tau_att = 0.55
-        opts = [
-            OptimizerSpec("gd", "gd", {"tau": 0.5}),
-            OptimizerSpec("nag", "nag", {"tau": 4.0 / (3.0 * 3.9 + 0.1),
-                                         "beta": compute_nag_beta(3.9 / 0.1)}),
-            OptimizerSpec("pdd", "pdd", {"tau": 0.5, "sigma": 0.5, "A": 1.0,
-                                         "epsilon": 1.0, "omega": 1.0}),
-            OptimizerSpec("igahd_sc", "igahd-sc",
-                          {"tau": tau_att, "m1": 0.1,
-                           "beta2": compute_beta2(0.1, tau_att)}),
-        ]
-        return ExperimentConfig(problem=prob, optimizers=opts,
-                                x0={"fill": 5.0}, max_iter=20000,
-                                grad_tol=1e-10, record_every=10,
-                                output_dir=out_dir)
+        return config({"dim": 100}, 3, [
+            _opt("gd", tau=0.5),
+            _opt("nag", tau=4.0 / (3.0 * 3.9 + 0.1),
+                 beta=compute_nag_beta(3.9 / 0.1)),
+            _opt("pdd", tau=0.5, sigma=0.5, A=1.0, epsilon=1.0, omega=1.0),
+            _opt("igahd_sc", "igahd-sc", tau=tau_att, m1=0.1,
+                 beta2=compute_beta2(0.1, tau_att)),
+        ], x0={"fill": 5.0}, max_iter=20000)
 
     if name == "rosenbrock2d":
         tau_att = 0.00045
-        opts = [
-            OptimizerSpec("gd", "gd", {"tau": 0.0002}),
-            OptimizerSpec("nag", "nag", {"tau": 0.0002, "beta": 0.9}),
-            OptimizerSpec("pdd", "pdd", {"tau": 0.005, "sigma": 0.005,
-                                         "A": 5.0, "epsilon": 1.0, "omega": 1.0}),
-            OptimizerSpec("igahd", "igahd", {"tau": tau_att, "alpha": 3.0,
-                                             "beta1": math.sqrt(tau_att) / 14.0}),
-        ]
-        return ExperimentConfig(
-            problem=ProblemSpec(name="rosenbrock2d"),
-            optimizers=opts, x0=[-3.0, -4.0], max_iter=1_000_000,
-            grad_tol=1e-8, record_every=2000, output_dir=out_dir)
+        return config({}, 0, [
+            _opt("gd", tau=0.0002), _opt("nag", tau=0.0002, beta=0.9),
+            _opt("pdd", tau=0.005, sigma=0.005, A=5.0, epsilon=1.0, omega=1.0),
+            _opt("igahd", tau=tau_att, alpha=3.0, beta1=math.sqrt(tau_att) / 14.0),
+        ], x0=[-3.0, -4.0], max_iter=1_000_000, grad_tol=1e-8,
+            record_every=2000)
 
     if name == "rosenbrockNd":
         tau_att = 0.0002
-        opts = [
-            OptimizerSpec("gd", "gd", {"tau": 0.001}),
-            OptimizerSpec("nag", "nag", {"tau": 0.0008, "beta": 0.95}),
-            OptimizerSpec("pdd", "pdd", {"tau": 0.01, "sigma": 0.01,
-                                         "A": 5.0, "epsilon": 0.5, "omega": 1.0}),
-            OptimizerSpec("igahd", "igahd", {"tau": tau_att, "alpha": 3.0,
-                                             "beta1": 2.0 * math.sqrt(tau_att)}),
-        ]
-        return ExperimentConfig(
-            problem=ProblemSpec(name="rosenbrockNd", params={"n": 100}),
-            optimizers=opts, x0={"fill": 0.0}, max_iter=200000,
-            grad_tol=1e-8, record_every=200, output_dir=out_dir)
+        return config({"n": 100}, 0, [
+            _opt("gd", tau=0.001), _opt("nag", tau=0.0008, beta=0.95),
+            _opt("pdd", tau=0.01, sigma=0.01, A=5.0, epsilon=0.5, omega=1.0),
+            _opt("igahd", tau=tau_att, alpha=3.0, beta1=2.0 * math.sqrt(tau_att)),
+        ], x0={"fill": 0.0}, max_iter=200000, grad_tol=1e-8, record_every=200)
 
     # ackley
     tau_att = 0.01
-    opts = [
-        OptimizerSpec("gd", "gd", {"tau": 0.002}),
-        OptimizerSpec("nag", "nag", {"tau": 0.002, "beta": 0.9}),
-        OptimizerSpec("pdd", "pdd", {"tau": 0.002, "sigma": 0.002, "A": 1.0,
-                                     "epsilon": 1.0, "omega": 1.0}),
-        OptimizerSpec("igahd", "igahd", {"tau": tau_att, "alpha": 3.0,
-                                         "beta1": 2.0 * math.sqrt(tau_att)}),
-    ]
-    return ExperimentConfig(
-        problem=ProblemSpec(name="ackley"),
-        optimizers=opts, x0=[2.5, 4.0], max_iter=100000,
-        grad_tol=1e-10, record_every=100, output_dir=out_dir)
+    return config({}, 0, [
+        _opt("gd", tau=0.002), _opt("nag", tau=0.002, beta=0.9),
+        _opt("pdd", tau=0.002, sigma=0.002, A=1.0, epsilon=1.0, omega=1.0),
+        _opt("igahd", tau=tau_att, alpha=3.0, beta1=2.0 * math.sqrt(tau_att)),
+    ], x0=[2.5, 4.0], max_iter=100000, record_every=100)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +435,7 @@ def preset(name: str, out_dir: Optional[str] = None,
 # ---------------------------------------------------------------------------
 
 def _fmt(v: Optional[float]) -> str:
-    if v is None:
-        return ""
-    return format(v, ".17g")
+    return "" if v is None else format(v, ".17g")
 
 
 def emit_csv(traj: Trajectory, path) -> None:
@@ -513,36 +554,25 @@ def emit_svg(series: Sequence[Tuple[str, np.ndarray, np.ndarray]], path,
 
 def resolve_output_dir(config: ExperimentConfig, override: Optional[str] = None,
                        tag: str = "run") -> Path:
-    if override:
-        root = Path(override)
-    elif config.output_dir:
-        root = Path(config.output_dir)
+    if override or config.output_dir:
+        root = Path(override or config.output_dir)
     else:
-        env = os.environ.get(DEFAULT_OUT_ROOT_ENV)
-        base = Path(env) if env else Path("pdd_out")
-        root = base / f"{config.problem.name}-{tag}"
+        base = os.environ.get(DEFAULT_OUT_ROOT_ENV) or "pdd_out"
+        root = Path(base) / f"{config.problem.name}-{tag}"
     root.mkdir(parents=True, exist_ok=True)
     return root
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    """Check what needs no built problem: the labels and, for toynet, the
-    problem params keys, the methods and that each label is its method.
-    `run_experiment` checks the other problems' params and optimizer
-    hyperparameters once the problem is built."""
-    if not config.optimizers:
-        raise ValueError("config needs at least one optimizer")
-    seen = set()
-    for o in config.optimizers:
-        if not isinstance(o.label, str) or not _LABEL_RE.fullmatch(o.label):
-            raise ValueError(f"optimizer label {o.label!r} must match "
-                             f"{_LABEL_RE.pattern}")
-        if o.label in seen:
-            raise ValueError(f"duplicate optimizer label {o.label!r}")
-        seen.add(o.label)
+    """Check what needs no built problem: every section (as loading does,
+    so CLI overrides too), unique labels and, for toynet, each method and
+    that its label is the method. Hyperparameters are checked by
+    `run_experiment` once the problem is built."""
+    config_from_dict(config_to_dict(config))
+    labels = [o.label for o in config.optimizers]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"duplicate optimizer label in {labels}")
     if config.problem.name == "toynet":
-        _check_keys(config.problem.params, _TOYNET_PARAMS,
-                    "problem 'toynet' params")
         for o in config.optimizers:
             if o.method not in toynet.METHODS:
                 raise ValueError(f"unknown stochastic method {o.method!r}")
@@ -563,16 +593,13 @@ def _resolved_params(spec: OptimizerSpec, ctx: dict) -> dict:
     return params
 
 
-def _run_toynet(config: ExperimentConfig, out_dir: Path) -> RunArtifact:
-    p = config.problem.params
+def _run_toynet(config: ExperimentConfig,
+                out_dir_override: Optional[str]) -> RunArtifact:
+    p = problem_params(config.problem)
     cfg = toynet.TrainConfig(
         data_seed=config.problem.seed,
-        n=int(p.get("n", 2000)), d_in=int(p.get("d_in", 20)),
-        k=int(p.get("k", 5)), spread=float(p.get("spread", 0.5)),
-        hidden=tuple(p.get("hidden", (16, 16))),
-        epochs=int(p.get("epochs", 30)), batch_size=int(p.get("batch_size", 32)),
+        **{**p, "hidden": tuple(p["hidden"]), "seeds": tuple(p["seeds"])},
         methods=tuple(o.method for o in config.optimizers),
-        seeds=tuple(p.get("seeds", [0])),
         # an empty params dict keeps the method's DEFAULT_HYPERPARAMS
         hyperparams={o.method: dict(o.params)
                      for o in config.optimizers if o.params} or None,
@@ -580,29 +607,26 @@ def _run_toynet(config: ExperimentConfig, out_dir: Path) -> RunArtifact:
     t0 = time.perf_counter()
     rows = toynet.train(cfg)
     wall = time.perf_counter() - t0
+    out_dir = resolve_output_dir(config, out_dir_override)  # once training ran
     files = []
-    csv_path = out_dir / "toynet_metrics.csv"
-    toynet.write_metrics_csv(rows, csv_path)
-    files.append(str(csv_path))
+    if "csv" in config.outputs:
+        files.append(str(out_dir / "toynet_metrics.csv"))
+        toynet.write_metrics_csv(rows, files[-1])
     if "svg" in config.outputs:
-        series = []
-        for m in cfg.methods:
-            per_epoch = {}
-            for r in rows:
-                if r["method"] == m and math.isfinite(r["train_loss"]):
-                    per_epoch.setdefault(r["epoch"], []).append(r["train_loss"])
-            if per_epoch:
-                es = np.array(sorted(per_epoch), dtype=float)
-                ls = np.array([np.mean(per_epoch[e]) for e in sorted(per_epoch)])
-                series.append((m, es + 1.0, ls))
-        svg_path = out_dir / "toynet_loss.svg"
-        emit_svg(series, svg_path, xlabel="epoch", ylabel="train loss",
+        losses: Dict[str, Dict[int, List[float]]] = {}  # method, epoch
+        for r in rows:
+            if math.isfinite(r["train_loss"]):
+                losses.setdefault(r["method"], {}).setdefault(
+                    r["epoch"], []).append(r["train_loss"])
+        series = [(m, np.array(sorted(losses[m]), dtype=float) + 1.0,
+                   np.array([np.mean(v) for _, v in sorted(losses[m].items())]))
+                  for m in cfg.methods if m in losses]
+        files.append(str(out_dir / "toynet_loss.svg"))
+        emit_svg(series, files[-1], xlabel="epoch", ylabel="train loss",
                  title="toynet mean train loss")
-        files.append(str(svg_path))
     diverged = any(not math.isfinite(r["train_loss"]) for r in rows)
-    return RunArtifact(config=config, trajectories={},
-                       wall_clock={"toynet": wall}, files=files,
-                       any_diverged=diverged)
+    return RunArtifact(config=config, trajectories={}, wall_clock={"toynet": wall},
+                       files=files, any_diverged=diverged)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -617,7 +641,7 @@ def run_experiment(config: ExperimentConfig,
     """
     validate_config(config)
     if config.problem.name == "toynet":
-        return _run_toynet(config, resolve_output_dir(config, out_dir_override))
+        return _run_toynet(config, out_dir_override)
 
     obj, ctx = build_problem(config.problem)
     x0 = materialize_x0(config.x0, obj.dim)
@@ -629,11 +653,9 @@ def run_experiment(config: ExperimentConfig,
     files: List[str] = []
     for spec, params in zip(config.optimizers, resolved):
         t0 = time.perf_counter()
-        traj = run_optimizer(obj, spec.method, params, x0,
-                             max_iter=config.max_iter,
+        traj = run_optimizer(obj, spec.method, params, x0, max_iter=config.max_iter,
                              grad_tol=config.grad_tol,
-                             record_every=config.record_every,
-                             label=spec.label)
+                             record_every=config.record_every, label=spec.label)
         wall[spec.label] = time.perf_counter() - t0
         trajectories[spec.label] = traj
         if "csv" in config.outputs:

@@ -401,7 +401,7 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if grad_tol < 0:
+    if not grad_tol >= 0:  # also rejects nan, which never converges
         raise ValueError("grad_tol must be nonnegative")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")

@@ -1,6 +1,7 @@
 import csv
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,7 +285,7 @@ def test_config_from_dict_names_missing_required_keys(where, key):
 
 @pytest.mark.parametrize("key,value,where", [
     ("analysis", None, "analysis"), ("problem", "quadcos", "problem"),
-    ("optimizers", {"method": "gd", "label": "gd"}, r"optimizers\[0\]")])
+    ("optimizers", ["gd"], r"optimizers\[0\]")])
 def test_config_from_dict_rejects_sections_that_are_not_objects(key, value,
                                                                 where):
     d = harness.config_to_dict(preset("quadcos"))
@@ -323,7 +324,7 @@ def test_analyze_rejects_pdd_steps_that_are_not_a_positive_integer(
     cfg.analysis = {"pdd_steps": pdd_steps, "num_samples": 2}
     cfg_path = tmp_path / "cfg.json"
     save_config(cfg, cfg_path)
-    with pytest.raises(ValueError, match="analysis.pdd_steps"):
+    with pytest.raises(ValueError, match="analysis: 'pdd_steps' must be an integer"):
         main(["analyze", str(cfg_path)])
     assert not (tmp_path / "out").exists()
 
@@ -494,3 +495,212 @@ def test_build_problem_rejects_a_non_integral_dimension(name, key):
     # int() truncated 3.9 to 3
     with pytest.raises(ValueError, match=f"problem '{name}' params: '{key}'"):
         build_problem(ProblemSpec(name=name, params={key: 3.9}))
+
+
+# ---------------------------------------------------------------------------
+# typed sections: each value is checked against its declaration at load time
+# ---------------------------------------------------------------------------
+
+def _config_dict(name="quadcos", **top):
+    return {**harness.config_to_dict(preset(name)), **top}
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("rosenbrock2d", "a", "1.0"), ("rosenbrock2d", "b", True),
+    ("rosenbrockNd", "a", "1.0"), ("logsumexp", "scale", "2")])
+def test_problem_params_of_the_wrong_type_are_rejected(name, key, value):
+    # float() parsed "1.0" and "2", and took True as 1.0
+    where = f"problem '{name}' params: '{key}' must be a finite number"
+    with pytest.raises(ValueError, match=where):
+        build_problem(ProblemSpec(name=name, params={key: value}))
+    d = _config_dict(name)
+    d["problem"]["params"][key] = value
+    with pytest.raises(ValueError, match=where):
+        harness.config_from_dict(d)
+
+
+@pytest.mark.parametrize("key,value", [("epochs", 1.7), ("n", 200.9)])
+def test_toynet_counts_that_are_not_integers_are_rejected(key, value):
+    # int() truncated both in the run
+    d = _config_dict("toynet")
+    d["problem"]["params"][key] = value
+    with pytest.raises(ValueError,
+                       match=f"problem 'toynet' params: '{key}' must be an integer"):
+        harness.config_from_dict(d)
+
+
+@pytest.mark.parametrize("flag,key", [("--seeds", "seeds"),
+                                      ("--epochs", "epochs")])
+def test_cli_toynet_rejects_zero_seeds_or_epochs_before_writing(
+        tmp_path, flag, key):
+    from pddopt.cli import main
+
+    out = tmp_path / "out"
+    with pytest.raises(ValueError,
+                       match=f"problem 'toynet' params: '{key}' must be"):
+        main(["toynet", flag, "0", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_analyze_rejects_zero_samples_before_writing(tmp_path):
+    # num_samples = 0 used to certify from x0 alone and exit 0
+    from pddopt.cli import main
+
+    cfg = preset("quadcos", out_dir=str(tmp_path / "out"))
+    cfg.analysis = {"num_samples": 0}
+    save_config(cfg, tmp_path / "cfg.json")
+    with pytest.raises(ValueError, match=r"analysis: 'num_samples' must be an "
+                                         r"integer \(>= 1\), got 0"):
+        main(["analyze", str(tmp_path / "cfg.json")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("t_end", "3"), ("dt", 0), ("A", -1.0), ("epsilon", "3/s"),
+    ("p0", [1.0, True])])
+def test_dynamics_values_are_checked_at_load_time(key, value):
+    d = _config_dict(dynamics={key: value})
+    with pytest.raises(ValueError, match=f"dynamics: '{key}' must be"):
+        harness.config_from_dict(d)
+
+
+def test_dynamics_takes_epsilon_3_over_t():
+    cfg = harness.config_from_dict(_config_dict(dynamics={"epsilon": "3/t"}))
+    assert cfg.dynamics == {"epsilon": "3/t"}
+
+
+@pytest.mark.parametrize("flag,value,where", [
+    ("--grad-tol", "nan", "config: 'grad_tol'"),
+    ("--grad-tol", "-1", "config: 'grad_tol'"),
+    ("--max-iter", "0", "config: 'max_iter'"),
+    ("--seed", "-1", "problem: 'seed'")])
+def test_cli_overrides_are_checked_before_any_run_or_directory(
+        tmp_path, flag, value, where):
+    # a nan grad_tol never converged: every optimizer ran to max_iter and the
+    # preset exited 0
+    from pddopt.cli import main
+
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"{where} must be"):
+        main(["preset", "quadcos", "--out", str(out), flag, value])
+    assert not out.exists()
+
+
+def test_run_optimizer_rejects_a_nan_grad_tol():
+    from pddopt.optimizers import run_optimizer
+
+    obj, _ = build_problem(ProblemSpec("rosenbrock2d"))
+    with pytest.raises(ValueError, match="grad_tol"):
+        run_optimizer(obj, "gd", {"tau": 1e-3}, [0.0, 0.0], max_iter=5,
+                      grad_tol=math.nan)
+
+
+@pytest.mark.parametrize("outputs", ["csv", ["png"], ["csv", "csv"], None])
+def test_outputs_must_be_distinct_csv_or_svg(outputs):
+    # "csv" became ('c', 's', 'v') and ["png"] wrote nothing, both exiting 0
+    with pytest.raises(ValueError, match="config: 'outputs' must be a list of "
+                                         "distinct values"):
+        harness.config_from_dict(_config_dict(outputs=outputs))
+
+
+def test_outputs_set_on_a_config_are_checked_before_writing(tmp_path):
+    cfg = preset("quadcos", out_dir=str(tmp_path / "out"))
+    cfg.outputs = "svg"
+    with pytest.raises(ValueError, match="'outputs'"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("x0", [
+    {"fill": True}, {"fill": "1"}, {"fill": 1.0, "junk": 2}, {}, [1.0, "2"],
+    [True, 1.0], "5"])
+def test_x0_must_be_a_vector_or_a_fill(x0):
+    with pytest.raises(ValueError, match="config: 'x0' must be"):
+        harness.config_from_dict(_config_dict(x0=x0))
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", -1, True])
+def test_problem_seed_must_be_a_nonnegative_integer(seed):
+    # 1.5 and "3" got as far as numpy's SeedSequence and raised TypeError
+    d = _config_dict()
+    d["problem"]["seed"] = seed
+    with pytest.raises(ValueError, match="problem: 'seed' must be an integer"):
+        harness.config_from_dict(d)
+
+
+@pytest.mark.parametrize("optimizers", [{"method": "gd", "label": "gd"}, []])
+def test_optimizers_must_be_a_non_empty_list(optimizers):
+    d = _config_dict(optimizers=optimizers)
+    with pytest.raises(ValueError,
+                       match="config: 'optimizers' must be a non-empty list"):
+        harness.config_from_dict(d)
+
+
+def test_an_unknown_problem_is_rejected_at_load_time():
+    d = _config_dict()
+    d["problem"]["name"] = "quadcoss"
+    with pytest.raises(ValueError, match="unknown problem 'quadcoss'"):
+        harness.config_from_dict(d)
+
+
+def test_a_saved_config_keeps_exactly_its_keys(tmp_path):
+    cfg = preset("quadcos")
+    cfg.analysis = {"num_samples": 3}
+    save_config(cfg, tmp_path / "cfg.json")
+    back = load_config(tmp_path / "cfg.json")
+    assert back == cfg
+    assert back.analysis == {"num_samples": 3} and back.problem.params == {"dim": 100}
+
+
+def _readme_config_table():
+    """(section, key, kind) of each row of README's config key table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = set()
+    for line in readme.split("## Config format", 1)[1].splitlines():
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if line.startswith("|") and len(cells) == 5:
+            rows.add(tuple(cells[:3]))
+    return rows
+
+
+def test_readme_lists_every_declared_key_with_its_kind():
+    declared = {(section, k, key.kind)
+                for section, table in harness.SECTIONS.items()
+                for k, key in table.items()}
+    declared |= {(f"{name} params", k, key.kind)
+                 for name, table in harness.PROBLEM_PARAMS.items()
+                 for k, key in table.items()}
+    assert declared <= _readme_config_table()
+
+
+def test_toynet_writes_only_the_outputs_it_is_given(tmp_path):
+    # the metrics CSV used to be written whatever outputs said
+    cfg = _toynet_config(tmp_path, [OptimizerSpec("sgd", "sgd", {})])
+    cfg.outputs = ("svg",)
+    art = run_experiment(cfg)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["toynet_loss.svg"]
+    assert art.files == [str(tmp_path / "out" / "toynet_loss.svg")]
+
+
+@pytest.mark.parametrize("command,change,message", [
+    ("analyze", {"x0": [1.0, 2.0]}, "x0 has shape"),
+    ("dynamics", {"dynamics": {"t_end": 1e-4, "dt": 1e-3}}, "t_end")])
+def test_analyze_and_dynamics_make_no_directory_when_they_fail(
+        tmp_path, command, change, message):
+    # the output directory used to be made before the problem was built
+    from pddopt.cli import main
+
+    d = {**_config_dict(output_dir=str(tmp_path / "out")), **change}
+    d["problem"]["params"]["dim"] = 5
+    save_config(harness.config_from_dict(d), tmp_path / "cfg.json")
+    with pytest.raises(ValueError, match=message):
+        main([command, str(tmp_path / "cfg.json")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_toynet_makes_no_directory_when_training_fails(tmp_path):
+    # make_blobs needs n >= 10 k; the directory used to be made first
+    cfg = _toynet_config(tmp_path, [OptimizerSpec("sgd", "sgd", {})], n=20, k=5)
+    with pytest.raises(ValueError, match="n >= 10k"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()

@@ -123,39 +123,120 @@ def test_rosenbrock_runs_across_strips_match_the_array_formula():
 
 
 # ---------------------------------------------------------------------------
-# config round trip
+# config round trip, every section drawn from harness's declarations
 # ---------------------------------------------------------------------------
 
-numbers = st.floats(allow_nan=False, allow_infinity=False)
-small_ints = st.integers(0, 10**6)
+INTEGRAL = ("int", "ints", "seeds")
+reals = st.floats(allow_nan=False, allow_infinity=False)
+labels = st.from_regex(r"[A-Za-z0-9._-]{1,12}", fullmatch=True)
 
 
-def section(keys):
-    """A dict over a subset of ``keys`` with JSON-exact values."""
-    if not keys:
-        return st.just({})
-    return st.dictionaries(st.sampled_from(keys), numbers | small_ints)
+def bounds(rng):
+    """(low, high, low excluded, high excluded) of a range such as
+    ">= 0, < 2"; a missing bound is None."""
+    lo = hi = None
+    lo_open = hi_open = False
+    for cond in filter(None, rng.split(",")):
+        op, bound = cond.split()
+        if op.startswith(">"):
+            lo, lo_open = float(bound), op == ">"
+        else:
+            hi, hi_open = float(bound), op == "<"
+    return lo, hi, lo_open, hi_open
 
 
-problems = st.sampled_from(sorted(harness._PROBLEM_PARAMS)).flatmap(
+def in_range(key):
+    """Numbers of the key's kind (or of its entries) inside its range."""
+    lo, hi, lo_open, hi_open = bounds(key.range)
+    if key.kind in INTEGRAL:
+        return st.integers(
+            None if lo is None else math.floor(lo) + 1 if lo_open else math.ceil(lo),
+            None if hi is None else math.ceil(hi) - 1 if hi_open else math.floor(hi))
+    return st.floats(lo, hi, exclude_min=lo_open, exclude_max=hi_open,
+                     allow_nan=False, allow_infinity=False)
+
+
+def out_of_range(key):
+    """Numbers outside the key's range; nothing if it has none."""
+    lo, hi, lo_open, hi_open = bounds(key.range)
+    outside = []
+    if key.kind in INTEGRAL:
+        if lo is not None:
+            outside.append(st.integers(max_value=math.floor(lo) if lo_open
+                                       else math.ceil(lo) - 1))
+        if hi is not None:
+            outside.append(st.integers(min_value=math.ceil(hi) if hi_open
+                                       else math.floor(hi) + 1))
+    else:
+        if lo is not None:
+            outside.append(st.floats(max_value=lo, exclude_max=not lo_open))
+        if hi is not None:
+            outside.append(st.floats(min_value=hi, exclude_min=not hi_open))
+        # an excluded bound itself, which a draw from a range rarely hits
+        outside += [st.just(b) for b, open_ in ((lo, lo_open), (hi, hi_open))
+                    if open_]
+    return st.one_of(outside) if outside else st.nothing()
+
+
+def valid(key):
+    """A JSON-exact value of the key's kind inside its range."""
+    num = in_range(key)
+    return {
+        "int": num, "real": num,
+        "vector": st.lists(reals, max_size=5),
+        "ints": st.lists(num, max_size=4),
+        "seeds": st.lists(num, min_size=1, max_size=4),
+        "x0": st.lists(reals, max_size=5) | st.builds(dict, fill=reals),
+        "epsilon": num | st.just("3/t"),
+        "outputs": st.lists(st.sampled_from(["csv", "svg"]),
+                            unique=True).map(tuple),
+        "str": st.text(max_size=10), "label": labels,
+        "path": st.none() | st.text(min_size=1, max_size=10),
+    }[key.kind]
+
+
+def invalid(key):
+    """Values the key must reject: a bool, a string where the kind takes
+    no free string, and a number outside its kind or range."""
+    bad = st.booleans()
+    if key.kind == "label":
+        bad |= st.sampled_from(["", "a/b", "a<b&c"])
+    elif key.kind not in ("str", "path"):
+        bad |= st.text(max_size=5).filter(lambda s: s != "3/t")
+    if key.kind in INTEGRAL:
+        bad |= st.floats(allow_nan=False)  # 5.0 is no integer either
+    if key.kind in ("real", "epsilon"):
+        bad |= st.sampled_from([math.nan, math.inf, -math.inf])
+    outside = out_of_range(key)
+    if key.kind in ("ints", "seeds", "vector"):
+        outside = st.lists(outside, min_size=1, max_size=3)
+    return bad | outside
+
+
+def section(table):
+    """A dict over a subset of ``table``'s keys, each with a valid value."""
+    return st.fixed_dictionaries(
+        {}, optional={k: valid(key) for k, key in table.items()})
+
+
+TOP, PROBLEM, OPTIMIZER = (harness.SECTIONS[s]
+                           for s in ("config", "problem", "optimizer"))
+problems = st.sampled_from(sorted(harness.PROBLEM_PARAMS)).flatmap(
     lambda name: st.builds(harness.ProblemSpec, st.just(name),
-                           section(harness._PROBLEM_PARAMS[name]),
-                           small_ints))
+                           section(harness.PROBLEM_PARAMS[name]),
+                           valid(PROBLEM["seed"])))
 optimizer_specs = st.builds(
     harness.OptimizerSpec, st.sampled_from(sorted(RULES)),
-    st.from_regex(r"[A-Za-z0-9._-]{1,12}", fullmatch=True),
+    valid(OPTIMIZER["label"]),
     st.dictionaries(st.sampled_from(("tau", "beta", "sigma", "C")),
-                    numbers | st.just("identity")))
+                    reals | st.just("identity")))
 configs = st.builds(
-    harness.ExperimentConfig, problems,
-    st.lists(optimizer_specs, min_size=1, max_size=4),
-    st.lists(numbers, max_size=5) | st.builds(dict, fill=numbers),
-    max_iter=st.integers(1, 10**7), grad_tol=numbers,
-    record_every=st.integers(1, 1000),
-    outputs=st.sampled_from([("csv", "svg"), ("csv",), ("svg",), ()]),
-    output_dir=st.none() | st.text(min_size=1, max_size=10),
-    analysis=section(harness._ANALYSIS_KEYS),
-    dynamics=section(harness._DYNAMICS_KEYS))
+    harness.ExperimentConfig, problem=problems,
+    optimizers=st.lists(optimizer_specs, min_size=1, max_size=4),
+    analysis=section(harness.SECTIONS["analysis"]),
+    dynamics=section(harness.SECTIONS["dynamics"]),
+    **{k: valid(key) for k, key in TOP.items()
+       if key.kind not in ("section", "list")})
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,3 +247,25 @@ def test_config_round_trip(config):
         path = Path(tmp) / "config.json"
         harness.save_config(config, path)
         assert harness.load_config(path) == config
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=configs, data=st.data())
+def test_a_bool_string_or_out_of_range_value_is_rejected(config, data):
+    d = harness.config_to_dict(config)
+    name = d["problem"]["name"]
+    where, target, table = data.draw(st.sampled_from([
+        ("config", d, TOP), ("problem", d["problem"], PROBLEM),
+        ("optimizers[0]", d["optimizers"][0], OPTIMIZER),
+        ("analysis", d["analysis"], harness.SECTIONS["analysis"]),
+        ("dynamics", d["dynamics"], harness.SECTIONS["dynamics"]),
+        (f"problem {name!r} params", d["problem"]["params"],
+         harness.PROBLEM_PARAMS[name])]).filter(lambda s: s[2]),
+        label="section")
+    key = data.draw(st.sampled_from(sorted(table)), label="key")
+    target[key] = data.draw(invalid(table[key]), label="value")
+    with pytest.raises(ValueError) as err:
+        harness.config_from_dict(d)
+    # a section that is not an object is named as itself
+    assert (key in str(err.value)
+            and (where in str(err.value) or table[key].kind == "section"))
