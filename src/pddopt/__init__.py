@@ -18,7 +18,6 @@ from .objective import (
     ackley,
     make_diag_dominant_Q,
     check_gradient,
-    check_hessian,
 )
 from .optimizers import (
     Preconditioner,

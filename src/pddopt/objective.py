@@ -8,10 +8,12 @@ are safe to share between concurrent runs.
 The optimizers call `Objective.gradient` once per step on vectors of 2 to
 100 entries, where numpy's per-call dispatch outweighs the arithmetic. The
 2-d Rosenbrock gradient is therefore evaluated in Python floats, with the
-array formula's operations in its order, so it is bitwise equal to the
-array path (±0, inf and nan included). Ackley stays on numpy: `math.cos`
-raises on inf, and numpy's float64 exp/sin/cos loops are not guaranteed to
-round like libm, so a float transcription could move its pinned values.
+array formula's operations in its order, when `x0 + x1` is finite; any
+inf or nan, or a sum that overflows, takes the array path. So the result
+is bitwise equal to the array formula's, ±0 and the sign of a nan
+included. Ackley stays on numpy: `math.cos` raises on inf, and numpy's
+float64 exp/sin/cos loops are not guaranteed to round like libm, so a
+float transcription could move its pinned values.
 
 For n > 2 the Rosenbrock gradient runs one loop over strips of `_STRIP` =
 16384 entries. A whole-array pass at n = 1e6 streams each 8 MB temporary
@@ -19,14 +21,20 @@ through DRAM; a strip's temporaries are 128 KB each, so the few a strip
 makes stay in a 2 MB L2. Every strip applies the whole-array formula's
 operations in its order, and the 2b d term a strip adds one slot to the
 right is added only after the next strip has written that slot, so the
-result is bitwise equal to the whole-array formula (±0, inf and nan
-included) for every n and strip size. There is no option and no second
-path: n <= 16385 is one strip.
+result is bitwise equal to the whole-array formula's, ±0, inf and the sign
+of a nan included. The nan sign needs one more condition. When both
+operands of an add or multiply are nan, numpy returns one of them, chosen
+by where the entry sits in its SIMD loop (inside an 8-wide block, in a
+tail, or in an array of fewer than 8 entries), so strips of 1 to 7 entries
+can flip it. Every strip but the last therefore holds `_STRIP` entries, a
+multiple of 64, and a last strip shorter than 64 joins the one before it.
+There is no option and no second path: n <= 16385 is one strip.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from typing import Callable, Optional
 
@@ -43,7 +51,6 @@ __all__ = [
     "rosenbrock",
     "ackley",
     "check_gradient",
-    "check_hessian",
 ]
 
 
@@ -199,19 +206,23 @@ def _rosenbrock_value(a: float, b: float, x: np.ndarray) -> float:
 
 
 # Entries per strip of the N-d Rosenbrock gradient: 128 KB per temporary,
-# so a strip's few temporaries stay in a 2 MB L2 however long x is.
+# so a strip's few temporaries stay in a 2 MB L2 however long x is. A
+# multiple of _MIN_STRIP, like every strip but a merged last one.
 _STRIP = 16384
+_MIN_STRIP = 64
 # a 0-d operand skips numpy's per-call conversion of a Python float
 _MINUS_TWO = np.array(-2.0)
 
 
 def _rosenbrock_grad(a: float, b: float, x: np.ndarray) -> np.ndarray:
     if x.shape == (2,):
-        # the array path below in Python floats, operation for operation;
-        # `0.0 +` turns a -0.0 into +0.0 as `tail +=` on a zero does
         x0, x1 = x.tolist()
-        d = x1 - x0 * x0
-        return np.array((-2.0 * (a - x0) - 4.0 * b * x0 * d, 0.0 + 2.0 * b * d))
+        if math.isfinite(x0 + x1):
+            # the array path below in Python floats, operation for operation;
+            # `0.0 +` turns a -0.0 into +0.0 as `tail +=` on a zero does
+            d = x1 - x0 * x0
+            return np.array((-2.0 * (a - x0) - 4.0 * b * x0 * d,
+                             0.0 + 2.0 * b * d))
     # g_i = -2 (a - x_i) - 4b x_i d_i + 2b d_{i-1}, d_i = x_{i+1} - x_i^2,
     # one strip at a time. A strip's 2b d terms land one slot to the right,
     # the last on the next strip's first slot, so they are added once that
@@ -220,9 +231,10 @@ def _rosenbrock_grad(a: float, b: float, x: np.ndarray) -> np.ndarray:
     n = len(x) - 1
     g = np.empty(n + 1)
     tail = None
-    for lo in range(0, n, _STRIP):
+    lo = 0
+    while lo < n:
         hi = lo + _STRIP
-        if hi > n:
+        if n - hi < _MIN_STRIP:  # the last strip, with any short remainder
             hi = n
         head = x[lo:hi]
         d = x[lo + 1:hi + 1] - head * head
@@ -236,6 +248,7 @@ def _rosenbrock_grad(a: float, b: float, x: np.ndarray) -> np.ndarray:
             tail += term
         tail, term = g[lo + 1:hi + 1], d
         term *= 2.0 * b
+        lo = hi
     g[-1] = 0.0
     tail += term
     return g
@@ -391,17 +404,3 @@ def check_gradient(obj: Objective, x, h: float = 1e-6) -> float:
         fd[i] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
     return _rel_err(fd, g)
 
-
-def check_hessian(obj: Objective, x, h: float = 1e-6) -> float:
-    """Same contract as `check_gradient`, for the analytic Hessian against
-    central differences of the gradient."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = as_vector(x, obj.dim)
-    H = obj.hessian(x)
-    fd = np.empty((obj.dim, obj.dim))
-    for j in range(obj.dim):
-        e = np.zeros(obj.dim)
-        e[j] = h
-        fd[:, j] = (obj.gradient(x + e) - obj.gradient(x - e)) / (2.0 * h)
-    return _rel_err(fd, H)

@@ -15,6 +15,14 @@ gradient, heavy ball, and the inertial gradient algorithms with Hessian
 damping (general and strongly convex). Each method is one entry of
 `RULES`, a range check plus an init/step pair that `run_optimizer` drives;
 `pdd_step` applies the damping update to a `PddState`.
+
+Above `objective._STRIP` = 16384 entries, `run_optimizer` steps gd, nag,
+pdd without C and igahd through a strip-fused twin of the rule's step (see
+`Rule`): a whole-array step streams a fresh 8 MB temporary through DRAM per
+numpy operation at d = 1e6. Up to 16384 entries it calls the rule's step,
+because at the presets' d <= 100 every design that sent small vectors
+through new code (`out=` writes, a kernel-plus-helper split, a strip loop
+at every size) made them slower.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from . import objective
 from .objective import Objective, as_vector
 
 __all__ = [
@@ -193,12 +202,37 @@ class Rule:
     the method's formula (pdd's is `_pdd_update`, shared with `pdd_step`)
     and checks nothing; ``validate`` checks ``hp`` once per run: its keys
     against ``params`` (required) and ``optional``, its ranges with
-    ``check(**hp)``, which raises ``ValueError``."""
+    ``check(**hp)``, which raises ``ValueError``.
+
+    A rule may also carry a strip-fused step for vectors longer than
+    `objective._STRIP` entries, which `start` selects: ``strip_init(x0, hp)``
+    returns its state, or None where ``hp`` needs the whole-array step, and
+    ``strip_step`` has ``step``'s signature. It runs the whole formula on
+    one strip of `objective._STRIP` entries at a time, in ``step``'s
+    operation order, so its working set stays in L2 and its result is
+    bitwise equal to ``step``'s on finite data. It writes only into buffers
+    its state allocated once per run, never into x, g or the caller's x0;
+    x+ alternates between two of them, because `run_optimizer` hands it
+    back as the next x. A nan's sign or payload is not part of a rule's
+    contract: numpy picks which nan operand an add returns by the entry's
+    place in its SIMD loop."""
     params: Tuple[str, ...]
     init: Callable[[np.ndarray], dict]
     step: Callable[..., Tuple[np.ndarray, dict]]
     check: Callable[..., None]
     optional: Tuple[str, ...] = ()
+    strip_init: Optional[Callable[[np.ndarray, dict], Optional[dict]]] = None
+    strip_step: Optional[Callable[..., Tuple[np.ndarray, dict]]] = None
+
+    def start(self, x0: np.ndarray, hp: dict):
+        """(state, step) for a run from ``x0``: the strip-fused step above
+        `objective._STRIP` entries where the rule has one for ``hp``, else
+        ``init`` and ``step``."""
+        if len(x0) > objective._STRIP and self.strip_init is not None:
+            state = self.strip_init(x0, hp)
+            if state is not None:
+                return state, self.strip_step
+        return self.init(x0), self.step
 
     def validate(self, method: str, hp: dict) -> None:
         """Check the names, types and ranges of ``method``'s hyperparameters."""
@@ -326,24 +360,142 @@ def _pdd_rule_step(x, g, s, hp, grad):
     return x_new, {"p": p}
 
 
+# -- strip-fused steps: each is its whole-array twin above, strip by strip,
+# with the strip of x+ as scratch until its last write ------------------------
+
+def _strips(n: int) -> list:
+    """Slices of `objective._STRIP` entries covering range(n)."""
+    size = objective._STRIP
+    return [slice(lo, lo + size) for lo in range(0, n, size)]
+
+
+def _strips_with_scratch(n: int) -> list:
+    """``(slice, t)`` for each of `_strips(n)`, t a scratch vector of the
+    strip's length; all share one allocation."""
+    t = np.empty(min(n, objective._STRIP))
+    return [(i, t[:min(i.stop, n) - i.start]) for i in _strips(n)]
+
+
+def _out_pair(x0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    return np.empty_like(x0), np.empty_like(x0)
+
+
+def _spare(pair: Tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """The buffer of ``pair`` that does not hold ``x``: x+ alternates
+    between the two, and `run_optimizer` hands it back as the next x."""
+    return pair[1] if x is pair[0] else pair[0]
+
+
+def _gd_strip_step(x, g, s, hp, grad):
+    out, tau = _spare(s["out"], x), hp["tau"]
+    for i in s["strips"]:
+        o = out[i]
+        np.multiply(tau, g[i], o)
+        np.subtract(x[i], o, o)
+    return out, s
+
+
+def _nag_strip_step(x, g, s, hp, grad):
+    # y+ overwrites y_prev2 strip by strip, after the strip's last read of it
+    out, tau, beta = _spare(s["out"], x), hp["tau"], hp["beta"]
+    y_prev, y_new = s["y_prev"], s["y_prev2"]
+    for i in s["strips"]:
+        o, y = out[i], y_new[i]
+        np.subtract(y_prev[i], y, o)
+        np.multiply(beta, o, o)
+        np.multiply(tau, g[i], y)
+        np.subtract(x[i], y, y)
+        np.add(y, o, o)
+    s["y_prev"], s["y_prev2"] = y_new, y_prev
+    return out, s
+
+
+def _pdd_strip_init(x0, hp):
+    if hp.get("C") is not None:
+        return None
+    return {"p": np.zeros_like(x0), "out": _out_pair(x0),
+            "strips": _strips_with_scratch(len(x0))}
+
+
+def _pdd_strip_step(x, g, s, hp, grad):
+    # p+ overwrites p strip by strip, after the strip's last read of p
+    out, p, tau, omega = _spare(s["out"], x), s["p"], hp["tau"], hp["omega"]
+    sA = hp["sigma"] * hp["A"]
+    den = 1.0 + hp["sigma"] * hp["epsilon"] * hp["A"]
+    for i, p_new in s["strips"]:
+        o, p_i = out[i], p[i]
+        np.multiply(sA, g[i], p_new)
+        np.add(p_i, p_new, p_new)
+        np.divide(p_new, den, p_new)
+        np.subtract(p_new, p_i, o)
+        np.multiply(omega, o, o)
+        np.add(p_new, o, o)
+        np.multiply(tau, o, o)
+        np.subtract(x[i], o, o)
+        p_i[...] = p_new
+    return out, s
+
+
+def _igahd_strip_init(x0, hp):
+    out = (x0.copy(), np.empty_like(x0))
+    return {"x_prev": out[0], "g_prev": None, "n": 1, "out": out,
+            "strips": _strips_with_scratch(len(x0))}
+
+
+def _igahd_strip_step(x, g, s, hp, grad):
+    # y goes into the spare buffer, x_prev's own on every step but the
+    # second; each strip reads x_prev before writing y, and x+ overwrites y
+    tau, n, x_prev = hp["tau"], s["n"], s["x_prev"]
+    g_prev = g if s["g_prev"] is None else s["g_prev"]
+    b = hp["beta1"] * math.sqrt(tau)
+    a_n, b_n = 1.0 - hp["alpha"] / n, b / n
+    y = _spare(s["out"], x)
+    for i, t in s["strips"]:
+        y_i = y[i]
+        np.subtract(x[i], x_prev[i], y_i)
+        np.multiply(a_n, y_i, y_i)
+        np.add(x[i], y_i, y_i)
+        np.subtract(g[i], g_prev[i], t)
+        np.multiply(b, t, t)
+        np.subtract(y_i, t, y_i)
+        np.multiply(b_n, g_prev[i], t)
+        np.subtract(y_i, t, y_i)
+    g_y = grad(y)
+    for i, t in s["strips"]:
+        y_i = y[i]
+        np.multiply(tau, g_y[i], t)
+        np.subtract(y_i, t, y_i)
+    s["x_prev"], s["g_prev"], s["n"] = x, g, n + 1
+    return y, s
+
+
 # method name -> its update rule; igahd's counter n starts at 1 to keep
 # alpha/n finite, and the g_prev of both igahd variants starts as the first g
 RULES = {
-    "gd": Rule(("tau",), lambda x0: {}, _gd_step, _check_tau),
+    "gd": Rule(("tau",), lambda x0: {}, _gd_step, _check_tau,
+               strip_init=lambda x0, hp: {"out": _out_pair(x0),
+                                          "strips": _strips(len(x0))},
+               strip_step=_gd_strip_step),
     "nag": Rule(("tau", "beta"),
                 lambda x0: {"y_prev": x0.copy(), "y_prev2": x0.copy()},
-                _nag_step, _check_momentum),
+                _nag_step, _check_momentum,
+                strip_init=lambda x0, hp: {
+                    "y_prev": x0.copy(), "y_prev2": x0.copy(),
+                    "out": _out_pair(x0), "strips": _strips(len(x0))},
+                strip_step=_nag_strip_step),
     "heavy_ball": Rule(("tau", "beta"), lambda x0: {"x_prev": x0.copy()},
                        _heavy_ball_step, _check_momentum),
     "igahd": Rule(("tau", "alpha", "beta1"),
                   lambda x0: {"x_prev": x0.copy(), "g_prev": None, "n": 1},
-                  _igahd_step, _check_igahd),
+                  _igahd_step, _check_igahd,
+                  strip_init=_igahd_strip_init, strip_step=_igahd_strip_step),
     "igahd_sc": Rule(("tau", "m1", "beta2"),
                      lambda x0: {"x_prev": x0.copy(), "g_prev": None},
                      _igahd_sc_step, _check_igahd_sc),
     "pdd": Rule(("tau", "sigma", "A", "epsilon", "omega"),
                 lambda x0: {"p": np.zeros_like(x0)}, _pdd_rule_step, _check_pdd,
-                optional=("C",)),
+                optional=("C",), strip_init=_pdd_strip_init,
+                strip_step=_pdd_strip_step),
 }
 
 
@@ -410,9 +562,9 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
 
     x = as_vector(x0, obj.dim, "x0")
     traj = Trajectory(method=label or method)
-    state = rule.init(x)
+    state, step = rule.start(x, params)
     if p0 is not None and "p" in state:
-        state["p"] = as_vector(p0, obj.dim, "p0")
+        state["p"][...] = as_vector(p0, obj.dim, "p0")  # the caller keeps p0
 
     xstar = obj.minimizer
 
@@ -427,7 +579,7 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
 
     it = 0
     gtol2 = grad_tol * grad_tol
-    step, gradient = rule.step, obj.gradient
+    gradient = obj.gradient
     # x . 0 is +-0 while x is finite and nan once an entry is inf or nan,
     # so one finiteness test covers both the gradient and the iterate
     zero = np.zeros(obj.dim)

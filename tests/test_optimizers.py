@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -491,11 +492,17 @@ def _reference_run(method, hp, obj, x, steps):
 def test_driver_matches_public_kernels_bitwise(method, hp):
     # the reference transcribes the formulas, so a reordered floating-point
     # operation in a rule step fails the == comparisons
-    obj = ob.rosenbrock(n=2)
-    x0 = np.array([-3.0, -4.0])
-    steps = 300
+    assert_run_matches_reference(method, hp, ob.rosenbrock(n=2),
+                                    np.array([-3.0, -4.0]), 300)
+
+
+def assert_run_matches_reference(method, hp, obj, x0, steps, p0=None):
+    """``run_optimizer`` against `_reference_run`: the same (f, |g|) rows
+    and the same final x and p, bit for bit; x0 and p0 are left as given."""
+    given = x0.copy(), None if p0 is None else p0.copy()
     traj = run_optimizer(obj, method, hp, x0, max_iter=steps, grad_tol=0.0,
-                         record_every=1)
+                         record_every=1, p0=p0)
+    assert not traj.diverged
     rows, x, p = _reference_run(method, hp, obj, x0, steps)
     assert [(r.f, r.grad_norm) for r in traj.records] == rows
     assert traj.final_x.tobytes() == x.tobytes()
@@ -503,6 +510,64 @@ def test_driver_matches_public_kernels_bitwise(method, hp):
         assert traj.final_p is None
     else:
         assert traj.final_p.tobytes() == p.tobytes()
+    assert x0.tobytes() == given[0].tobytes()
+    if p0 is not None:
+        assert p0.tobytes() == given[1].tobytes()
+
+
+# the rosenbrockNd preset's methods, each with a strip-fused step
+STRIP_METHODS = [
+    ("gd", {"tau": 0.001}),
+    ("nag", {"tau": 0.0008, "beta": 0.95}),
+    ("pdd", {"tau": 0.01, "sigma": 0.01, "A": 5.0, "epsilon": 0.5,
+             "omega": 1.0}),
+    ("igahd", {"tau": 0.0002, "alpha": 3.0, "beta1": 2.0 * 0.0002 ** 0.5}),
+]
+
+
+# n > strip selects the strip-fused steps; each n leaves a short last strip
+@pytest.mark.parametrize("strip,n,steps", [
+    (3, 41, 60), (7, 41, 60), (64, 131, 60), (None, 2 * ob._STRIP + 3, 20)])
+@pytest.mark.parametrize("method,hp", STRIP_METHODS)
+def test_strip_steps_match_public_kernels_bitwise(method, hp, strip, n, steps):
+    x0 = np.linspace(-1.0, 1.5, n)
+    p0 = np.zeros(n) if method == "pdd" else None  # updated in place, a copy
+    with pytest.MonkeyPatch.context() as mp:
+        if strip is not None:
+            mp.setattr(ob, "_STRIP", strip)
+        assert_run_matches_reference(method, hp, ob.rosenbrock(n=n), x0,
+                                        steps, p0)
+
+
+@pytest.mark.parametrize("method,hp", STRIP_METHODS)
+def test_run_optimizer_steps_whole_arrays_up_to_one_strip(method, hp):
+    calls = {"step": 0, "strip_step": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    rule = RULES[method]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ob, "_STRIP", 64)
+        mp.setitem(RULES, method, dataclasses.replace(
+            rule, step=counted("step", rule.step),
+            strip_step=counted("strip_step", rule.strip_step)))
+        for n in (2, 64, 65):
+            run_optimizer(ob.rosenbrock(n=n), method, hp, np.zeros(n), 5)
+    assert calls == {"step": 10, "strip_step": 5}
+
+
+def test_rules_without_a_strip_step_for_their_hp_step_whole_arrays():
+    x0 = np.zeros(ob._STRIP + 1)
+    pdd_with_C = dict(STRIP_METHODS[2][1],
+                      C=Preconditioner.diagonal(np.ones(len(x0))))
+    for method, hp in [("pdd", pdd_with_C),
+                       ("heavy_ball", {"tau": 0.001, "beta": 0.9}),
+                       ("igahd_sc", {"tau": 0.001, "m1": 1.0, "beta2": 0.01})]:
+        assert RULES[method].start(x0, hp)[1] is RULES[method].step, method
 
 
 @pytest.mark.parametrize("table", [RULES, toynet._RULES],
