@@ -21,8 +21,6 @@ from .objective import (
 )
 from .optimizers import (
     Preconditioner,
-    PddParams,
-    PddState,
     Trajectory,
     pdd_step,
     run_optimizer,

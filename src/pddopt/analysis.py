@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .objective import Objective, as_vector
-from .optimizers import PddParams, Preconditioner
+from .optimizers import Preconditioner, validate_method
 
 __all__ = [
     "SpectralMode",
@@ -77,12 +77,10 @@ def continuous_lambda(mu: float, L: float, gamma: float, eps: float,
 
 @dataclass(frozen=True)
 class Theorem6Recipe:
-    """Stepsize recipe with a guaranteed geometric decay factor."""
-    params: PddParams
-    mu: float
-    L: float
-    Lp: float
-    delta: float
+    """Stepsize recipe with a guaranteed geometric decay factor. ``params``
+    is pdd's hp dict (tau, sigma, A, epsilon, omega, and C when one was
+    given), ready for ``run_optimizer(obj, "pdd", recipe.params, ...)``."""
+    params: dict
     decay_factor: float
     lambda_bound: float  # certified lower bound on eig(H), mu/4
     M_bound: float       # certified upper bound on |N' hess(I) N|, 36 max(L', 1)
@@ -113,11 +111,12 @@ def theorem6_params(mu: float, L: float, Lp: float, delta: float = 1.0,
     # both hold structurally for any valid input; kept as hard checks
     if not (gamma * A < 1.0 and sigma < 1.0 / 36.0):
         raise ValueError("recipe must satisfy gamma*A < 1 and sigma < 1/36")
-    params = PddParams(tau=tau, sigma=sigma, A=A, epsilon=eps, omega=omega,
-                       C=C or Preconditioner.identity())
-    return Theorem6Recipe(params=params, mu=mu, L=L, Lp=Lp, delta=delta,
-                          decay_factor=decay, lambda_bound=mu / 4.0,
-                          M_bound=36.0 * max(Lp, 1.0))
+    params = {"tau": tau, "sigma": sigma, "A": A, "epsilon": eps, "omega": omega}
+    if C is not None:
+        params["C"] = C
+    validate_method("pdd", params)
+    return Theorem6Recipe(params=params, decay_factor=decay,
+                          lambda_bound=mu / 4.0, M_bound=36.0 * max(Lp, 1.0))
 
 
 @dataclass(frozen=True)
@@ -207,7 +206,7 @@ def optimal_gamma(mu1: float, mun: float) -> Tuple[float, float]:
     return gamma_star, alpha
 
 
-def build_N_H(obj: Objective, x, params: PddParams) -> Tuple[np.ndarray, np.ndarray]:
+def build_N_H(obj: Objective, x, params: dict) -> Tuple[np.ndarray, np.ndarray]:
     """One-step update matrix N(x) and its symmetrized energy form H(x).
 
     (x+, p+) - (x, p) = -tau N(x) (grad f(x), p) with
@@ -216,14 +215,14 @@ def build_N_H(obj: Objective, x, params: PddParams) -> Tuple[np.ndarray, np.ndar
                                  [   -(sigma/tau) A I,        (sigma/tau) eps A I]]
 
     where gamma = sigma omega, and H = sym(diag(hess f(x), I) . N). H is
-    exactly symmetric by construction.
+    exactly symmetric by construction. ``params`` is pdd's hp dict.
     """
     x = as_vector(x, obj.dim)
     d = obj.dim
-    Cmat = params.C.matrix(x, d)
+    Cmat = (params.get("C") or Preconditioner.identity()).matrix(x, d)
     Hess = obj.hessian_at(x)
-    A, sigma, tau, eps = params.A, params.sigma, params.tau, params.epsilon
-    gamma = params.gamma
+    A, sigma, tau, eps = params["A"], params["sigma"], params["tau"], params["epsilon"]
+    gamma = sigma * params["omega"]
     eta = sigma / tau
     scale = 1.0 / (1.0 + sigma * eps * A)
     I = np.eye(d)
@@ -244,7 +243,6 @@ class DiscreteRateReport:
     come from, against the certified bounds."""
     lambda_min_H: float
     M_bound: float
-    tau_recipe: float
     decay_factor: float
     per_step_ratios: List[float]
     within_bound: bool
@@ -275,7 +273,6 @@ def discrete_decay_check(values: Sequence[float],
     return DiscreteRateReport(
         lambda_min_H=recipe.lambda_bound if recipe else math.nan,
         M_bound=recipe.M_bound if recipe else math.nan,
-        tau_recipe=recipe.params.tau if recipe else math.nan,
         decay_factor=bound if recipe else math.nan,
         per_step_ratios=ratios,
         within_bound=within,

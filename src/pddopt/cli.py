@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, harness
 from .dynamics import DynParams, integrate_rk4
 from .objective import as_vector
-from .optimizers import PddState, Preconditioner, pdd_step
+from .optimizers import Preconditioner, pdd_step
 
 
 def _apply_overrides(config, args):
@@ -97,32 +97,33 @@ def cmd_analyze(args) -> int:
                                       delta=opts["delta"], C=C)
 
     # one gradient per state: it drives the next step and gives I(x, p)
-    state = PddState(x=x0.copy(), p=np.zeros(obj.dim))
-    g = obj.gradient(state.x)
-    values = [analysis.lyapunov_I(obj, state.x, state.p, grad=g)]
+    p = recipe.params
+    x, s = x0, {"p": np.zeros(obj.dim)}
+    g = obj.gradient(x)
+    values = [analysis.lyapunov_I(obj, x, s["p"], grad=g)]
     for _ in range(opts["pdd_steps"]):
-        state = pdd_step(state, recipe.params, obj, grad=g)
-        g = obj.gradient(state.x)
-        values.append(analysis.lyapunov_I(obj, state.x, state.p, grad=g))
+        x, s = pdd_step(x, g, s, p)
+        g = obj.gradient(x)
+        values.append(analysis.lyapunov_I(obj, x, s["p"], grad=g))
     report = analysis.discrete_decay_check(values, recipe)
     d0 = analysis.sample_D0_lower_bound(obj, pts[:5], seed=opts["seed"])
 
-    p = recipe.params
+    gamma = p["sigma"] * p["omega"]
     out_dir = harness.resolve_output_dir(config, args.out, tag="analyze")
     summary = _write_csv(out_dir / "rate_summary.csv", [
         "mu_hat", "L_hat", "Lp_hat", "tau", "gamma", "A", "epsilon", "omega",
         "decay_factor", "lambda_min_H", "M_bound", "D0_sample_lb",
         "within_bound"], [[
-            est.mu_hat, est.L_hat, est.Lp_hat, p.tau, p.gamma, p.A, p.epsilon,
-            p.omega, recipe.decay_factor, report.lambda_min_H, report.M_bound,
-            d0, int(report.within_bound)]])
+            est.mu_hat, est.L_hat, est.Lp_hat, p["tau"], gamma, p["A"],
+            p["epsilon"], p["omega"], recipe.decay_factor, report.lambda_min_H,
+            report.M_bound, d0, int(report.within_bound)]])
     cells = [""] + [format(r, ".17g") for r in report.per_step_ratios]
     ratios = _write_csv(out_dir / "rate_report.csv", ["step", "lyapunov", "ratio"],
                         ([n, format(val, ".17g"), r] for n, (val, r) in
                          enumerate(zip(report.lyapunov_values, cells))))
     print(f"  constants: mu={est.mu_hat:.6g} L={est.L_hat:.6g} "
           f"L'={est.Lp_hat:.6g}")
-    print(f"  recipe: tau=sigma={recipe.params.tau:.6g} "
+    print(f"  recipe: tau=sigma={p['tau']:.6g} "
           f"decay_factor={recipe.decay_factor:.12g} "
           f"ratios within bound: {report.within_bound}")
     print(f"  wrote {summary}\n  wrote {ratios}")
@@ -131,11 +132,10 @@ def cmd_analyze(args) -> int:
         Q = ctx["Q"]
         Cmat = C.matrix(x0, obj.dim)
         B = Cmat @ np.linalg.inv(Q)
-        A_scalar = recipe.params.A
-        mus = np.linalg.eigvals(B @ Q @ (A_scalar * np.eye(obj.dim)) @ Q).real
+        mus = np.linalg.eigvals(B @ Q @ (p["A"] * np.eye(obj.dim)) @ Q).real
         rep = analysis.quadratic_spectral_rate(
-            np.sort(mus)[::-1], np.full(obj.dim, A_scalar),
-            gamma=recipe.params.gamma, eps=recipe.params.epsilon)
+            np.sort(mus)[::-1], np.full(obj.dim, p["A"]),
+            gamma=gamma, eps=p["epsilon"])
         spath = _write_csv(
             out_dir / "spectral.csv", ["mu", "a", "root1_re", "root1_im",
                                        "root2_re", "root2_im", "alpha",

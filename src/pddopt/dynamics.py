@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .objective import Objective, as_vector
-from .optimizers import PddParams, PddState, Preconditioner, pdd_step
+from .optimizers import Preconditioner, pdd_step
 
 __all__ = [
     "DynParams",
@@ -239,16 +239,16 @@ def discrete_continuous_consistency(obj: Objective, taus: Sequence[float],
                          f"or shorten t_end")
     errors = []
     for tau, n, stride in plan:
-        params = PddParams(tau=tau, sigma=tau, A=A, epsilon=eps,
-                           omega=gamma / tau, C=C)
-        state = PddState(x=x0.copy(), p=p0.copy())
+        hp = {"tau": tau, "sigma": tau, "A": A, "epsilon": eps,
+              "omega": gamma / tau, "C": C}
+        x, s = x0, {"p": p0}
         worst = 0.0
         for k in range(1, n + 1):
-            state = pdd_step(state, params, obj)
+            x, s = pdd_step(x, obj.gradient(x), s, hp)
             rx = ref.xs[k * stride]
             rp = ref.ps[k * stride]
-            err = np.sqrt(float(np.sum((state.x - rx) ** 2)
-                                + np.sum((state.p - rp) ** 2)))
+            err = np.sqrt(float(np.sum((x - rx) ** 2)
+                                + np.sum((s["p"] - rp) ** 2)))
             worst = max(worst, err)
         errors.append(worst)
     return errors

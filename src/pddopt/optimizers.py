@@ -14,7 +14,8 @@ evaluation per step. Baselines: gradient descent, Nesterov's accelerated
 gradient, heavy ball, and the inertial gradient algorithms with Hessian
 damping (general and strongly convex). Each method is one entry of
 `RULES`, a range check plus an init/step pair that `run_optimizer` drives;
-`pdd_step` applies the damping update to a `PddState`.
+pdd's step is `pdd_step`, which `analyze` and the consistency probe call on
+plain arrays too.
 
 Above `objective._STRIP` = 16384 entries, `run_optimizer` steps gd, nag,
 pdd without C and igahd through a strip-fused twin of the rule's step (see
@@ -38,8 +39,6 @@ from .objective import Objective, as_vector
 
 __all__ = [
     "Preconditioner",
-    "PddParams",
-    "PddState",
     "TrajectoryRecord",
     "Trajectory",
     "pdd_step",
@@ -129,40 +128,6 @@ class Preconditioner:
 
 
 @dataclass(frozen=True)
-class PddParams:
-    """Scalars of the primal-dual damping step plus the preconditioner."""
-    tau: float
-    sigma: float
-    A: float
-    epsilon: float
-    omega: float
-    C: Preconditioner = field(default_factory=Preconditioner.identity)
-
-    def __post_init__(self):
-        _check_pdd(self.tau, self.sigma, self.A, self.epsilon, self.omega)
-
-    @property
-    def gamma(self) -> float:
-        """sigma*omega, the continuous-time extrapolation weight."""
-        return self.sigma * self.omega
-
-
-@dataclass
-class PddState:
-    x: np.ndarray
-    p: np.ndarray
-    iter: int = 0
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
-        if self.x.shape != self.p.shape:
-            raise ValueError("x and p must have the same shape")
-        if self.iter < 0:
-            raise ValueError("iter must be nonnegative")
-
-
-@dataclass(frozen=True)
 class TrajectoryRecord:
     iter: int
     f: float
@@ -199,10 +164,11 @@ class Rule:
     ``step(x, g, state, hp, grad) -> (x+, state)`` with g = grad f(x) and
     ``grad`` the gradient as a callable (``obj.gradient``, or toynet's batch
     gradient); only igahd calls ``grad`` again. ``step`` is the one copy of
-    the method's formula (pdd's is `_pdd_update`, shared with `pdd_step`)
-    and checks nothing; ``validate`` checks ``hp`` once per run: its keys
-    against ``params`` (required) and ``optional``, its ranges with
-    ``check(**hp)``, which raises ``ValueError``.
+    the method's formula (pdd's is `pdd_step`, which `cli.cmd_analyze` and
+    `dynamics.discrete_continuous_consistency` call directly) and checks
+    nothing; ``validate`` checks ``hp`` once per run: its keys against
+    ``params`` (required) and ``optional``, its ranges with ``check(**hp)``,
+    which raises ``ValueError``.
 
     A rule may also carry a strip-fused step for vectors longer than
     `objective._STRIP` entries, which `start` selects: ``strip_init(x0, hp)``
@@ -336,28 +302,19 @@ def _check_pdd(tau, sigma, A, epsilon, omega, C=None) -> None:
         raise ValueError("C must be a Preconditioner")
 
 
-def _pdd_update(x, p, g, tau, sigma, A, epsilon, omega,
-                C: Optional[Preconditioner]) -> Tuple[np.ndarray, np.ndarray]:
-    """Damping update, C = None for C = I; returns (x+, p+)."""
-    p_new = (p + (sigma * A) * g) / (1.0 + sigma * epsilon * A)
-    p_tilde = p_new + omega * (p_new - p)
-    return x - tau * (p_tilde if C is None else C.apply(x, p_tilde)), p_new
+def pdd_step(x, g, s, hp, grad=None):
+    """Primal-dual damping, with g = grad f(x) and C = I where ``hp`` has no
+    "C" (or C = None):
 
-
-def pdd_step(state: PddState, params: PddParams, obj: Objective,
-             grad: Optional[np.ndarray] = None) -> PddState:
-    """One primal-dual damping update; evaluates the gradient once unless a
-    precomputed ``grad`` at ``state.x`` is supplied."""
-    g = obj.gradient(state.x) if grad is None else grad
-    x_new, p_new = _pdd_update(state.x, state.p, g, params.tau, params.sigma,
-                               params.A, params.epsilon, params.omega, params.C)
-    return PddState(x=x_new, p=p_new, iter=state.iter + 1)
-
-
-def _pdd_rule_step(x, g, s, hp, grad):
-    x_new, p = _pdd_update(x, s["p"], g, hp["tau"], hp["sigma"], hp["A"],
-                           hp["epsilon"], hp["omega"], hp.get("C"))
-    return x_new, {"p": p}
+    p+ = (p + sigma A g) / (1 + sigma eps A),  pt = p+ + omega (p+ - p),
+    x+ = x - tau C(x) pt
+    """
+    p, sigma, A = s["p"], hp["sigma"], hp["A"]
+    p_new = (p + (sigma * A) * g) / (1.0 + sigma * hp["epsilon"] * A)
+    p_tilde = p_new + hp["omega"] * (p_new - p)
+    C = hp.get("C")
+    return (x - hp["tau"] * (p_tilde if C is None else C.apply(x, p_tilde)),
+            {"p": p_new})
 
 
 # -- strip-fused steps: each is its whole-array twin above, strip by strip,
@@ -493,7 +450,7 @@ RULES = {
                      lambda x0: {"x_prev": x0.copy(), "g_prev": None},
                      _igahd_sc_step, _check_igahd_sc),
     "pdd": Rule(("tau", "sigma", "A", "epsilon", "omega"),
-                lambda x0: {"p": np.zeros_like(x0)}, _pdd_rule_step, _check_pdd,
+                lambda x0: {"p": np.zeros_like(x0)}, pdd_step, _check_pdd,
                 optional=("C",), strip_init=_pdd_strip_init,
                 strip_step=_pdd_strip_step),
 }

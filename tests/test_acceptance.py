@@ -18,7 +18,7 @@ from pddopt.dynamics import (
     integrate_rk4,
     second_order_residual,
 )
-from pddopt.optimizers import PddState, pdd_step, run_optimizer
+from pddopt.optimizers import pdd_step, run_optimizer
 
 
 def _pass(n, msg):
@@ -130,17 +130,17 @@ def test_criterion_5_discrete_geometric_decay():
     est = analysis.estimate_constants(obj, [np.array([0.4, 0.9])])
     recipe = analysis.theorem6_params(est.mu_hat, est.L_hat, est.Lp_hat,
                                       delta=1.0)
-    state = PddState(x=np.array([1.0, -1.0]), p=np.zeros(2))
-    states = [state]
+    x, s = np.array([1.0, -1.0]), {"p": np.zeros(2)}
+    states = [(x, s["p"])]
     for _ in range(2000):
-        state = pdd_step(state, recipe.params, obj)
-        states.append(state)
-    values = [analysis.lyapunov_I(obj, s.x, s.p) for s in states]
+        x, s = pdd_step(x, obj.gradient(x), s, recipe.params)
+        states.append((x, s["p"]))
+    values = [analysis.lyapunov_I(obj, x, p) for x, p in states]
     rep = analysis.discrete_decay_check(values, recipe)
     assert rep.within_bound
-    I0 = analysis.lyapunov_I(obj, states[0].x, states[0].p)
+    I0 = analysis.lyapunov_I(obj, *states[0])
     for n in (1, 10, 100, 500, 1000, 2000):
-        In = analysis.lyapunov_I(obj, states[n].x, states[n].p)
+        In = analysis.lyapunov_I(obj, *states[n])
         assert In <= I0 * recipe.decay_factor ** n
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0
@@ -161,8 +161,8 @@ def test_criterion_6_H_and_N_bounds_on_logsumexp():
                                       max(est.Lp_hat, est.L_hat), delta=1.0)
     p = recipe.params
     n_bound = (max(est.L_hat, 1.0)
-               * (p.A * (p.sigma + 2.0 * p.gamma + 2.0) + 1.0)
-               / (1.0 + p.sigma * p.A))
+               * (p["A"] * (p["sigma"] + 2.0 * p["sigma"] * p["omega"] + 2.0) + 1.0)
+               / (1.0 + p["sigma"] * p["A"]))
     worst_h = math.inf
     worst_n = 0.0
     for x in pts:

@@ -13,7 +13,7 @@ from pddopt.analysis import (
     quadratic_spectral_rate,
     theorem6_params,
 )
-from pddopt.optimizers import PddParams, PddState, Preconditioner, pdd_step
+from pddopt.optimizers import Preconditioner, pdd_step
 
 
 # ---------------------------------------------------------------------------
@@ -60,19 +60,29 @@ def test_continuous_lambda_examples():
 
 def test_theorem6_recipe_values():
     r = theorem6_params(1.0, 1.0, 1.0, delta=0.0)
-    assert r.params.tau == pytest.approx(1.0 / 144.0)
-    assert r.params.sigma == r.params.tau
-    assert r.params.epsilon == 1.0
-    assert r.params.gamma == pytest.approx(143.0 / 144.0)  # sigma*omega
+    p = r.params
+    assert p["tau"] == pytest.approx(1.0 / 144.0)
+    assert p["sigma"] == p["tau"]
+    assert p["epsilon"] == 1.0
+    assert p["sigma"] * p["omega"] == pytest.approx(143.0 / 144.0)  # gamma
     assert r.decay_factor == pytest.approx(1.0 - 1.0 / 1152.0)
 
-    r = theorem6_params(0.5, 1.0, 2.0, delta=1.0)
-    assert r.params.tau == pytest.approx(0.125 / 73.0)
-    assert r.params.sigma == r.params.tau
-    assert r.params.gamma * r.params.A < 1.0
+    p = theorem6_params(0.5, 1.0, 2.0, delta=1.0).params
+    assert p["tau"] == pytest.approx(0.125 / 73.0)
+    assert p["sigma"] == p["tau"]
+    assert p["sigma"] * p["omega"] * p["A"] < 1.0
 
     with pytest.raises(ValueError):
         theorem6_params(2.0, 1.0, 1.0)
+
+
+def test_theorem6_recipe_is_a_checked_pdd_hp_dict():
+    p = theorem6_params(1.0, 2.0, 3.0).params
+    assert sorted(p) == ["A", "epsilon", "omega", "sigma", "tau"]
+    C = Preconditioner.diagonal([1.0, 2.0])
+    assert theorem6_params(1.0, 2.0, 3.0, C=C).params["C"] is C
+    with pytest.raises(ValueError, match="pdd: C must be a Preconditioner"):
+        theorem6_params(1.0, 2.0, 3.0, C=np.eye(2))
 
 
 def test_theorem6_recipe_structural_invariants():
@@ -82,9 +92,10 @@ def test_theorem6_recipe_structural_invariants():
         L = mu * rng.uniform(1.0, 5.0)
         Lp = L * rng.uniform(1.0, 5.0)
         r = theorem6_params(mu, L, Lp, delta=rng.uniform(0.0, 3.0))
-        assert r.params.sigma == r.params.tau
-        assert r.params.epsilon == 1.0
-        assert r.params.gamma * r.params.A < 1.0
+        p = r.params
+        assert p["sigma"] == p["tau"]
+        assert p["epsilon"] == 1.0
+        assert p["sigma"] * p["omega"] * p["A"] < 1.0
         assert 0.0 < r.decay_factor < 1.0
 
 
@@ -200,22 +211,22 @@ def test_N_matrix_generates_the_update():
     # (x+, p+) - (x, p) = -tau N (grad f, p) must hold exactly
     Q = ob.make_diag_dominant_Q(3, seed=6)
     obj = ob.quadratic(Q)
-    params = PddParams(tau=0.05, sigma=0.08, A=1.3, epsilon=0.9, omega=1.1)
+    params = dict(tau=0.05, sigma=0.08, A=1.3, epsilon=0.9, omega=1.1)
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.standard_normal(3)
         p = rng.standard_normal(3)
         N, _ = build_N_H(obj, x, params)
-        state = pdd_step(PddState(x=x, p=p), params, obj)
-        delta = np.concatenate([state.x - x, state.p - p])
+        x_new, s = pdd_step(x, obj.gradient(x), {"p": p}, params)
+        delta = np.concatenate([x_new - x, s["p"] - p])
         z = np.concatenate([obj.gradient(x), p])
-        np.testing.assert_allclose(delta, -params.tau * N @ z,
+        np.testing.assert_allclose(delta, -params["tau"] * N @ z,
                                    rtol=1e-12, atol=1e-14)
 
 
 def test_H_is_exactly_symmetric():
     obj = ob.reg_log_sum_exp(ob.make_diag_dominant_Q(4, seed=12))
-    params = PddParams(tau=0.01, sigma=0.01, A=1.0, epsilon=1.0, omega=1.0)
+    params = dict(tau=0.01, sigma=0.01, A=1.0, epsilon=1.0, omega=1.0)
     _, H = build_N_H(obj, np.full(4, 0.2), params)
     assert np.max(np.abs(H - H.T)) == 0.0
 
@@ -238,8 +249,8 @@ def test_N_norm_bound_on_logsumexp():
     recipe = theorem6_params(est.mu_hat, est.L_hat, est.Lp_hat, delta=1.0)
     p = recipe.params
     bound = (max(est.L_hat, 1.0)
-             * (p.A * (p.sigma + 2.0 * p.gamma + 2.0) + 1.0)
-             / (1.0 + p.sigma * p.A))
+             * (p["A"] * (p["sigma"] + 2.0 * p["sigma"] * p["omega"] + 2.0) + 1.0)
+             / (1.0 + p["sigma"] * p["A"]))
     for x in pts:
         N, _ = build_N_H(obj, x, p)
         assert np.linalg.norm(N, 2) <= bound + 1e-10
@@ -260,12 +271,12 @@ def test_decay_check_stationary_start():
 def test_decay_check_with_recipe():
     obj = ob.quadratic(np.array([[1.0]]))
     recipe = theorem6_params(1.0, 1.0, 1.0, delta=0.0)
-    state = PddState(x=np.array([1.0]), p=np.zeros(1))
-    states = [state]
+    x, s = np.array([1.0]), {"p": np.zeros(1)}
+    states = [(x, s["p"])]
     for _ in range(500):
-        state = pdd_step(state, recipe.params, obj)
-        states.append(state)
-    rep = discrete_decay_check([lyapunov_I(obj, s.x, s.p) for s in states],
+        x, s = pdd_step(x, obj.gradient(x), s, recipe.params)
+        states.append((x, s["p"]))
+    rep = discrete_decay_check([lyapunov_I(obj, x, p) for x, p in states],
                                recipe)
     assert rep.within_bound
     assert max(rep.per_step_ratios) <= 1.0 - 1.0 / 1152.0
@@ -276,15 +287,13 @@ def test_decay_check_with_recipe():
 def test_decay_check_flags_oversized_stepsize():
     obj = ob.quadratic(np.array([[1.0]]))
     recipe = theorem6_params(1.0, 1.0, 1.0, delta=0.0)
-    big = PddParams(tau=recipe.params.tau * 100.0, sigma=recipe.params.sigma,
-                    A=recipe.params.A, epsilon=recipe.params.epsilon,
-                    omega=recipe.params.omega)
-    state = PddState(x=np.array([1.0]), p=np.zeros(1))
-    states = [state]
+    big = {**recipe.params, "tau": recipe.params["tau"] * 100.0}
+    x, s = np.array([1.0]), {"p": np.zeros(1)}
+    states = [(x, s["p"])]
     for _ in range(200):
-        state = pdd_step(state, big, obj)
-        states.append(state)
-    rep = discrete_decay_check([lyapunov_I(obj, s.x, s.p) for s in states],
+        x, s = pdd_step(x, obj.gradient(x), s, big)
+        states.append((x, s["p"]))
+    rep = discrete_decay_check([lyapunov_I(obj, x, p) for x, p in states],
                                recipe)
     assert not rep.within_bound
     assert max(rep.per_step_ratios) > 1.0

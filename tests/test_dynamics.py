@@ -10,7 +10,7 @@ from pddopt.dynamics import (
     pdd_vector_field,
     second_order_residual,
 )
-from pddopt.optimizers import PddParams, PddState, Preconditioner, pdd_step
+from pddopt.optimizers import Preconditioner, pdd_step
 
 
 def test_field_vanishes_at_stationary_state():
@@ -213,16 +213,15 @@ def per_tau_reference_consistency(obj, taus, gamma, eps, A, x0, p0, t_end,
         n = int(round(t_end / tau))
         ref = integrate_rk4(dyn, obj, x0, p0, t_end=n * tau,
                             dt=tau / ref_refine, t0=0.0)
-        params = PddParams(tau=tau, sigma=tau, A=A, epsilon=eps,
-                           omega=gamma / tau)
-        state = PddState(x=x0.copy(), p=p0.copy())
+        hp = dict(tau=tau, sigma=tau, A=A, epsilon=eps, omega=gamma / tau)
+        x, s = x0, {"p": p0}
         worst = 0.0
         for k in range(1, n + 1):
-            state = pdd_step(state, params, obj)
+            x, s = pdd_step(x, obj.gradient(x), s, hp)
             rx = ref.xs[k * ref_refine]
             rp = ref.ps[k * ref_refine]
-            err = np.sqrt(float(np.sum((state.x - rx) ** 2)
-                                + np.sum((state.p - rp) ** 2)))
+            err = np.sqrt(float(np.sum((x - rx) ** 2)
+                                + np.sum((s["p"] - rp) ** 2)))
             worst = max(worst, err)
         errors.append(worst)
     return errors

@@ -1,6 +1,8 @@
 import dataclasses
 import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,6 @@ import pytest
 from pddopt import analysis, objective as ob, toynet
 from pddopt.optimizers import (
     RULES,
-    PddParams,
-    PddState,
     Preconditioner,
     TrajectoryRecord,
     compute_beta2,
@@ -47,22 +47,22 @@ def rule_step(method, x, state, obj, **hp):
 
 def test_pdd_fixed_point_is_exact():
     obj = ob.quadratic(np.diag([1.0, 3.0]))
-    params = PddParams(tau=0.2, sigma=0.3, A=2.0, epsilon=1.0, omega=1.0)
-    state = PddState(x=np.zeros(2), p=np.zeros(2))
-    nxt = pdd_step(state, params, obj)
-    assert np.array_equal(nxt.x, state.x)
-    assert np.array_equal(nxt.p, state.p)
-    assert nxt.iter == 1
+    hp = dict(tau=0.2, sigma=0.3, A=2.0, epsilon=1.0, omega=1.0)
+    x, p = np.zeros(2), np.zeros(2)
+    x_new, nxt = pdd_step(x, obj.gradient(x), {"p": p}, hp)
+    assert np.array_equal(x_new, x)
+    assert np.array_equal(nxt["p"], p)
 
 
 def test_pdd_step_hand_values():
     # f = x^2/2, x=1, p=0, tau=sigma=0.1, A=eps=omega=1:
     # p+ = 0.1/(1+0.1) = 1/11, ptilde = 2/11, x+ = 1 - 0.1*2/11 = 54/55
     obj = one_d_quadratic()
-    params = PddParams(tau=0.1, sigma=0.1, A=1.0, epsilon=1.0, omega=1.0)
-    nxt = pdd_step(PddState(x=np.array([1.0]), p=np.array([0.0])), params, obj)
-    assert nxt.p[0] == pytest.approx(1.0 / 11.0, rel=1e-15)
-    assert nxt.x[0] == pytest.approx(54.0 / 55.0, rel=1e-15)
+    hp = dict(tau=0.1, sigma=0.1, A=1.0, epsilon=1.0, omega=1.0)
+    x = np.array([1.0])
+    x_new, nxt = pdd_step(x, obj.gradient(x), {"p": np.array([0.0])}, hp)
+    assert nxt["p"][0] == pytest.approx(1.0 / 11.0, rel=1e-15)
+    assert x_new[0] == pytest.approx(54.0 / 55.0, rel=1e-15)
 
 
 def test_pdd_step_matches_vector_field_to_first_order():
@@ -78,12 +78,11 @@ def test_pdd_step_matches_vector_field_to_first_order():
     dx, dp = pdd_vector_field(x, p, 0.0, dyn, obj)
 
     def defect(sigma):
-        params = PddParams(tau=sigma, sigma=sigma, A=A, epsilon=eps,
-                           omega=gamma / sigma)
-        nxt = pdd_step(PddState(x=x, p=p), params, obj)
+        hp = dict(tau=sigma, sigma=sigma, A=A, epsilon=eps, omega=gamma / sigma)
+        x_new, nxt = pdd_step(x, obj.gradient(x), {"p": p}, hp)
         ex = x + sigma * dx
         ep = p + sigma * dp
-        return np.sqrt(np.sum((nxt.x - ex) ** 2) + np.sum((nxt.p - ep) ** 2))
+        return np.sqrt(np.sum((x_new - ex) ** 2) + np.sum((nxt["p"] - ep) ** 2))
 
     d1, d2 = defect(1e-3), defect(5e-4)
     assert d1 / d2 == pytest.approx(4.0, rel=0.05)
@@ -223,8 +222,8 @@ def test_gradient_evaluation_budget():
     x = np.array([0.5, -1.0])
 
     obj, calls = counting(base)
-    pdd_step(PddState(x=x, p=np.zeros(2)),
-             PddParams(tau=0.1, sigma=0.1, A=1.0, epsilon=1.0, omega=1.0), obj)
+    pdd_step(x, obj.gradient(x), {"p": np.zeros(2)},
+             dict(tau=0.1, sigma=0.1, A=1.0, epsilon=1.0, omega=1.0), obj.gradient)
     assert calls["n"] == 1
 
     # k steps: one gradient at the start, then one per step (igahd: two)
@@ -282,11 +281,11 @@ def test_pdd_lyapunov_nonincreasing_with_recipe_params():
     mu = 1.0
     obj = ob.quadratic(np.array([[mu]]))
     recipe = analysis.theorem6_params(mu, mu, mu, delta=1.0)
-    state = PddState(x=np.array([1.5]), p=np.zeros(1))
-    prev = analysis.lyapunov_I(obj, state.x, state.p)
+    x, s = np.array([1.5]), {"p": np.zeros(1)}
+    prev = analysis.lyapunov_I(obj, x, s["p"])
     for _ in range(1000):
-        state = pdd_step(state, recipe.params, obj)
-        cur = analysis.lyapunov_I(obj, state.x, state.p)
+        x, s = pdd_step(x, obj.gradient(x), s, recipe.params)
+        cur = analysis.lyapunov_I(obj, x, s["p"])
         assert cur <= prev * (1 + 1e-15)
         prev = cur
 
@@ -384,19 +383,54 @@ def test_pdd_p0_override():
     assert traj.records[0].lyapunov == pytest.approx(0.5 * float(p0 @ p0))
 
 
+@pytest.mark.parametrize("with_C", [False, True], ids=["no-C", "diagonal-C"])
+def test_run_optimizer_steps_pdd_with_pdd_step(with_C):
+    # one copy of the damping formula: the pdd rule's step is pdd_step, and
+    # a hand loop of it from the certified recipe ends on run_optimizer's bits
+    assert RULES["pdd"].step is pdd_step
+    obj = ob.reg_log_sum_exp(ob.make_diag_dominant_Q(4, seed=21))
+    C = Preconditioner.diagonal([1.0, 0.5, 2.0, 0.8]) if with_C else None
+    x0 = np.full(4, 0.3)
+    est = analysis.estimate_constants(obj, [x0, -x0], C=C)
+    recipe = analysis.theorem6_params(est.mu_hat, est.L_hat,
+                                      max(est.Lp_hat, est.L_hat), C=C)
+    assert ("C" in recipe.params) == with_C
+    k = 50
+    x, s = x0, {"p": np.zeros(4)}
+    for _ in range(k):
+        x, s = pdd_step(x, obj.gradient(x), s, recipe.params)
+    traj = run_optimizer(obj, "pdd", recipe.params, x0, max_iter=k)
+    assert traj.records[-1].iter == k and not traj.diverged
+    assert traj.final_x.tobytes() == x.tobytes()
+    assert traj.final_p.tobytes() == s["p"].tobytes()
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"## Library example\n\n```python\n(.*?)```", readme,
+                     re.DOTALL).group(1)
+    ns = {}
+    exec(compile(code, "README.md", "exec"), ns)
+    traj = ns["traj"]
+    assert not traj.diverged
+    assert traj.records[-1].grad_norm < traj.records[0].grad_norm
+    assert capsys.readouterr().out.count("\n") == 2
+
+
 def test_callback_preconditioner_matches_dense():
     Q = np.diag([1.0, 4.0])
     obj = ob.quadratic(Q)
     Cmat = np.array([[0.5, 0.1], [0.1, 0.8]])
-    dense = PddParams(tau=0.1, sigma=0.1, A=1.0, epsilon=1.0, omega=1.0,
-                      C=Preconditioner.dense(Cmat))
-    callback = PddParams(tau=0.1, sigma=0.1, A=1.0, epsilon=1.0, omega=1.0,
-                         C=Preconditioner.from_callback(lambda x: Cmat))
-    s0 = PddState(x=np.array([1.0, -1.0]), p=np.array([0.2, 0.1]))
-    a = pdd_step(s0, dense, obj)
-    b = pdd_step(s0, callback, obj)
-    np.testing.assert_array_equal(a.x, b.x)
-    np.testing.assert_array_equal(a.p, b.p)
+    dense = dict(tau=0.1, sigma=0.1, A=1.0, epsilon=1.0, omega=1.0,
+                 C=Preconditioner.dense(Cmat))
+    callback = dict(tau=0.1, sigma=0.1, A=1.0, epsilon=1.0, omega=1.0,
+                    C=Preconditioner.from_callback(lambda x: Cmat))
+    x0 = np.array([1.0, -1.0])
+    s0 = {"p": np.array([0.2, 0.1])}
+    a = pdd_step(x0, obj.gradient(x0), s0, dense)
+    b = pdd_step(x0, obj.gradient(x0), s0, callback)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1]["p"], b[1]["p"])
 
 
 def test_preconditioner_validation():
