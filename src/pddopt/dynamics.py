@@ -14,10 +14,19 @@ Choosing C = A = I recovers the classical special cases: Hessian-driven
 damping (gamma > 0), the heavy ball equation (gamma = 0), and the
 Nesterov equation (gamma = 0, eps(t) = 3/t). Only scalar dual
 preconditioners A are supported.
+
+`integrate_rk4` makes its four stage vectors, one work vector and the
+trajectory array once per integration. Each stage input, stage result and
+RK4 combination is written into them through numpy's ``out=``, and each new
+state goes straight into its row of the trajectory, so a step allocates
+only what the gradient and a non-identity C(x) v return. The operations
+and their order are those of the allocating formula, so the results are
+bitwise equal to it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -39,6 +48,13 @@ __all__ = [
 EpsLike = Union[float, Callable[[float], float]]
 
 
+def _operand(v) -> np.ndarray:
+    """A read-only 0-d float64 array holding v."""
+    a = np.array(v, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class DynParams:
     """Coefficients of the continuous-time system.
@@ -50,6 +66,10 @@ class DynParams:
     epsilon: EpsLike
     gamma: float
     C: Preconditioner = field(default_factory=Preconditioner.identity)
+    # (A, gamma, eps*A) as read-only 0-d float64 arrays, eps*A None when
+    # epsilon is callable: numpy converts a Python float operand on every
+    # call, and `pdd_vector_field` runs 4 times per RK4 step
+    _operands: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.A <= 0:
@@ -58,6 +78,10 @@ class DynParams:
             raise ValueError("gamma must be nonnegative")
         if not callable(self.epsilon) and self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+        epsA = None if callable(self.epsilon) else self.eps_at(0.0) * self.A
+        object.__setattr__(self, "_operands", (
+            _operand(self.A), _operand(self.gamma),
+            None if epsA is None else _operand(epsA)))
 
     def eps_at(self, t: float) -> float:
         return float(self.epsilon(t)) if callable(self.epsilon) else float(self.epsilon)
@@ -77,19 +101,38 @@ class OdeTrajectory:
     diverged: bool = False
     grad_norms: Optional[np.ndarray] = None  # shape (n+1,)
 
-    def norms(self) -> np.ndarray:
-        """Euclidean norm of the stacked state (x, p) at each time."""
-        return np.sqrt(np.sum(self.xs ** 2, axis=1) + np.sum(self.ps ** 2, axis=1))
-
 
 def pdd_vector_field(x: np.ndarray, p: np.ndarray, t: float,
                      params: DynParams, obj: Objective,
-                     grad: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (dx, dp) of the damping system at state (x, p)."""
+                     grad: Optional[np.ndarray] = None,
+                     out: Optional[np.ndarray] = None
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Right-hand side (dx, dp) of the damping system at state (x, p).
+
+    ``grad`` is grad f(x) when the caller has it. The field is written into
+    the halves of ``out``, a float64 vector of length 2d that must not
+    overlap x, p or grad, and those two views come back as (dx, dp); without
+    ``out`` a new vector is allocated. Either way it evaluates
+
+        dp = A g - (eps(t) A) p,    dx = -C(x) (p + gamma dp)
+
+    with the same operations in the same order, so the bits do not depend
+    on ``out``.
+    """
     g = obj.gradient(x) if grad is None else grad
-    A = params.A
-    dp = A * g - (params.eps_at(t) * A) * p
-    dx = -params.C.apply(x, p + params.gamma * dp)
+    d = len(x)
+    if out is None:
+        out = np.empty(2 * d)
+    dx, dp = out[:d], out[d:]
+    A, gamma, epsA = params._operands
+    if epsA is None:
+        epsA = params.eps_at(t) * params.A
+    np.multiply(epsA, p, out=dx)  # dx holds eps A p until dp is formed
+    np.multiply(A, g, out=dp)
+    np.subtract(dp, dx, out=dp)
+    np.multiply(gamma, dp, out=dx)
+    np.add(p, dx, out=dx)
+    np.negative(params.C.apply(x, dx), out=dx)
     return dx, dp
 
 
@@ -121,10 +164,18 @@ def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
     integration stops) on the first non-finite state; its arrays then end
     at that state.
 
-    The state advances as one stacked vector (x, p); ``xs`` and ``ps`` are
-    views of its halves. Each step evaluates grad f once, at stage k1, and
-    hands it to `pdd_vector_field`; its norms, plus one more gradient at the
-    last state, come back as ``grad_norms``.
+    The state advances as one stacked vector (x, p), each step writing the
+    next state into its own row of one (steps + 1, 2d) array; ``xs`` and
+    ``ps`` are views of that array's halves. The four stages and one work
+    vector are allocated once per integration and filled through
+    `pdd_vector_field`'s ``out=`` and numpy's, in the operation order of
+
+        z + (dt/6) (k1 + 2 k2 + 2 k3 + k4),
+
+    so the trajectory is bitwise equal to the allocating formula's. Each
+    step evaluates grad f once, at stage k1, and hands it to
+    `pdd_vector_field`; its norms, plus one more gradient at the last
+    state, come back as ``grad_norms``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -133,31 +184,47 @@ def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
     if t_end < t0 + dt:
         raise ValueError("t_end must allow at least one step")
     d = obj.dim
-    z = np.concatenate((as_vector(x0, d, "x0"), as_vector(p0, d, "p0")))
+    x0 = as_vector(x0, d, "x0")
+    p0 = as_vector(p0, d, "p0")
 
     n_steps = int(round((t_end - t0) / dt))
     times = t0 + dt * np.arange(n_steps + 1)
     zs = np.empty((n_steps + 1, 2 * d))
-    zs[0] = z
+    zs[0, :d] = x0
+    zs[0, d:] = p0
     sq_norms = np.empty(n_steps + 1)
     diverged = False
 
-    def f(t, z, grad=None):
-        return np.concatenate(pdd_vector_field(z[:d], z[d:], t, params, obj,
-                                               grad=grad))
-
+    k1, k2, k3, k4, w = np.empty((5, 2 * d))
+    wx, wp = w[:d], w[d:]
+    half, full, sixth, two = (_operand(v) for v in (0.5 * dt, dt, dt / 6.0, 2.0))
+    # z . 0 is +-0 while z is finite and nan once an entry is inf or nan
+    zero = np.zeros(2 * d)
+    z = zs[0]
     with np.errstate(all="ignore"):
         for k in range(n_steps):
             t = times[k]
-            g = obj.gradient(z[:d])
+            x = z[:d]
+            g = obj.gradient(x)
             sq_norms[k] = g.dot(g)
-            k1 = f(t, z, g)
-            k2 = f(t + 0.5 * dt, z + 0.5 * dt * k1)
-            k3 = f(t + 0.5 * dt, z + 0.5 * dt * k2)
-            k4 = f(t + dt, z + dt * k3)
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            zs[k + 1] = z
-            if not np.isfinite(z).all():
+            pdd_vector_field(x, z[d:], t, params, obj, grad=g, out=k1)
+            np.multiply(half, k1, out=w)
+            np.add(z, w, out=w)
+            pdd_vector_field(wx, wp, t + 0.5 * dt, params, obj, out=k2)
+            np.multiply(half, k2, out=w)
+            np.add(z, w, out=w)
+            pdd_vector_field(wx, wp, t + 0.5 * dt, params, obj, out=k3)
+            np.multiply(full, k3, out=w)
+            np.add(z, w, out=w)
+            pdd_vector_field(wx, wp, t + dt, params, obj, out=k4)
+            np.multiply(two, k2, out=w)
+            np.add(k1, w, out=w)
+            np.multiply(two, k3, out=k3)
+            np.add(w, k3, out=w)
+            np.add(w, k4, out=w)
+            np.multiply(sixth, w, out=w)
+            z = np.add(z, w, out=zs[k + 1])
+            if not math.isfinite(z.dot(zero)):
                 diverged = True
                 n_steps = k + 1
                 break

@@ -175,10 +175,15 @@ class Objective:
 
 def _lse_exp(z: np.ndarray):
     """exp(z - m), m = max(z), and its sum; max-shifted, so finite for
-    |z_i| up to ~1e4 and beyond. log sum exp(z) = m + log(sum)."""
-    m = float(z.max())
-    e = np.exp(z - m)
-    return e, m, float(e.sum())
+    |z_i| up to ~1e4 and beyond. log sum exp(z) = m + log(sum).
+
+    The ufunc reductions are the ones `z.max()` and `e.sum()` call, without
+    the method wrappers, and exp runs in place on the shifted copy, so the
+    bits are those of the method form."""
+    m = float(np.maximum.reduce(z))
+    e = np.subtract(z, m)
+    np.exp(e, out=e)
+    return e, m, float(np.add.reduce(e))
 
 
 def _lse_value(Q: np.ndarray, x: np.ndarray) -> float:
@@ -190,7 +195,10 @@ def _lse_value(Q: np.ndarray, x: np.ndarray) -> float:
 def _lse_grad(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
     z = Q @ x
     e, _, se = _lse_exp(z)
-    return Q @ (e / se) + z
+    np.divide(e, se, out=e)
+    g = Q @ e
+    np.add(g, z, out=g)
+    return g
 
 
 def _lse_hess(Q: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -13,6 +13,11 @@ from pddopt.dynamics import (
 from pddopt.optimizers import Preconditioner, pdd_step
 
 
+def state_norms(traj):
+    """Euclidean norm of the stacked state (x, p) at each time."""
+    return np.sqrt(np.sum(traj.xs ** 2, axis=1) + np.sum(traj.ps ** 2, axis=1))
+
+
 def test_field_vanishes_at_stationary_state():
     obj = ob.quad_minus_cos(np.array([1.0, 0.3, -0.9]) /
                             np.linalg.norm([1.0, 0.3, -0.9]) * np.sqrt(1.9))
@@ -101,12 +106,162 @@ def test_rk4_grad_norms_of_a_diverging_run_end_with_its_arrays():
     np.testing.assert_array_equal(traj.grad_norms, expected)
 
 
+# The allocating formulas `pdd_vector_field` and `integrate_rk4` were
+# written as before they wrote into buffers made once per call; the
+# buffered versions must give the same bits.
+
+def allocating_field(x, p, t, params, obj, grad=None):
+    g = obj.gradient(x) if grad is None else grad
+    A = params.A
+    dp = A * g - (params.eps_at(t) * A) * p
+    dx = -params.C.apply(x, p + params.gamma * dp)
+    return dx, dp
+
+
+def allocating_rk4(params, obj, x0, p0, t_end, dt):
+    t0 = dt if callable(params.epsilon) else 0.0
+    d = obj.dim
+    z = np.concatenate((x0, p0))
+    n_steps = int(round((t_end - t0) / dt))
+    times = t0 + dt * np.arange(n_steps + 1)
+    zs = np.empty((n_steps + 1, 2 * d))
+    zs[0] = z
+    sq_norms = np.empty(n_steps + 1)
+    diverged = False
+
+    def f(t, z, grad=None):
+        return np.concatenate(allocating_field(z[:d], z[d:], t, params, obj,
+                                               grad=grad))
+
+    with np.errstate(all="ignore"):
+        for k in range(n_steps):
+            t = times[k]
+            g = obj.gradient(z[:d])
+            sq_norms[k] = g.dot(g)
+            k1 = f(t, z, g)
+            k2 = f(t + 0.5 * dt, z + 0.5 * dt * k1)
+            k3 = f(t + 0.5 * dt, z + 0.5 * dt * k2)
+            k4 = f(t + dt, z + dt * k3)
+            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            zs[k + 1] = z
+            if not np.isfinite(z).all():
+                diverged = True
+                n_steps = k + 1
+                break
+        g = obj.gradient(z[:d])
+        sq_norms[n_steps] = g.dot(g)
+    n = n_steps + 1
+    return (times[:n], zs[:n, :d], zs[:n, d:], np.sqrt(sq_norms[:n]),
+            diverged)
+
+
+def trajectory_fields(traj):
+    return traj.times, traj.xs, traj.ps, traj.grad_norms, traj.diverged
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+def preconditioner(kind, d, rng):
+    if kind == "identity":
+        return Preconditioner.identity()
+    if kind == "diagonal":
+        return Preconditioner.diagonal(rng.uniform(0.5, 2.0, d))
+    M = rng.standard_normal((d, d))
+    M = M @ M.T + d * np.eye(d)
+    if kind == "dense":
+        return Preconditioner.dense(M)
+    return Preconditioner.from_callback(
+        lambda x: M / (1.0 + 0.1 * np.tanh(x[0])))
+
+
+KINDS = ["identity", "diagonal", "dense", "callback"]
+
+
+@pytest.mark.parametrize("eps", ["0.7", "3/t"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_rk4_is_bitwise_the_allocating_loop(kind, eps):
+    rng = np.random.default_rng(KINDS.index(kind))
+    d = 6
+    obj = ob.reg_log_sum_exp(ob.make_diag_dominant_Q(d, seed=1))
+    params = DynParams(A=1.3, gamma=0.4, C=preconditioner(kind, d, rng),
+                       epsilon=(lambda t: 3.0 / t) if eps == "3/t" else 0.7)
+    x0 = rng.standard_normal(d)
+    p0 = rng.standard_normal(d)
+    given = x0.tobytes(), p0.tobytes()
+    traj = integrate_rk4(params, obj, x0, p0, t_end=2.0, dt=0.01)
+    assert (x0.tobytes(), p0.tobytes()) == given
+    assert traj.times.shape == (200 if eps == "3/t" else 201,)
+    assert_same_bits(trajectory_fields(traj),
+                     allocating_rk4(params, obj, x0, p0, t_end=2.0, dt=0.01))
+
+
+@pytest.mark.parametrize("dt", [0.05, 1.0])
+def test_rk4_diverging_run_is_bitwise_the_allocating_loop(dt):
+    # dt beyond RK4's stability limit: the run overflows to inf (dt = 1) or
+    # nan (dt = 0.05) and must stop at the same step
+    obj = ob.quadratic(np.diag([1.0, 100.0, 1e4]))
+    params = DynParams(A=1.0, epsilon=0.1, gamma=0.5)
+    traj = integrate_rk4(params, obj, np.ones(3), np.zeros(3),
+                         t_end=2000.0, dt=dt)
+    assert traj.diverged and traj.times.shape[0] < 100
+    assert_same_bits(trajectory_fields(traj),
+                     allocating_rk4(params, obj, np.ones(3), np.zeros(3),
+                                    t_end=2000.0, dt=dt))
+
+
+def test_rk4_integrations_share_no_memory():
+    obj = ob.reg_log_sum_exp(ob.make_diag_dominant_Q(4, seed=2))
+    params = DynParams(A=1.0, epsilon=1.0, gamma=0.5)
+    first = trajectory_fields(integrate_rk4(
+        params, obj, np.ones(4), np.zeros(4), t_end=0.5, dt=0.01))[:4]
+    kept = [a.copy() for a in first]
+    second = trajectory_fields(integrate_rk4(
+        params, obj, -np.ones(4), np.ones(4), t_end=0.5, dt=0.01))[:4]
+    for a in first:
+        assert not any(np.shares_memory(a, b) for b in second)
+    assert_same_bits(first, kept)
+
+
+@pytest.mark.parametrize("with_grad", [False, True])
+@pytest.mark.parametrize("kind", KINDS)
+def test_vector_field_out_is_the_allocating_field(kind, with_grad):
+    rng = np.random.default_rng(10 + KINDS.index(kind))
+    d = 5
+    obj = ob.reg_log_sum_exp(ob.make_diag_dominant_Q(d, seed=3))
+    params = DynParams(A=0.8, epsilon=lambda t: 3.0 / t, gamma=0.3,
+                       C=preconditioner(kind, d, rng))
+    x, p = rng.standard_normal(d), rng.standard_normal(d)
+    g = obj.gradient(x) if with_grad else None
+    inputs = [a.tobytes() for a in (x, p, g) if a is not None]
+    want = np.concatenate(allocating_field(x, p, 0.7, params, obj, grad=g))
+
+    fenced = np.full(2 * d + 2, 7.0)  # one sentinel on each side of out
+    buf = fenced[1:-1]
+    dx, dp = pdd_vector_field(x, p, 0.7, params, obj, grad=g, out=buf)
+    assert buf.tobytes() == want.tobytes()
+    assert fenced[0] == fenced[-1] == 7.0
+    assert [a.tobytes() for a in (x, p, g) if a is not None] == inputs
+    assert dx.shape == dp.shape == (d,)
+    assert dx.ctypes.data == buf.ctypes.data
+    assert dp.ctypes.data == buf[d:].ctypes.data
+
+    dx, dp = pdd_vector_field(x, p, 0.7, params, obj, grad=g)
+    assert np.concatenate((dx, dp)).tobytes() == want.tobytes()
+
+
 def test_rk4_conserves_harmonic_rotation():
     obj = ob.quadratic(np.array([[1.0]]))
     params = DynParams(A=1.0, epsilon=0.0, gamma=0.0)
     traj = integrate_rk4(params, obj, np.array([1.0]), np.array([0.0]),
                          t_end=10.0, dt=1e-3)
-    norms = traj.norms()
+    norms = state_norms(traj)
     assert np.max(np.abs(norms - norms[0])) <= 10.0 * 1e-3 ** 4 * 10.0
 
 
@@ -136,7 +291,8 @@ def test_nesterov_integration_starts_after_zero():
     assert traj.times[0] == pytest.approx(0.01)
     assert not traj.diverged
     # the damped system must have lost energy
-    assert traj.norms()[-1] < traj.norms()[0]
+    norms = state_norms(traj)
+    assert norms[-1] < norms[0]
 
 
 def test_second_order_residual_orders():

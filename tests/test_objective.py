@@ -74,6 +74,35 @@ def test_lse_no_overflow_at_huge_arguments():
     assert f == pytest.approx(1000.0 + np.log(n) + 0.5 * x @ Q @ x)
 
 
+def _lse_reference(Q, x):
+    # the method-call formulas with fresh temporaries, as written before the
+    # kernel used ufunc reductions and in-place exp, divide and add
+    z = Q @ x
+    m = float(z.max())
+    e = np.exp(z - m)
+    se = float(e.sum())
+    f = m + float(np.log(se)) + 0.5 * float(x @ z)
+    g = Q @ (e / se) + z
+    s = e / se
+    H = Q @ (np.diag(s) - np.outer(s, s)) @ Q + Q
+    return f, g, 0.5 * (H + H.T)
+
+
+@pytest.mark.parametrize("n", [1, 5, 100])
+def test_lse_kernel_is_bitwise_the_method_formula(n):
+    rng = np.random.default_rng(n)
+    Q = ob.make_diag_dominant_Q(n, seed=n)
+    obj = ob.reg_log_sum_exp(Q)
+    points = [rng.standard_normal(n) * s for s in (1e-3, 1.0, 30.0)]
+    # |Q x| around 1e3, so the max shift is what keeps exp finite
+    points += [np.linalg.solve(Q, rng.uniform(-1e3, 1e3, n)) for _ in range(3)]
+    for x in points:
+        f, g, H = _lse_reference(Q, x)
+        assert np.float64(obj.value(x)).tobytes() == np.float64(f).tobytes()
+        assert obj.gradient(x).tobytes() == g.tobytes()
+        assert obj.hessian(x).tobytes() == H.tobytes()
+
+
 def test_eval_dimension_mismatches_raise():
     cases = [(ob.reg_log_sum_exp(ob.make_diag_dominant_Q(3, 0)), np.zeros(4)),
              (ob.quad_minus_cos(np.array([1.0, 0.5])), np.zeros(3)),
