@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .objective import Objective, as_vector
-from .optimizers import Preconditioner, validate_method
+from .optimizers import Preconditioner, lyapunov_value, validate_method
 
 __all__ = [
     "SpectralMode",
@@ -34,7 +34,6 @@ __all__ = [
     "continuous_lambda",
     "theorem6_params",
     "quadratic_spectral_rate",
-    "assemble_quadratic_system",
     "optimal_gamma",
     "build_N_H",
     "discrete_decay_check",
@@ -49,7 +48,7 @@ def lyapunov_I(obj: Objective, x, p,
     a precomputed ``grad`` at ``x`` is supplied."""
     p = np.asarray(p, dtype=float)
     g = obj.gradient(np.asarray(x, dtype=float)) if grad is None else grad
-    return 0.5 * (float(p @ p) + float(g @ g))
+    return lyapunov_value(p, float(g @ g))
 
 
 def continuous_lambda(mu: float, L: float, gamma: float, eps: float,
@@ -165,31 +164,6 @@ def quadratic_spectral_rate(mus: Sequence[float], as_: Sequence[float],
         modes.append(SpectralMode(mu=float(mu_i), a=float(a_i), roots=(r1, r2)))
         alpha = max(alpha, r1.real, r2.real)
     return SpectralReport(modes=modes, alpha=alpha, converges=alpha < 0.0)
-
-
-def assemble_quadratic_system(Q, A, B, gamma: float, eps: float) -> np.ndarray:
-    """Dense 2d x 2d generator of the linear (x, p) dynamics on a quadratic:
-
-        [[-gamma B Q A Q,  -B Q (I - gamma eps A)],
-         [        A Q,               -eps A      ]]
-
-    ``A`` may be a scalar, a diagonal vector, or a matrix. Used as the test
-    oracle for the per-mode rates.
-    """
-    Q = np.asarray(Q, dtype=float)
-    B = np.asarray(B, dtype=float)
-    d = Q.shape[0]
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 0:
-        Amat = float(A) * np.eye(d)
-    elif A.ndim == 1:
-        Amat = np.diag(A)
-    else:
-        Amat = A
-    I = np.eye(d)
-    top = np.hstack([-gamma * B @ Q @ Amat @ Q, -B @ Q @ (I - gamma * eps * Amat)])
-    bot = np.hstack([Amat @ Q, -eps * Amat])
-    return np.vstack([top, bot])
 
 
 def optimal_gamma(mu1: float, mun: float) -> Tuple[float, float]:

@@ -16,7 +16,6 @@ when any run diverges.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import analysis, harness
 from .dynamics import DynParams, integrate_rk4
 from .objective import as_vector
-from .optimizers import Preconditioner, pdd_step
+from .optimizers import Preconditioner, lyapunov_value, pdd_step
 
 
 def _apply_overrides(config, args):
@@ -37,14 +36,6 @@ def _apply_overrides(config, args):
         config.grad_tol = args.grad_tol
     harness.validate_config(config)
     return config
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-    return path
 
 
 def _report_artifact(artifact) -> int:
@@ -110,7 +101,7 @@ def cmd_analyze(args) -> int:
 
     gamma = p["sigma"] * p["omega"]
     out_dir = harness.resolve_output_dir(config, args.out, tag="analyze")
-    summary = _write_csv(out_dir / "rate_summary.csv", [
+    summary = harness.write_csv(out_dir / "rate_summary.csv", [
         "mu_hat", "L_hat", "Lp_hat", "tau", "gamma", "A", "epsilon", "omega",
         "decay_factor", "lambda_min_H", "M_bound", "D0_sample_lb",
         "within_bound"], [[
@@ -118,9 +109,10 @@ def cmd_analyze(args) -> int:
             p["epsilon"], p["omega"], recipe.decay_factor, report.lambda_min_H,
             report.M_bound, d0, int(report.within_bound)]])
     cells = [""] + [format(r, ".17g") for r in report.per_step_ratios]
-    ratios = _write_csv(out_dir / "rate_report.csv", ["step", "lyapunov", "ratio"],
-                        ([n, format(val, ".17g"), r] for n, (val, r) in
-                         enumerate(zip(report.lyapunov_values, cells))))
+    ratios = harness.write_csv(
+        out_dir / "rate_report.csv", ["step", "lyapunov", "ratio"],
+        ([n, format(val, ".17g"), r] for n, (val, r) in
+         enumerate(zip(report.lyapunov_values, cells))))
     print(f"  constants: mu={est.mu_hat:.6g} L={est.L_hat:.6g} "
           f"L'={est.Lp_hat:.6g}")
     print(f"  recipe: tau=sigma={p['tau']:.6g} "
@@ -136,7 +128,7 @@ def cmd_analyze(args) -> int:
         rep = analysis.quadratic_spectral_rate(
             np.sort(mus)[::-1], np.full(obj.dim, p["A"]),
             gamma=gamma, eps=p["epsilon"])
-        spath = _write_csv(
+        spath = harness.write_csv(
             out_dir / "spectral.csv", ["mu", "a", "root1_re", "root1_im",
                                        "root2_re", "root2_im", "alpha",
                                        "converges"],
@@ -161,10 +153,10 @@ def cmd_dynamics(args) -> int:
 
     traj = integrate_rk4(params, obj, x0, p0, t_end=d["t_end"], dt=d["dt"])
     out_dir = harness.resolve_output_dir(config, args.out, tag="dynamics")
-    path = _write_csv(
+    path = harness.write_csv(
         out_dir / "dynamics.csv", ["t", "f", "grad_norm", "lyapunov"],
         ([format(v, ".17g") for v in (t, obj.value(x), gn,
-                                      0.5 * (float(p @ p) + gn * gn))]
+                                      lyapunov_value(p, gn * gn))]
          for t, x, p, gn in zip(traj.times, traj.xs, traj.ps,
                                 traj.grad_norms.tolist())))
     print(f"  integrated to t={traj.times[-1]:.4g} "

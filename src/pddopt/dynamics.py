@@ -72,11 +72,11 @@ class DynParams:
     _operands: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.A <= 0:
+        if not self.A > 0:  # the negated forms also reject nan
             raise ValueError("A must be strictly positive")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
-        if not callable(self.epsilon) and self.epsilon < 0:
+        if not callable(self.epsilon) and not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
         epsA = None if callable(self.epsilon) else self.eps_at(0.0) * self.A
         object.__setattr__(self, "_operands", (
@@ -177,11 +177,11 @@ def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
     `pdd_vector_field`; its norms, plus one more gradient at the last
     state, come back as ``grad_norms``.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     if t0 is None:
         t0 = dt if callable(params.epsilon) else 0.0
-    if t_end < t0 + dt:
+    if not t_end >= t0 + dt:
         raise ValueError("t_end must allow at least one step")
     d = obj.dim
     x0 = as_vector(x0, d, "x0")

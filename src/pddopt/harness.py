@@ -10,6 +10,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import copy
+import csv
 import json
 import math
 import numbers
@@ -46,6 +47,7 @@ __all__ = [
     "preset",
     "build_problem",
     "run_experiment",
+    "write_csv",
     "emit_csv",
     "emit_svg",
     "load_config",
@@ -438,19 +440,28 @@ def _fmt(v: Optional[float]) -> str:
     return "" if v is None else format(v, ".17g")
 
 
+def write_csv(path, header: Sequence, rows):
+    """Write ``header`` and then ``rows`` to ``path`` with LF endings, and
+    return ``path``. Values are written as ``str`` gives them, so pass
+    floats through `_fmt` or ``format(v, ".17g")`` to keep every bit."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+    except OSError as exc:
+        raise OSError(f"writing {path}: {exc}") from exc
+    return path
+
+
 def emit_csv(traj: Trajectory, path) -> None:
     """Columns: iter,f,grad_norm,lyapunov,dist_to_min (blank when there is
     no known minimizer). '.' decimals, LF endings."""
     if not traj.records:
         raise ValueError("refusing to emit an empty trajectory")
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("iter,f,grad_norm,lyapunov,dist_to_min\n")
-            for r in traj.records:
-                fh.write(f"{r.iter},{_fmt(r.f)},{_fmt(r.grad_norm)},"
-                         f"{_fmt(r.lyapunov)},{_fmt(r.dist_to_min)}\n")
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
+    write_csv(path, ("iter", "f", "grad_norm", "lyapunov", "dist_to_min"),
+              ((r.iter, _fmt(r.f), _fmt(r.grad_norm), _fmt(r.lyapunov),
+                _fmt(r.dist_to_min)) for r in traj.records))
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -611,7 +622,10 @@ def _run_toynet(config: ExperimentConfig,
     files = []
     if "csv" in config.outputs:
         files.append(str(out_dir / "toynet_metrics.csv"))
-        toynet.write_metrics_csv(rows, files[-1])
+        write_csv(files[-1], ("epoch", "method", "seed", "train_loss",
+                              "test_acc"),
+                  ((r["epoch"], r["method"], r["seed"], _fmt(r["train_loss"]),
+                    _fmt(r["test_acc"])) for r in rows))
     if "svg" in config.outputs:
         losses: Dict[str, Dict[int, List[float]]] = {}  # method, epoch
         for r in rows:

@@ -42,6 +42,7 @@ __all__ = [
     "TrajectoryRecord",
     "Trajectory",
     "pdd_step",
+    "lyapunov_value",
     "compute_beta2",
     "compute_nag_beta",
     "run_optimizer",
@@ -69,11 +70,8 @@ class Preconditioner:
                 raise ValueError("diagonal preconditioner entries must be positive")
             payload = d
         elif kind == "dense":
-            M = np.asarray(payload, dtype=float)
-            if M.ndim != 2 or M.shape[0] != M.shape[1]:
-                raise ValueError("dense preconditioner must be square")
-            if np.max(np.abs(M - M.T)) > 1e-12:
-                raise ValueError("dense preconditioner must be symmetric")
+            M = objective._check_symmetric(payload, 1e-12,
+                                           "dense preconditioner")
             try:
                 np.linalg.cholesky(M)
             except np.linalg.LinAlgError as exc:
@@ -170,35 +168,39 @@ class Rule:
     ``params`` (required) and ``optional``, its ranges with ``check(**hp)``,
     which raises ``ValueError``.
 
-    A rule may also carry a strip-fused step for vectors longer than
-    `objective._STRIP` entries, which `start` selects: ``strip_init(x0, hp)``
-    returns its state, or None where ``hp`` needs the whole-array step, and
-    ``strip_step`` has ``step``'s signature. It runs the whole formula on
-    one strip of `objective._STRIP` entries at a time, in ``step``'s
-    operation order, so its working set stays in L2 and its result is
-    bitwise equal to ``step``'s on finite data. It writes only into buffers
-    its state allocated once per run, never into x, g or the caller's x0;
-    x+ alternates between two of them, because `run_optimizer` hands it
-    back as the next x. A nan's sign or payload is not part of a rule's
-    contract: numpy picks which nan operand an add returns by the entry's
-    place in its SIMD loop."""
+    A rule may also carry a strip-fused twin of ``step``, ``strip_step``,
+    with ``step``'s signature, which `start` selects for vectors longer than
+    `objective._STRIP` entries when ``hp`` has no C (C(x) v mixes entries).
+    Its state is ``init(x0)`` plus two x+ buffers, "out", and "strips", a
+    ``(slice, scratch)`` pair per strip of `objective._STRIP` entries. It
+    runs the whole formula one strip at a time, in ``step``'s operation
+    order, so its working set stays in L2 and its result is bitwise equal
+    to ``step``'s on finite data. It writes only into its state's arrays,
+    never into x, g or the caller's x0; x+ alternates between the two "out"
+    buffers, because `run_optimizer` hands it back as the next x. A nan's
+    sign or payload is not part of a rule's contract: numpy picks which nan
+    operand an add returns by the entry's place in its SIMD loop."""
     params: Tuple[str, ...]
     init: Callable[[np.ndarray], dict]
     step: Callable[..., Tuple[np.ndarray, dict]]
     check: Callable[..., None]
     optional: Tuple[str, ...] = ()
-    strip_init: Optional[Callable[[np.ndarray, dict], Optional[dict]]] = None
     strip_step: Optional[Callable[..., Tuple[np.ndarray, dict]]] = None
 
     def start(self, x0: np.ndarray, hp: dict):
         """(state, step) for a run from ``x0``: the strip-fused step above
         `objective._STRIP` entries where the rule has one for ``hp``, else
         ``init`` and ``step``."""
-        if len(x0) > objective._STRIP and self.strip_init is not None:
-            state = self.strip_init(x0, hp)
-            if state is not None:
-                return state, self.strip_step
-        return self.init(x0), self.step
+        state, n, size = self.init(x0), len(x0), objective._STRIP
+        if n <= size or self.strip_step is None or hp.get("C") is not None:
+            return state, self.step
+        # x+ buffers before the scratch: the other order ran large-d 1.1x
+        # slower on a 2-vCPU host, through glibc's heap layout, not more work
+        state["out"] = np.empty_like(x0), np.empty_like(x0)
+        t = np.empty(size)  # one scratch vector, shared by the strips
+        state["strips"] = [(slice(lo, lo + size), t[:min(size, n - lo)])
+                           for lo in range(0, n, size)]
+        return state, self.strip_step
 
     def validate(self, method: str, hp: dict) -> None:
         """Check the names, types and ranges of ``method``'s hyperparameters."""
@@ -317,25 +319,13 @@ def pdd_step(x, g, s, hp, grad=None):
             {"p": p_new})
 
 
+def lyapunov_value(p: np.ndarray, gg: float) -> float:
+    """I(x, p) = (|p|^2 + |grad f(x)|^2) / 2, given gg = |grad f(x)|^2."""
+    return 0.5 * (float(p @ p) + gg)
+
+
 # -- strip-fused steps: each is its whole-array twin above, strip by strip,
 # with the strip of x+ as scratch until its last write ------------------------
-
-def _strips(n: int) -> list:
-    """Slices of `objective._STRIP` entries covering range(n)."""
-    size = objective._STRIP
-    return [slice(lo, lo + size) for lo in range(0, n, size)]
-
-
-def _strips_with_scratch(n: int) -> list:
-    """``(slice, t)`` for each of `_strips(n)`, t a scratch vector of the
-    strip's length; all share one allocation."""
-    t = np.empty(min(n, objective._STRIP))
-    return [(i, t[:min(i.stop, n) - i.start]) for i in _strips(n)]
-
-
-def _out_pair(x0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    return np.empty_like(x0), np.empty_like(x0)
-
 
 def _spare(pair: Tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
     """The buffer of ``pair`` that does not hold ``x``: x+ alternates
@@ -345,7 +335,7 @@ def _spare(pair: Tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
 
 def _gd_strip_step(x, g, s, hp, grad):
     out, tau = _spare(s["out"], x), hp["tau"]
-    for i in s["strips"]:
+    for i, _ in s["strips"]:
         o = out[i]
         np.multiply(tau, g[i], o)
         np.subtract(x[i], o, o)
@@ -356,7 +346,7 @@ def _nag_strip_step(x, g, s, hp, grad):
     # y+ overwrites y_prev2 strip by strip, after the strip's last read of it
     out, tau, beta = _spare(s["out"], x), hp["tau"], hp["beta"]
     y_prev, y_new = s["y_prev"], s["y_prev2"]
-    for i in s["strips"]:
+    for i, _ in s["strips"]:
         o, y = out[i], y_new[i]
         np.subtract(y_prev[i], y, o)
         np.multiply(beta, o, o)
@@ -365,13 +355,6 @@ def _nag_strip_step(x, g, s, hp, grad):
         np.add(y, o, o)
     s["y_prev"], s["y_prev2"] = y_new, y_prev
     return out, s
-
-
-def _pdd_strip_init(x0, hp):
-    if hp.get("C") is not None:
-        return None
-    return {"p": np.zeros_like(x0), "out": _out_pair(x0),
-            "strips": _strips_with_scratch(len(x0))}
 
 
 def _pdd_strip_step(x, g, s, hp, grad):
@@ -393,15 +376,9 @@ def _pdd_strip_step(x, g, s, hp, grad):
     return out, s
 
 
-def _igahd_strip_init(x0, hp):
-    out = (x0.copy(), np.empty_like(x0))
-    return {"x_prev": out[0], "g_prev": None, "n": 1, "out": out,
-            "strips": _strips_with_scratch(len(x0))}
-
-
 def _igahd_strip_step(x, g, s, hp, grad):
-    # y goes into the spare buffer, x_prev's own on every step but the
-    # second; each strip reads x_prev before writing y, and x+ overwrites y
+    # y goes into the spare buffer, x_prev's own from the third step on;
+    # each strip reads x_prev before writing y, and x+ overwrites y
     tau, n, x_prev = hp["tau"], s["n"], s["x_prev"]
     g_prev = g if s["g_prev"] is None else s["g_prev"]
     b = hp["beta1"] * math.sqrt(tau)
@@ -430,29 +407,21 @@ def _igahd_strip_step(x, g, s, hp, grad):
 # alpha/n finite, and the g_prev of both igahd variants starts as the first g
 RULES = {
     "gd": Rule(("tau",), lambda x0: {}, _gd_step, _check_tau,
-               strip_init=lambda x0, hp: {"out": _out_pair(x0),
-                                          "strips": _strips(len(x0))},
                strip_step=_gd_strip_step),
     "nag": Rule(("tau", "beta"),
                 lambda x0: {"y_prev": x0.copy(), "y_prev2": x0.copy()},
-                _nag_step, _check_momentum,
-                strip_init=lambda x0, hp: {
-                    "y_prev": x0.copy(), "y_prev2": x0.copy(),
-                    "out": _out_pair(x0), "strips": _strips(len(x0))},
-                strip_step=_nag_strip_step),
+                _nag_step, _check_momentum, strip_step=_nag_strip_step),
     "heavy_ball": Rule(("tau", "beta"), lambda x0: {"x_prev": x0.copy()},
                        _heavy_ball_step, _check_momentum),
     "igahd": Rule(("tau", "alpha", "beta1"),
                   lambda x0: {"x_prev": x0.copy(), "g_prev": None, "n": 1},
-                  _igahd_step, _check_igahd,
-                  strip_init=_igahd_strip_init, strip_step=_igahd_strip_step),
+                  _igahd_step, _check_igahd, strip_step=_igahd_strip_step),
     "igahd_sc": Rule(("tau", "m1", "beta2"),
                      lambda x0: {"x_prev": x0.copy(), "g_prev": None},
                      _igahd_sc_step, _check_igahd_sc),
     "pdd": Rule(("tau", "sigma", "A", "epsilon", "omega"),
                 lambda x0: {"p": np.zeros_like(x0)}, pdd_step, _check_pdd,
-                optional=("C",), strip_init=_pdd_strip_init,
-                strip_step=_pdd_strip_step),
+                optional=("C",), strip_step=_pdd_strip_step),
 }
 
 
@@ -505,14 +474,14 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
     divergence (any non-finite value, gradient, or iterate) sets a flag on
     the trajectory instead of raising, so a benchmark batch survives
     unstable hyperparameters. The dual of the pdd method starts at zero
-    unless ``p0`` is given. Identical inputs always produce identical
-    trajectories.
+    unless ``p0`` is given; a ``p0`` for a method without a dual raises
+    ``ValueError``. Identical inputs always produce identical trajectories.
     """
-    if max_iter < 1:
+    if not max_iter >= 1:  # also rejects nan, which never stops
         raise ValueError("max_iter must be >= 1")
     if not grad_tol >= 0:  # also rejects nan, which never converges
         raise ValueError("grad_tol must be nonnegative")
-    if record_every < 1:
+    if not record_every >= 1:
         raise ValueError("record_every must be >= 1")
     validate_method(method, params)
     rule = RULES[method]
@@ -520,7 +489,9 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
     x = as_vector(x0, obj.dim, "x0")
     traj = Trajectory(method=label or method)
     state, step = rule.start(x, params)
-    if p0 is not None and "p" in state:
+    if p0 is not None:
+        if "p" not in state:
+            raise ValueError(f"{method} has no dual variable for p0 to start")
         state["p"][...] = as_vector(p0, obj.dim, "p0")  # the caller keeps p0
 
     xstar = obj.minimizer
@@ -529,7 +500,7 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
         fval = obj.value(xc)
         gn = float(np.linalg.norm(gc))
         p = state.get("p")
-        lyap = 0.5 * gn * gn if p is None else 0.5 * (float(p @ p) + gn * gn)
+        lyap = 0.5 * gn * gn if p is None else lyapunov_value(p, gn * gn)
         dist = float(np.linalg.norm(xc - xstar)) if xstar is not None else None
         traj.records.append(TrajectoryRecord(it, fval, gn, lyap, dist))
         return fval

@@ -18,7 +18,6 @@ Runs are deterministic per seed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,7 +36,6 @@ __all__ = [
     "stochastic_step",
     "TrainConfig",
     "train",
-    "write_metrics_csv",
     "DEFAULT_HYPERPARAMS",
     "METHODS",
 ]
@@ -330,13 +328,3 @@ def train(config: TrainConfig) -> List[dict]:
                              "train_loss": float(loss[i, j]),
                              "test_acc": float(acc[i, j])})
     return rows
-
-
-def write_metrics_csv(rows: Sequence[dict], path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["epoch", "method", "seed", "train_loss", "test_acc"])
-        for r in rows:
-            w.writerow([r["epoch"], r["method"], r["seed"],
-                        format(r["train_loss"], ".17g"),
-                        format(r["test_acc"], ".17g")])

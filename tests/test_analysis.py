@@ -3,7 +3,6 @@ import pytest
 
 from pddopt import objective as ob
 from pddopt.analysis import (
-    assemble_quadratic_system,
     build_N_H,
     continuous_lambda,
     discrete_decay_check,
@@ -14,6 +13,8 @@ from pddopt.analysis import (
     theorem6_params,
 )
 from pddopt.optimizers import Preconditioner, pdd_step
+
+from oracles import assemble_quadratic_system
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from pddopt.dynamics import (
 )
 from pddopt.optimizers import Preconditioner, pdd_step
 
+from oracles import assemble_quadratic_system
+
 
 def state_norms(traj):
     """Euclidean norm of the stacked state (x, p) at each time."""
@@ -44,7 +46,7 @@ def test_field_matches_quadratic_block_matrix():
     C = Preconditioner.diagonal(Cdiag)
     A, eps, gamma = 1.7, 0.6, 0.3
     B = np.diag(Cdiag) @ np.linalg.inv(Q)  # C = B hess f
-    M = analysis.assemble_quadratic_system(Q, A, B, gamma, eps)
+    M = assemble_quadratic_system(Q, A, B, gamma, eps)
     params = DynParams(A=A, epsilon=eps, gamma=gamma, C=C)
     for _ in range(20):
         x = rng.standard_normal(4)
@@ -400,6 +402,25 @@ def test_consistency_shared_reference_matches_per_tau_references(
     ref = per_tau_reference_consistency(obj, **args)
     np.testing.assert_allclose(errs, ref, rtol=1e-6, atol=0.0)
     assert errs[-1] == ref[-1]
+
+
+@pytest.mark.parametrize("bad", [
+    {"A": np.nan}, {"gamma": np.nan}, {"epsilon": np.nan}, {"A": 0.0},
+    {"gamma": -1.0}, {"epsilon": -1.0}])
+def test_dyn_params_reject_out_of_range_and_nan_coefficients(bad):
+    with pytest.raises(ValueError):
+        DynParams(**{"A": 1.0, "epsilon": 1.0, "gamma": 0.5, **bad})
+
+
+@pytest.mark.parametrize("t_end,dt,message", [
+    (1.0, float("nan"), "dt must be positive"),
+    (float("nan"), 0.1, "t_end must allow")])
+def test_integrate_rk4_rejects_a_nan_dt_or_t_end(t_end, dt, message):
+    obj = ob.quadratic(np.array([[1.0]]))
+    params = DynParams(A=1.0, epsilon=1.0, gamma=0.5)
+    with pytest.raises(ValueError, match=message):
+        integrate_rk4(params, obj, np.ones(1), np.zeros(1), t_end=t_end,
+                      dt=dt)
 
 
 def test_consistency_rejects_taus_that_do_not_nest():

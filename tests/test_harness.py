@@ -1,5 +1,8 @@
 import csv
+import importlib
+import inspect
 import math
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -227,8 +230,6 @@ def test_toynet_config_passes_its_params(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(harness.toynet, "train",
                         lambda cfg: seen.append(cfg.hyperparams) or [])
-    monkeypatch.setattr(harness.toynet, "write_metrics_csv",
-                        lambda rows, path: None)
     run_experiment(_toynet_config(tmp_path, [
         OptimizerSpec("sgd", "sgd", {"tau": 0.05}),
         OptimizerSpec("adam", "adam", {})]))
@@ -595,6 +596,17 @@ def test_run_optimizer_rejects_a_nan_grad_tol():
                       grad_tol=math.nan)
 
 
+@pytest.mark.parametrize("key", ["max_iter", "record_every"])
+def test_run_optimizer_rejects_a_nan_max_iter_or_record_every(key):
+    # a nan max_iter used to run until the gradient met grad_tol, or forever
+    from pddopt.optimizers import run_optimizer
+
+    obj, _ = build_problem(ProblemSpec("rosenbrock2d"))
+    with pytest.raises(ValueError, match=key):
+        run_optimizer(obj, "gd", {"tau": 1e-3}, [0.0, 0.0],
+                      **{"max_iter": 5, key: math.nan})
+
+
 @pytest.mark.parametrize("outputs", ["csv", ["png"], ["csv", "csv"], None])
 def test_outputs_must_be_distinct_csv_or_svg(outputs):
     # "csv" became ('c', 's', 'v') and ["png"] wrote nothing, both exiting 0
@@ -671,6 +683,29 @@ def test_readme_lists_every_declared_key_with_its_kind():
                  for name, table in harness.PROBLEM_PARAMS.items()
                  for k, key in table.items()}
     assert declared <= _readme_config_table()
+
+
+def test_write_csv_names_the_path_it_could_not_write(tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    with pytest.raises(OSError, match=f"writing {re.escape(str(path))}: "):
+        harness.write_csv(path, ["a"], [[1]])
+
+
+@pytest.mark.parametrize("module", ["objective", "optimizers", "dynamics",
+                                    "analysis", "harness", "toynet"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"pddopt.{module}")
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+
+def test_package_exports_only_names_its_modules_export():
+    import pddopt
+
+    exported = {n for m in ("objective", "optimizers", "dynamics", "analysis")
+                for n in importlib.import_module(f"pddopt.{m}").__all__}
+    public = {n for n, v in vars(pddopt).items()
+              if not n.startswith("_") and not inspect.ismodule(v)}
+    assert public - exported == set()
 
 
 def test_toynet_writes_only_the_outputs_it_is_given(tmp_path):

@@ -383,6 +383,13 @@ def test_pdd_p0_override():
     assert traj.records[0].lyapunov == pytest.approx(0.5 * float(p0 @ p0))
 
 
+def test_p0_rejected_for_a_method_without_a_dual():
+    obj = ob.quadratic(np.diag([1.0, 2.0]))
+    with pytest.raises(ValueError, match="gd has no dual"):
+        run_optimizer(obj, "gd", {"tau": 0.1}, np.ones(2), max_iter=1,
+                      p0=np.zeros(2))
+
+
 @pytest.mark.parametrize("with_C", [False, True], ids=["no-C", "diagonal-C"])
 def test_run_optimizer_steps_pdd_with_pdd_step(with_C):
     # one copy of the damping formula: the pdd rule's step is pdd_step, and
@@ -440,6 +447,9 @@ def test_preconditioner_validation():
         Preconditioner.dense(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         Preconditioner.dense(np.diag([1.0, -1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            Preconditioner.dense(np.array([[1.0, bad], [bad, 1.0]]))
     P = Preconditioner.diagonal([2.0, 4.0])
     np.testing.assert_allclose(P.apply(None, np.ones(2)), [2.0, 4.0])
     np.testing.assert_allclose(P.matrix(None, 2), np.diag([2.0, 4.0]))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pddopt import toynet as tn
+from pddopt import harness, toynet as tn
 
 
 def tiny_batch(seed=0, b=3, d=4, k=2):
@@ -280,9 +280,15 @@ def test_train_metrics_deterministic(tmp_path):
     r1 = tn.train(cfg)
     r2 = tn.train(cfg)
     assert r1 == r2
-    p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-    tn.write_metrics_csv(r1, p1)
-    tn.write_metrics_csv(r2, p2)
+
+    def write(run):  # cfg's training, written by the toynet preset
+        config = harness.preset("toynet", out_dir=str(tmp_path / run))
+        config.problem.params.update(n=200, d_in=5, k=3, epochs=3,
+                                     seeds=[0, 1], hidden=[8, 8])
+        config.outputs = ("csv",)
+        return harness.run_experiment(config).files[0]
+
+    p1, p2 = write("m1"), write("m2")
     assert open(p1, "rb").read() == open(p2, "rb").read()
     rows = list(csv.DictReader(open(p1)))
     assert set(rows[0].keys()) == {"epoch", "method", "seed", "train_loss",
