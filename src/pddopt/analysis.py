@@ -101,6 +101,8 @@ def theorem6_params(mu: float, L: float, Lp: float, delta: float = 1.0,
         raise ValueError("delta must be nonnegative")
     denom = delta + 36.0 * max(Lp, 1.0)
     tau = 0.25 * mu / denom
+    if tau == 0.0:
+        raise ValueError(f"mu = {mu:.6g} is too small: tau underflows to 0")
     sigma = tau
     gamma = (1.0 - sigma * mu) / mu
     eps = 1.0
@@ -214,10 +216,7 @@ def build_N_H(obj: Objective, x, params: dict) -> Tuple[np.ndarray, np.ndarray]:
 @dataclass
 class DiscreteRateReport:
     """Measured per-step Lyapunov ratios, and the values I(x^n, p^n) they
-    come from, against the certified bounds."""
-    lambda_min_H: float
-    M_bound: float
-    decay_factor: float
+    come from, against the recipe's decay factor."""
     per_step_ratios: List[float]
     within_bound: bool
     lyapunov_values: List[float]
@@ -243,15 +242,9 @@ def discrete_decay_check(values: Sequence[float],
     for prev, cur in zip(values[:-1], values[1:]):
         ratios.append(cur / prev if prev > 0.0 else 0.0)
     bound = recipe.decay_factor if recipe is not None else 1.0
-    within = all(r <= bound for r in ratios)
-    return DiscreteRateReport(
-        lambda_min_H=recipe.lambda_bound if recipe else math.nan,
-        M_bound=recipe.M_bound if recipe else math.nan,
-        decay_factor=bound if recipe else math.nan,
-        per_step_ratios=ratios,
-        within_bound=within,
-        lyapunov_values=values,
-    )
+    return DiscreteRateReport(per_step_ratios=ratios,
+                              within_bound=all(r <= bound for r in ratios),
+                              lyapunov_values=values)
 
 
 @dataclass(frozen=True)

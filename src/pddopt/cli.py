@@ -22,19 +22,17 @@ import numpy as np
 
 from . import analysis, harness
 from .dynamics import DynParams, integrate_rk4
-from .objective import as_vector
 from .optimizers import Preconditioner, lyapunov_value, pdd_step
 
 
 def _apply_overrides(config, args):
-    """``config`` with the command line's values, checked."""
+    """``config`` with the command line's values; running it checks them."""
     if getattr(args, "seed", None) is not None:
         config.problem.seed = args.seed
     if getattr(args, "max_iter", None) is not None:
         config.max_iter = args.max_iter
     if getattr(args, "grad_tol", None) is not None:
         config.grad_tol = args.grad_tol
-    harness.validate_config(config)
     return config
 
 
@@ -54,35 +52,34 @@ def _report_artifact(artifact) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _apply_overrides(harness.load_config(args.config), args)
-    artifact = harness.run_experiment(config, out_dir_override=args.out)
-    return _report_artifact(artifact)
-
-
-def cmd_preset(args) -> int:
+    """`run` a config file, or a `preset`; --dump-config writes only a config
+    that the run accepted."""
     config = _apply_overrides(
-        harness.preset(args.name, out_dir=args.out, seed=args.seed), args)
-    if args.dump_config:
+        harness.preset(args.name, out_dir=args.out, seed=args.seed)
+        if args.command == "preset" else harness.load_config(args.config), args)
+    artifact = harness.run_experiment(config, out_dir_override=args.out)
+    if getattr(args, "dump_config", None):
         harness.save_config(config, args.dump_config)
         print(f"  wrote {args.dump_config}")
-    artifact = harness.run_experiment(config, out_dir_override=args.out)
     return _report_artifact(artifact)
 
 
 def cmd_analyze(args) -> int:
     config = _apply_overrides(harness.load_config(args.config), args)
+    obj, ctx, x0, params = harness.prepare(config)
     opts = harness.read_section(
         "analysis", {"seed": config.problem.seed, **config.analysis})
-    obj, ctx = harness.build_problem(config.problem)
-    x0 = harness.materialize_x0(config.x0, obj.dim)
-    C = next((harness.resolve_preconditioner(o.params["C"], ctx)
-              for o in config.optimizers if o.method == "pdd" and "C" in o.params),
+    # pdd's C, the only method that takes one: the first given, else I
+    C = next((hp["C"] for hp in params if hp.get("C") is not None),
              Preconditioner.identity())
 
     rng = np.random.default_rng(opts["seed"])
     pts = np.vstack([x0, x0 + opts["sample_scale"] * rng.standard_normal(
         (opts["num_samples"], obj.dim))])
     est = analysis.estimate_constants(obj, pts, C=C)
+    if not est.mu_hat > 0:
+        raise ValueError(f"mu_hat = {est.mu_hat:.6g}: the objective is not "
+                         "strongly convex over the sampled points")
     recipe = analysis.theorem6_params(est.mu_hat, est.L_hat,
                                       max(est.Lp_hat, est.L_hat),
                                       delta=opts["delta"], C=C)
@@ -106,8 +103,8 @@ def cmd_analyze(args) -> int:
         "decay_factor", "lambda_min_H", "M_bound", "D0_sample_lb",
         "within_bound"], [[
             est.mu_hat, est.L_hat, est.Lp_hat, p["tau"], gamma, p["A"],
-            p["epsilon"], p["omega"], recipe.decay_factor, report.lambda_min_H,
-            report.M_bound, d0, int(report.within_bound)]])
+            p["epsilon"], p["omega"], recipe.decay_factor, recipe.lambda_bound,
+            recipe.M_bound, d0, int(report.within_bound)]])
     cells = [""] + [format(r, ".17g") for r in report.per_step_ratios]
     ratios = harness.write_csv(
         out_dir / "rate_report.csv", ["step", "lyapunov", "ratio"],
@@ -142,23 +139,22 @@ def cmd_analyze(args) -> int:
 
 def cmd_dynamics(args) -> int:
     config = _apply_overrides(harness.load_config(args.config), args)
+    obj, _, x0, _ = harness.prepare(config)
     d = harness.read_section("dynamics", config.dynamics)
-    obj, _ = harness.build_problem(config.problem)
-    x0 = harness.materialize_x0(config.x0, obj.dim)
 
     params = DynParams(A=d["A"], gamma=d["gamma"], epsilon=(lambda t: 3.0 / t)
                        if d["epsilon"] == "3/t" else float(d["epsilon"]))
-    p0 = np.zeros(obj.dim) if d["p0"] is None \
-        else as_vector(d["p0"], obj.dim, "dynamics p0")
+    p0 = np.zeros(obj.dim) if d["p0"] is None else d["p0"]  # checked on use
 
     traj = integrate_rk4(params, obj, x0, p0, t_end=d["t_end"], dt=d["dt"])
     out_dir = harness.resolve_output_dir(config, args.out, tag="dynamics")
-    path = harness.write_csv(
-        out_dir / "dynamics.csv", ["t", "f", "grad_norm", "lyapunov"],
-        ([format(v, ".17g") for v in (t, obj.value(x), gn,
-                                      lyapunov_value(p, gn * gn))]
-         for t, x, p, gn in zip(traj.times, traj.xs, traj.ps,
-                                traj.grad_norms.tolist())))
+    with np.errstate(all="ignore"):  # f may overflow near a divergence
+        path = harness.write_csv(
+            out_dir / "dynamics.csv", ["t", "f", "grad_norm", "lyapunov"],
+            ([format(v, ".17g") for v in (t, obj.value(x), gn,
+                                          lyapunov_value(p, gn * gn))]
+             for t, x, p, gn in zip(traj.times, traj.xs, traj.ps,
+                                    traj.grad_norms.tolist())))
     print(f"  integrated to t={traj.times[-1]:.4g} "
           f"({'diverged' if traj.diverged else 'ok'})")
     print(f"  wrote {path}")
@@ -198,7 +194,7 @@ def main(argv=None) -> int:
         return p
 
     command("run", cmd_run, "run a config file")
-    p = command("preset", cmd_preset, "run a named experiment", config_arg=False)
+    p = command("preset", cmd_run, "run a named experiment", config_arg=False)
     p.add_argument("name", choices=harness.PRESET_NAMES)
     p.add_argument("--dump-config", default=None,
                    help="also write the materialized config JSON here")

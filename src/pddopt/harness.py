@@ -17,6 +17,7 @@ import numbers
 import operator
 import os
 import re
+import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from html import escape
@@ -29,6 +30,7 @@ from . import toynet
 from .objective import (
     Objective,
     ackley,
+    as_vector,
     make_diag_dominant_Q,
     quad_minus_cos,
     quadratic,
@@ -46,6 +48,7 @@ __all__ = [
     "PRESET_NAMES",
     "preset",
     "build_problem",
+    "prepare",
     "run_experiment",
     "write_csv",
     "emit_csv",
@@ -110,7 +113,7 @@ def _is_int(v) -> bool:
 
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) \
-        and math.isfinite(v)
+        and abs(v) <= sys.float_info.max  # not nan, inf or 10**400
 
 
 def _list_of(item, min_len: int = 0):
@@ -328,14 +331,14 @@ def materialize_x0(x0, dim: int) -> np.ndarray:
     return v
 
 
-def resolve_preconditioner(spec, ctx: dict) -> Optional[Preconditioner]:
-    """Turn a config-level C spec into a Preconditioner.
+def resolve_preconditioner(spec, ctx: dict, dim: int) -> Optional[Preconditioner]:
+    """Turn a config-level C spec into a Preconditioner on R^``dim``.
 
-    Accepted: "identity", "diag_inv_q" (inverse diagonal of the generated
-    Q), or {"diagonal": [...]}.
+    Accepted: null (no C), "identity", "diag_inv_q" (inverse diagonal of
+    the generated Q), or {"diagonal": [...]} with ``dim`` entries.
     """
-    if spec is None or isinstance(spec, Preconditioner):
-        return spec
+    if spec is None:
+        return None
     if spec == "identity":
         return Preconditioner.identity()
     if spec == "diag_inv_q":
@@ -343,9 +346,10 @@ def resolve_preconditioner(spec, ctx: dict) -> Optional[Preconditioner]:
         if Q is None:
             raise ValueError("diag_inv_q needs a problem that generates Q")
         return Preconditioner.diagonal(1.0 / np.diag(Q))
-    if isinstance(spec, dict) and "diagonal" in spec:
-        return Preconditioner.diagonal(np.asarray(spec["diagonal"], dtype=float))
-    raise ValueError(f"unknown preconditioner spec {spec!r}")
+    if not (isinstance(spec, dict) and list(spec) == ["diagonal"]
+            and KINDS["vector"][1](spec["diagonal"])):
+        raise ValueError(f"unknown preconditioner spec {spec!r}")
+    return Preconditioner.diagonal(as_vector(spec["diagonal"], dim, "C's diagonal"))
 
 
 # ---------------------------------------------------------------------------
@@ -575,37 +579,43 @@ def resolve_output_dir(config: ExperimentConfig, override: Optional[str] = None,
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    """Check what needs no built problem: every section (as loading does,
-    so CLI overrides too), unique labels and, for toynet, each method and
-    that its label is the method. Hyperparameters are checked by
-    `run_experiment` once the problem is built."""
+    """Check every section, as loading does (so CLI overrides too), and that
+    the labels are unique."""
     config_from_dict(config_to_dict(config))
     labels = [o.label for o in config.optimizers]
     if len(set(labels)) < len(labels):
         raise ValueError(f"duplicate optimizer label in {labels}")
-    if config.problem.name == "toynet":
-        for o in config.optimizers:
-            if o.method not in toynet.METHODS:
-                raise ValueError(f"unknown stochastic method {o.method!r}")
-            # rows, CSV and legend are keyed by method; unique labels then
-            # also rule out a method listed twice
-            if o.label != o.method:
-                raise ValueError(f"toynet optimizer label {o.label!r} must "
-                                 f"equal its method {o.method!r}")
 
 
-def _resolved_params(spec: OptimizerSpec, ctx: dict) -> dict:
-    """The optimizer's params with its C resolved against the problem,
-    checked by `validate_method`."""
-    params = dict(spec.params)
-    if "C" in params:
-        params["C"] = resolve_preconditioner(params["C"], ctx)
-    validate_method(spec.method, params)
-    return params
+def prepare(config: ExperimentConfig) -> tuple:
+    """Check all of ``config`` and build (objective, context, x0, each
+    optimizer's params with C resolved against the problem) before anything
+    is written. A toynet config raises ValueError: it has no objective."""
+    validate_config(config)
+    obj, ctx = build_problem(config.problem)
+    x0 = materialize_x0(config.x0, obj.dim)
+    resolved = []
+    for i, spec in enumerate(config.optimizers):
+        params = dict(spec.params)
+        try:
+            if "C" in params:
+                params["C"] = resolve_preconditioner(params["C"], ctx, obj.dim)
+            validate_method(spec.method, params)
+        except ValueError as exc:
+            raise ValueError(f"optimizers[{i}] ({spec.label}): {exc}") from None
+        resolved.append(params)
+    return obj, ctx, x0, resolved
 
 
 def _run_toynet(config: ExperimentConfig,
                 out_dir_override: Optional[str]) -> RunArtifact:
+    validate_config(config)
+    for o in config.optimizers:
+        # rows, CSV and legend are keyed by method (toynet.train checks
+        # each); unique labels then also rule out a method listed twice
+        if o.label != o.method:
+            raise ValueError(f"toynet optimizer label {o.label!r} must "
+                             f"equal its method {o.method!r}")
     p = problem_params(config.problem)
     cfg = toynet.TrainConfig(
         data_seed=config.problem.seed,
@@ -635,9 +645,10 @@ def _run_toynet(config: ExperimentConfig,
         series = [(m, np.array(sorted(losses[m]), dtype=float) + 1.0,
                    np.array([np.mean(v) for _, v in sorted(losses[m].items())]))
                   for m in cfg.methods if m in losses]
-        files.append(str(out_dir / "toynet_loss.svg"))
-        emit_svg(series, files[-1], xlabel="epoch", ylabel="train loss",
-                 title="toynet mean train loss")
+        if series:  # empty when every run diverged in its first epoch
+            files.append(str(out_dir / "toynet_loss.svg"))
+            emit_svg(series, files[-1], xlabel="epoch", ylabel="train loss",
+                     title="toynet mean train loss")
     diverged = any(not math.isfinite(r["train_loss"]) for r in rows)
     return RunArtifact(config=config, trajectories={}, wall_clock={"toynet": wall},
                        files=files, any_diverged=diverged)
@@ -647,19 +658,16 @@ def run_experiment(config: ExperimentConfig,
                    out_dir_override: Optional[str] = None) -> RunArtifact:
     """Run every optimizer in the config on the shared problem and start.
 
-    Writes one CSV per optimizer and a combined SVG convergence plot. The
-    artifact lists every file written; ``any_diverged`` reflects whether
-    some run blew up (the CLI exits nonzero in that case). Every
-    optimizer's C and hyperparameters are checked before the first run, so
-    a bad config writes nothing.
+    Writes one CSV per optimizer and a combined SVG convergence plot, left
+    out when no run recorded a positive finite gradient norm. The artifact
+    lists every file written; ``any_diverged`` reflects whether some run
+    blew up (the CLI exits nonzero in that case). `prepare` checks the
+    whole config before the first run, so a bad config writes nothing.
     """
-    validate_config(config)
     if config.problem.name == "toynet":
         return _run_toynet(config, out_dir_override)
 
-    obj, ctx = build_problem(config.problem)
-    x0 = materialize_x0(config.x0, obj.dim)
-    resolved = [_resolved_params(spec, ctx) for spec in config.optimizers]
+    obj, _, x0, resolved = prepare(config)
     out_dir = resolve_output_dir(config, out_dir_override)
 
     trajectories: Dict[str, Trajectory] = {}
@@ -680,9 +688,10 @@ def run_experiment(config: ExperimentConfig,
     if "svg" in config.outputs:
         series = [(label, t.iters, t.column("grad_norm"))
                   for label, t in trajectories.items()]
-        path = out_dir / "convergence.svg"
-        emit_svg(series, path, title=f"{config.problem.name}")
-        files.append(str(path))
+        if any(np.any(np.isfinite(y) & (y > 0.0)) for _, _, y in series):
+            path = out_dir / "convergence.svg"
+            emit_svg(series, path, title=f"{config.problem.name}")
+            files.append(str(path))
 
     any_diverged = any(t.diverged for t in trajectories.values())
     return RunArtifact(config=config, trajectories=trajectories,

@@ -29,6 +29,7 @@ at every size) made them slower.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -214,7 +215,7 @@ class Rule:
         for k in self.params:
             v = hp[k]
             if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                    or not math.isfinite(v):
+                    or not abs(v) <= sys.float_info.max:  # nan, inf, 10**400
                 raise ValueError(f"{method}: parameter {k!r} must be a finite number")
         try:
             self.check(**hp)

@@ -284,7 +284,7 @@ def train(config: TrainConfig) -> List[dict]:
     hp_table = config.hyperparams or DEFAULT_HYPERPARAMS
     hps = {}
     for method in config.methods:
-        hps[method] = hp_table.get(method, DEFAULT_HYPERPARAMS[method])
+        hps[method] = hp_table.get(method, DEFAULT_HYPERPARAMS.get(method))
         _rule(method).validate(method, hps[method])
 
     with np.errstate(all="ignore"):

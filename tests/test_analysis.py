@@ -281,8 +281,8 @@ def test_decay_check_with_recipe():
                                recipe)
     assert rep.within_bound
     assert max(rep.per_step_ratios) <= 1.0 - 1.0 / 1152.0
-    assert rep.decay_factor == recipe.decay_factor
-    assert rep.lambda_min_H == pytest.approx(0.25)
+    assert recipe.decay_factor == pytest.approx(1.0 - 1.0 / 1152.0)
+    assert recipe.lambda_bound == pytest.approx(0.25)
 
 
 def test_decay_check_flags_oversized_stepsize():
@@ -398,3 +398,10 @@ def test_block_quadratic_form_bound():
         y = rng.standard_normal(d)
         form = float(x @ (lam_a * x) + y @ (lam_b * y) + x @ (lam_c * y))
         assert form <= 1e-12
+
+
+def test_theorem6_rejects_a_mu_whose_stepsize_underflows():
+    # tau = mu / (4 (delta + 36 L')) rounded to 0, and omega = gamma / sigma
+    # raised ZeroDivisionError
+    with pytest.raises(ValueError, match="tau underflows to 0"):
+        theorem6_params(1e-300, 1.0, 1e30)

@@ -739,3 +739,145 @@ def test_toynet_makes_no_directory_when_training_fails(tmp_path):
     with pytest.raises(ValueError, match="n >= 10k"):
         run_experiment(cfg)
     assert not (tmp_path / "out").exists()
+
+
+def _quadratic_config(tmp_path, pdd_params=None, gd_tau=0.1):
+    """A 5-d quadratic with a gd and a pdd optimizer, saved; returns its
+    path."""
+    cfg = ExperimentConfig(
+        problem=ProblemSpec(name="quadratic", params={"n": 5}, seed=2),
+        optimizers=[OptimizerSpec("gd", "gd", {"tau": gd_tau}),
+                    OptimizerSpec("pdd", "pdd", {
+                        "tau": 0.1, "sigma": 0.1, "A": 1.0, "epsilon": 1.0,
+                        "omega": 1.0, **(pdd_params or {})})],
+        x0={"fill": 1.0}, max_iter=50,
+        analysis={"num_samples": 3, "pdd_steps": 50},
+        dynamics={"t_end": 0.1, "dt": 0.01})
+    save_config(cfg, tmp_path / "cfg.json")
+    return str(tmp_path / "cfg.json")
+
+
+def test_run_rejects_a_C_diagonal_of_the_wrong_length_before_any_file(tmp_path):
+    # gd.csv used to be written before pdd died in a numpy broadcast
+    from pddopt.cli import main
+
+    cfg = preset("quadcos", out_dir=str(tmp_path / "out"))
+    cfg.optimizers = [cfg.optimizers[0], OptimizerSpec("pdd", "pdd", {
+        **cfg.optimizers[2].params, "C": {"diagonal": [1.0, 2.0]}})]
+    save_config(cfg, tmp_path / "cfg.json")
+    with pytest.raises(ValueError, match=r"optimizers\[1\] \(pdd\): C's "
+                                         r"diagonal has length 2, expected 100"):
+        main(["run", str(tmp_path / "cfg.json")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_rejects_a_C_diagonal_of_the_wrong_length_before_any_file(
+        tmp_path):
+    # analyze used to die in a matmul inside estimate_constants
+    from pddopt.cli import main
+
+    path = _quadratic_config(tmp_path, {"C": {"diagonal": [1.0, 2.0]}})
+    with pytest.raises(ValueError, match=r"optimizers\[1\] \(pdd\): C's "
+                                         r"diagonal has length 2, expected 5"):
+        main(["analyze", path, "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_takes_a_null_C_as_the_identity(tmp_path):
+    # analyze used to write two files, then fail on None.matrix in the
+    # spectral path; run already took null as the identity
+    from pddopt.cli import main
+
+    outs = []
+    for i, pdd_params in enumerate([{"C": None}, {}]):
+        (tmp_path / str(i)).mkdir()
+        outs.append(tmp_path / str(i) / "out")
+        assert main(["analyze", _quadratic_config(tmp_path / str(i), pdd_params),
+                     "--out", str(outs[-1])]) == 0
+    names = ["rate_report.csv", "rate_summary.csv", "spectral.csv"]
+    assert sorted(p.name for p in outs[0].iterdir()) == names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "analyze", "dynamics"])
+def test_every_command_rejects_params_that_run_rejects(tmp_path, command):
+    # analyze and dynamics used to ignore the optimizers' params
+    from pddopt.cli import main
+
+    path = _quadratic_config(tmp_path, gd_tau=-1.0)
+    with pytest.raises(ValueError, match=r"optimizers\[0\] \(gd\): gd: tau "
+                                         r"must be positive"):
+        main([command, path, "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "dynamics"])
+def test_analyze_and_dynamics_reject_a_toynet_config(tmp_path, command):
+    from pddopt.cli import main
+
+    save_config(preset("toynet"), tmp_path / "cfg.json")
+    with pytest.raises(ValueError, match="problem 'toynet' has no objective"):
+        main([command, str(tmp_path / "cfg.json"), "--out",
+              str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_names_mu_hat_when_the_sample_is_not_strongly_convex(tmp_path):
+    # ackley used to fail with theorem6_params' bare "need 0 < mu <= L <= L'"
+    from pddopt.cli import main
+
+    cfg = preset("ackley")
+    cfg.analysis = {"num_samples": 3, "pdd_steps": 10}
+    save_config(cfg, tmp_path / "cfg.json")
+    with pytest.raises(ValueError, match=r"mu_hat = -[0-9.e+-]+: the objective "
+                       r"is not strongly convex over the sampled points"):
+        main(["analyze", str(tmp_path / "cfg.json"), "--out",
+              str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_dump_config_writes_only_a_config_the_run_accepts(tmp_path):
+    from pddopt.cli import main
+
+    dump = tmp_path / "dumped.json"
+    with pytest.raises(ValueError, match="config: 'max_iter' must be"):
+        main(["preset", "quadcos", "--out", str(tmp_path / "o"),
+              "--max-iter", "0", "--dump-config", str(dump)])
+    assert not dump.exists() and not (tmp_path / "o").exists()
+
+
+def test_a_run_with_nothing_to_plot_leaves_the_plot_out(tmp_path):
+    # a start at the minimizer records only zero gradient norms, which log
+    # axes cannot show; emit_svg used to raise after the CSV was written
+    cfg = ExperimentConfig(
+        problem=ProblemSpec(name="quadratic", params={"diag": [1.0, 2.0]}),
+        optimizers=[OptimizerSpec("gd", "gd", {"tau": 0.1})],
+        x0=[0.0, 0.0], max_iter=10, output_dir=str(tmp_path))
+    art = run_experiment(cfg)
+    assert art.files == [str(tmp_path / "gd.csv")] and not art.any_diverged
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gd.csv"]
+
+
+def test_dynamics_writes_a_diverging_trajectory_without_warnings(tmp_path):
+    # with b < 0 the trajectory runs off; f of its last finite states
+    # overflowed with a RuntimeWarning while dynamics.csv was written
+    from pddopt.cli import main
+
+    d = _config_dict("rosenbrock2d", x0=[2.2, -1.8],
+                     dynamics={"t_end": 2.0, "dt": 0.01})
+    d["problem"]["params"] = {"a": 0.2, "b": -8.0}
+    save_config(harness.config_from_dict(d), tmp_path / "cfg.json")
+    assert main(["dynamics", str(tmp_path / "cfg.json"), "--out",
+                 str(tmp_path / "out")]) == 1
+    rows = list(csv.DictReader(open(tmp_path / "out" / "dynamics.csv")))
+    assert not math.isfinite(float(rows[-1]["f"]))
+
+
+@pytest.mark.parametrize("where", ["x0", "dynamics"])
+def test_a_real_no_float_holds_is_rejected_at_load_time(where):
+    # math.isfinite(10**400) raised OverflowError
+    d = _config_dict(x0={"fill": 10 ** 400}) if where == "x0" \
+        else _config_dict(dynamics={"gamma": 10 ** 400})
+    with pytest.raises(ValueError, match="must be"):
+        harness.config_from_dict(d)

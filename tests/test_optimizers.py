@@ -372,6 +372,13 @@ def test_validate_method_rejects_bad_specs():
                             "C": Preconditioner.identity()})
 
 
+def test_validate_method_rejects_an_int_no_float_holds():
+    # math.isfinite(10**400) raised OverflowError
+    with pytest.raises(ValueError, match="gd: parameter 'tau' must be a "
+                                         "finite number"):
+        validate_method("gd", {"tau": 10 ** 400})
+
+
 def test_pdd_p0_override():
     obj = ob.quadratic(np.diag([1.0, 2.0]))
     params = {"tau": 0.05, "sigma": 0.05, "A": 1.0, "epsilon": 1.0,

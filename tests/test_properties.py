@@ -1,17 +1,18 @@
-"""Property tests of the update-rule table over random hyperparameters and
-of the config round trip."""
+"""Property tests of the update-rule table over random hyperparameters, of
+the config round trip, and of the CLI on drawn configs."""
 
+import json
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pddopt import harness
+from pddopt import cli, harness, toynet
 from pddopt import objective as ob
 from pddopt.optimizers import RULES, run_optimizer
 
@@ -278,3 +279,161 @@ def test_a_bool_string_or_out_of_range_value_is_rejected(config, data):
     # a section that is not an object is named as itself
     assert (key in str(err.value)
             and (where in str(err.value) or table[key].kind == "section"))
+
+
+# ---------------------------------------------------------------------------
+# the CLI on drawn configs: each command runs, or raises ValueError having
+# written nothing
+# ---------------------------------------------------------------------------
+
+small = st.floats(-3.0, 3.0)
+
+
+def vector_of(n, elements=small):
+    return st.lists(elements, min_size=n, max_size=n)
+
+
+@st.composite
+def small_problem_params(draw, name, dim):
+    """Valid params of problem ``name`` at dimension ``dim`` (d <= 4)."""
+    if name == "quadratic":
+        return draw(st.sampled_from([{"n": dim}, {}]) | st.builds(
+            dict, diag=vector_of(dim, st.floats(-1.0, 10.0))))
+    if name == "logsumexp":
+        return {"n": dim, "scale": draw(st.floats(0.1, 10.0))}
+    if name == "quadcos":
+        return {"dim": dim, "c_norm2": draw(st.floats(0.0, 1.99))}
+    if name.startswith("rosenbrock"):
+        ab = {"a": draw(small), "b": draw(st.floats(-10.0, 100.0))}
+        return {**ab, "n": dim} if name == "rosenbrockNd" else ab
+    if name == "toynet":
+        return {"n": 40, "d_in": 2, "k": 2, "epochs": 1, "batch_size": 16,
+                "hidden": [3], "seeds": [0]}
+    return {}
+
+
+@st.composite
+def small_configs(draw):
+    """(config dict, dimension) of a valid config whose commands finish in
+    milliseconds."""
+    name = draw(st.sampled_from(sorted(harness.PROBLEM_PARAMS)))
+    dim = draw(st.integers(2 if name == "rosenbrockNd" else 1, 4))
+    params = draw(small_problem_params(name, dim))
+    if name in ("rosenbrock2d", "ackley"):
+        dim = 2
+    elif name == "quadratic":
+        dim = len(params["diag"]) if "diag" in params else params.get("n", 10)
+    if name == "toynet":
+        methods = draw(st.lists(st.sampled_from(toynet.METHODS), min_size=1,
+                                max_size=2, unique=True))
+        optimizers = [{"method": m, "label": m, "params": {}} for m in methods]
+    else:
+        optimizers = []
+        for i, method in enumerate(draw(st.lists(st.sampled_from(sorted(RULES)),
+                                                 min_size=1, max_size=3))):
+            hp = draw(hyperparams(method))
+            if method == "pdd" and draw(st.booleans()):
+                hp["C"] = draw(st.sampled_from(
+                    [None, "identity", {"diagonal": [0.5 + k for k in range(dim)]}]
+                    + ["diag_inv_q"] * (name in ("quadratic", "logsumexp"))))
+            optimizers.append({"method": method, "label": f"{method}{i}",
+                               "params": hp})
+    d = {"problem": {"name": name, "params": params,
+                     "seed": draw(st.integers(0, 3))},
+         "optimizers": optimizers,
+         "x0": draw(st.builds(dict, fill=small) | vector_of(dim)),
+         "record_every": draw(st.integers(1, 10)),
+         "outputs": list(draw(valid(TOP["outputs"]))),
+         "analysis": draw(st.fixed_dictionaries({}, optional={
+             "num_samples": st.integers(1, 3), "pdd_steps": st.integers(1, 20),
+             "sample_scale": st.floats(0.0, 1.0), "delta": st.floats(0.0, 2.0),
+             "seed": st.integers(0, 3)})),
+         "dynamics": draw(st.fixed_dictionaries({}, optional={
+             "A": st.floats(0.1, 3.0), "gamma": st.floats(0.0, 2.0),
+             "epsilon": st.floats(0.0, 3.0) | st.just("3/t"),
+             "t_end": st.floats(0.01, 0.5), "dt": st.floats(0.005, 0.05),
+             "p0": vector_of(dim)}))}
+    return d, dim
+
+
+# a value of the wrong kind for any key, JSON can carry each
+odd_values = st.sampled_from([None, True, "x", [], {}, [1.0, "x"], -1, 0,
+                              10 ** 400, math.nan, math.inf, -1e308])
+bad_C = st.sampled_from([
+    "bogus", "diag_inv_q", {"diagonal": [-1.0]}, {"diagonal": "x"},
+    {"diagonal": [1.0, math.nan]}, {"diagonal": [1.0], "scale": 2.0},
+    {"diag": [1.0]}, {"diagonal": [[1.0]]}, {"diagonal": []}, 3, [1.0], True])
+
+
+@st.composite
+def mutated(draw, d, dim):
+    """``d`` with one change that the config may or may not survive; a part
+    that an earlier change made no JSON object is left alone."""
+    def obj(v):
+        return v if isinstance(v, dict) else None
+
+    problem = obj(d.get("problem")) or {}
+    params = obj(problem.get("params"))
+    opts = [o for o in d["optimizers"] if obj(o) is not None
+            and obj(o.get("params")) is not None] \
+        if isinstance(d.get("optimizers"), list) else []
+    sections = [(t, table) for t, table in [
+        (d, TOP), (problem, PROBLEM),
+        (obj(d.get("analysis")), harness.SECTIONS["analysis"]),
+        (obj(d.get("dynamics")), harness.SECTIONS["dynamics"]),
+        (params, harness.PROBLEM_PARAMS.get(str(problem.get("name")), {}))]
+        + [(o, OPTIMIZER) for o in opts] if t is not None and table]
+    kind = draw(st.sampled_from(["invalid", "odd", "length", "C", "hp"]))
+    if kind in ("invalid", "odd"):
+        target, table = draw(st.sampled_from(sections))
+        key = draw(st.sampled_from(sorted(table)))
+        # 10**400 is an in-range size for an int key, which nothing bounds
+        target[key] = draw(invalid(table[key]) if kind == "invalid" else
+                           odd_values.filter(lambda v: v != 10 ** 400)
+                           if table[key].kind in INTEGRAL else odd_values)
+        return d
+    wrong = vector_of(draw(st.sampled_from([0, dim - 1, dim + 1])))
+    where = draw(st.sampled_from(["x0", "p0", "diag"]))
+    if kind == "length" and where == "x0":
+        d["x0"] = draw(wrong)
+    elif kind == "length" and where == "p0" and obj(d.get("dynamics")):
+        d["dynamics"]["p0"] = draw(wrong)
+    elif kind == "length" and where == "diag" and params is not None:
+        params["diag"] = draw(vector_of(dim + 1, st.floats(0.1, 3.0)))
+    elif opts:
+        hp = draw(st.sampled_from(opts))["params"]
+        if kind == "length":
+            hp["C"] = {"diagonal": [abs(v) + 0.5 for v in draw(wrong)]}
+        elif kind == "C":
+            hp["C"] = draw(bad_C)
+        else:
+            key = draw(st.sampled_from(sorted(hp) + ["tau", "bogus"]))
+            if draw(st.booleans()):
+                hp.pop(key, None)
+            else:
+                hp[key] = draw(odd_values | st.floats(-2.0, 2.0))
+    return d
+
+
+@settings(max_examples=80, deadline=3000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_command_runs_or_raises_value_error_before_writing(tmp_path, data):
+    d, dim = data.draw(small_configs(), label="config")
+    for _ in range(data.draw(st.integers(0, 2), label="changes")):
+        d = data.draw(mutated(d, dim), label="changed")
+    flags = ["--max-iter", str(data.draw(st.integers(0, 30), label="max_iter"))]
+    seed = data.draw(st.none() | st.integers(-1, 3), label="seed")
+    if seed is not None:
+        flags += ["--seed", str(seed)]
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = work / "config.json"
+    path.write_text(json.dumps(d))
+    for command in ("run", "analyze", "dynamics"):
+        out = work / command
+        try:
+            code = cli.main([command, str(path), "--out", str(out), *flags])
+        except ValueError:
+            assert not out.exists() or not any(out.iterdir()), command
+        else:
+            assert code in (0, 1), command

@@ -428,3 +428,11 @@ def test_bad_counts_rejected_before_the_data(monkeypatch, field, value):
                             field: value})
     with pytest.raises(ValueError, match=field):
         tn.train(cfg)
+
+
+def test_train_rejects_an_unknown_method_with_value_error():
+    # the default hyperparameter lookup raised KeyError first
+    cfg = tn.TrainConfig(n=200, d_in=5, k=3, epochs=1, seeds=(0,),
+                         hidden=(4,), methods=("lbfgs",))
+    with pytest.raises(ValueError, match="unknown stochastic method 'lbfgs'"):
+        tn.train(cfg)
