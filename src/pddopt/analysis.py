@@ -109,9 +109,10 @@ def theorem6_params(mu: float, L: float, Lp: float, delta: float = 1.0,
     A = (mu + L) / (2.0 + (mu + L) * eps * gamma)
     omega = gamma / sigma
     decay = 1.0 - (mu * mu / 32.0) / denom
-    # both hold structurally for any valid input; kept as hard checks
+    # exact, but in floats gamma*A rounds to 1 once (mu+L) gamma passes ~1e16
     if not (gamma * A < 1.0 and sigma < 1.0 / 36.0):
-        raise ValueError("recipe must satisfy gamma*A < 1 and sigma < 1/36")
+        raise ValueError(f"mu = {mu:.6g} is too small relative to L = {L:.6g} "
+                         "for the recipe in floating point (gamma*A rounds to 1)")
     params = {"tau": tau, "sigma": sigma, "A": A, "epsilon": eps, "omega": omega}
     if C is not None:
         params["C"] = C
@@ -195,13 +196,13 @@ def build_N_H(obj: Objective, x, params: dict) -> Tuple[np.ndarray, np.ndarray]:
     """
     x = as_vector(x, obj.dim)
     d = obj.dim
-    Cmat = (params.get("C") or Preconditioner.identity()).matrix(x, d)
+    I = np.eye(d)
+    Cmat = I if params.get("C") is None else params["C"].matrix(x)
     Hess = obj.hessian_at(x)
     A, sigma, tau, eps = params["A"], params["sigma"], params["tau"], params["epsilon"]
     gamma = sigma * params["omega"]
     eta = sigma / tau
     scale = 1.0 / (1.0 + sigma * eps * A)
-    I = np.eye(d)
     N = scale * np.vstack([
         np.hstack([(sigma * A + gamma * A) * Cmat, (1.0 - eps * gamma * A) * Cmat]),
         np.hstack([-(eta * A) * I, (eta * eps * A) * I]),
@@ -286,12 +287,12 @@ def sample_D0_lower_bound(obj: Objective, points: Sequence, n_dirs: int = 8,
     return best
 
 
-def _c_sqrt(C: Preconditioner, x: np.ndarray,
+def _c_sqrt(C: Optional[Preconditioner], x: np.ndarray,
             dim: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """C(x) and its square root S = C(x)^{1/2} (None for C = I)."""
-    Cmat = C.matrix(x, dim)
-    if C.kind == "identity":
-        return Cmat, None
+    """C(x) and its square root S = C(x)^{1/2}; C = None is I, S then None."""
+    if C is None:
+        return np.eye(dim), None
+    Cmat = C.matrix(x)
     w, V = np.linalg.eigh(Cmat)
     if np.any(w <= 0):
         raise ValueError("preconditioner must be positive definite")
@@ -311,14 +312,13 @@ def estimate_constants(obj: Objective, sample_points: Sequence,
     constants; include any points you intend to certify in the sample.
     A constant C is factored once, a callback C at every point.
     """
-    C = C or Preconditioner.identity()
     mu_hat = math.inf
     L_hat = -math.inf
     Lp_hat = -math.inf
     factored = None
     for pt in sample_points:
         x = as_vector(pt, obj.dim)
-        if factored is None or not C.is_constant:
+        if factored is None or C is not None and not C.is_constant:
             factored = _c_sqrt(C, x, obj.dim)
         Cmat, S = factored
         Hess = obj.hessian_at(x)

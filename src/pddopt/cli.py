@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, harness
 from .dynamics import DynParams, integrate_rk4
-from .optimizers import Preconditioner, lyapunov_value, pdd_step
+from .optimizers import lyapunov_value, pdd_step
 
 
 def _apply_overrides(config, args):
@@ -69,9 +69,9 @@ def cmd_analyze(args) -> int:
     obj, ctx, x0, params = harness.prepare(config)
     opts = harness.read_section(
         "analysis", {"seed": config.problem.seed, **config.analysis})
-    # pdd's C, the only method that takes one: the first given, else I
-    C = next((hp["C"] for hp in params if hp.get("C") is not None),
-             Preconditioner.identity())
+    # pdd's C: the first not null in the config (so "identity" is I), else I
+    C = next((hp["C"] for spec, hp in zip(config.optimizers, params)
+              if spec.params.get("C") is not None), None)
 
     rng = np.random.default_rng(opts["seed"])
     pts = np.vstack([x0, x0 + opts["sample_scale"] * rng.standard_normal(
@@ -119,8 +119,7 @@ def cmd_analyze(args) -> int:
 
     if config.problem.name == "quadratic":
         Q = ctx["Q"]
-        Cmat = C.matrix(x0, obj.dim)
-        B = Cmat @ np.linalg.inv(Q)
+        B = (np.eye(obj.dim) if C is None else C.matrix(x0)) @ np.linalg.inv(Q)
         mus = np.linalg.eigvals(B @ Q @ (p["A"] * np.eye(obj.dim)) @ Q).real
         rep = analysis.quadratic_spectral_rate(
             np.sort(mus)[::-1], np.full(obj.dim, p["A"]),

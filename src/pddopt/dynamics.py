@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 EpsLike = Union[float, Callable[[float], float]]
+TRAJECTORY_CAP_BYTES = 2 ** 30  # `integrate_rk4`'s largest trajectory
 
 
 def _operand(v) -> np.ndarray:
@@ -65,7 +66,7 @@ class DynParams:
     A: float
     epsilon: EpsLike
     gamma: float
-    C: Preconditioner = field(default_factory=Preconditioner.identity)
+    C: Optional[Preconditioner] = None  # None is C = I
     # (A, gamma, eps*A) as read-only 0-d float64 arrays, eps*A None when
     # epsilon is callable: numpy converts a Python float operand on every
     # call, and `pdd_vector_field` runs 4 times per RK4 step
@@ -132,7 +133,7 @@ def pdd_vector_field(x: np.ndarray, p: np.ndarray, t: float,
     np.subtract(dp, dx, out=dp)
     np.multiply(gamma, dp, out=dx)
     np.add(p, dx, out=dx)
-    np.negative(params.C.apply(x, dx), out=dx)
+    np.negative(dx if params.C is None else params.C.apply(x, dx), out=dx)
     return dx, dp
 
 
@@ -152,6 +153,16 @@ def make_special_case(kind: str, eps: float = 1.0, gamma: float = 1.0) -> DynPar
     if kind == "nesterov":
         return DynParams(A=1.0, epsilon=lambda t: 3.0 / t, gamma=0.0)
     raise ValueError(f"unknown special case {kind!r}")
+
+
+def _step_count(t_end: float, t0: float, dt: float, d: int) -> float:
+    """(t_end - t0) / dt, if its RK4 trajectory fits `TRAJECTORY_CAP_BYTES`."""
+    steps = (t_end - t0) / dt
+    nbytes = 8.0 * (2 * d + 2) * (steps + 1.0)  # times, states and |g|^2
+    if not nbytes <= TRAJECTORY_CAP_BYTES:  # also an inf or nan step count
+        raise ValueError(f"t_end = {t_end!r}, dt = {dt!r} at dimension {d} need "
+                         f"{nbytes:.4g} bytes, over the {TRAJECTORY_CAP_BYTES}-byte cap")
+    return steps
 
 
 def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
@@ -175,7 +186,8 @@ def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
     so the trajectory is bitwise equal to the allocating formula's. Each
     step evaluates grad f once, at stage k1, and hands it to
     `pdd_vector_field`; its norms, plus one more gradient at the last
-    state, come back as ``grad_norms``.
+    state, come back as ``grad_norms``. A trajectory over
+    `TRAJECTORY_CAP_BYTES`, or of no finite length, raises ValueError first.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -184,10 +196,10 @@ def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
     if not t_end >= t0 + dt:
         raise ValueError("t_end must allow at least one step")
     d = obj.dim
+    n_steps = round(_step_count(t_end, t0, dt, d))
     x0 = as_vector(x0, d, "x0")
     p0 = as_vector(p0, d, "p0")
 
-    n_steps = int(round((t_end - t0) / dt))
     times = t0 + dt * np.arange(n_steps + 1)
     zs = np.empty((n_steps + 1, 2 * d))
     zs[0, :d] = x0
@@ -246,12 +258,12 @@ def second_order_residual(traj: OdeTrajectory, params: DynParams,
     Requires a constant C (its time derivative term is dropped) and a
     Hessian (analytic or finite-difference).
     """
-    if not params.C.is_constant:
+    if params.C is not None and not params.C.is_constant:
         raise ValueError("residual check requires a constant preconditioner")
     if traj.xs.shape[0] < 3:
         raise ValueError("need at least 3 samples for central differences")
     d = traj.xs.shape[1]
-    Cmat = params.C.matrix(traj.xs[0], d)
+    Cmat = np.eye(d) if params.C is None else params.C.matrix(traj.xs[0])
     A = params.A
     dt = traj.dt
     worst = 0.0
@@ -280,15 +292,15 @@ def discrete_continuous_consistency(obj: Objective, taus: Sequence[float],
     min(taus)/ref_refine and read at every tau's grid points; returned is
     the max-over-time state distance per tau. The taus must nest: each is
     an integer multiple of the smallest (up to rounding), else ValueError;
-    a reference that diverges before t_end also raises ValueError.
+    a reference that diverges, or is over `integrate_rk4`'s cap, does too.
     The error is first order, so halving tau should roughly halve it.
     """
-    C = C or Preconditioner.identity()
     x0 = as_vector(x0, obj.dim, "x0")
     p0 = as_vector(p0, obj.dim, "p0")
     tau_min = min(taus)
     if not tau_min > 0:
         raise ValueError("taus must be positive")
+    _step_count(t_end, 0.0, tau_min / ref_refine, obj.dim)
     plan = []  # (tau, pdd steps, reference steps per pdd step)
     for tau in taus:
         m = round(tau / tau_min)

@@ -286,9 +286,9 @@ def load_config(path) -> ExperimentConfig:
 def build_problem(spec: ProblemSpec) -> Tuple[Objective, dict]:
     """Instantiate the objective named by a problem spec.
 
-    Returns the objective plus a context dict (generated matrices and
-    spectral data the preset stepsizes derive from). Rejects ``params``
-    that `PROBLEM_PARAMS` does not declare for the problem.
+    Returns the objective plus a context dict, holding the generated Q of a
+    quadratic or logsumexp problem. Rejects ``params`` that `PROBLEM_PARAMS`
+    does not declare for the problem.
     """
     name, seed = spec.name, spec.seed
     if name == "toynet":
@@ -306,14 +306,11 @@ def build_problem(spec: ProblemSpec) -> Tuple[Objective, dict]:
         # are uniform(-1, 1) without the 1/n normalization
         Q = p["scale"] * make_diag_dominant_Q(p["n"], seed)
         ctx["Q"] = Q
-        w = np.linalg.eigvalsh(Q)
-        ctx["lambda_min"], ctx["lambda_max"] = float(w[0]), float(w[-1])
         return reg_log_sum_exp(Q), ctx
     if name == "quadcos":
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(p["dim"])
         c *= math.sqrt(p["c_norm2"]) / np.linalg.norm(c)
-        ctx["c"] = c
         return quad_minus_cos(c), ctx
     if name.startswith("rosenbrock"):
         return rosenbrock(**p), ctx  # rosenbrock2d leaves n at 2
@@ -334,13 +331,11 @@ def materialize_x0(x0, dim: int) -> np.ndarray:
 def resolve_preconditioner(spec, ctx: dict, dim: int) -> Optional[Preconditioner]:
     """Turn a config-level C spec into a Preconditioner on R^``dim``.
 
-    Accepted: null (no C), "identity", "diag_inv_q" (inverse diagonal of
-    the generated Q), or {"diagonal": [...]} with ``dim`` entries.
+    Accepted: null and "identity" (C = I, as None), "diag_inv_q" (inverse
+    diagonal of the generated Q), or {"diagonal": [...]} with ``dim`` entries.
     """
-    if spec is None:
+    if spec is None or spec == "identity":
         return None
-    if spec == "identity":
-        return Preconditioner.identity()
     if spec == "diag_inv_q":
         Q = ctx.get("Q")
         if Q is None:
@@ -383,8 +378,8 @@ def preset(name: str, out_dir: Optional[str] = None,
         # reference matrix magnitude, hence scale = n/2
         cfg = config({"n": 100, "scale": 50.0}, 7, [], x0={"fill": 0.1},
                      max_iter=20000)
-        _, ctx = build_problem(cfg.problem)
-        lmin, lmax = ctx["lambda_min"], ctx["lambda_max"]
+        w = np.linalg.eigvalsh(build_problem(cfg.problem)[1]["Q"])
+        lmin, lmax = float(w[0]), float(w[-1])
         tau_att = 0.0016
         cfg.optimizers = [
             _opt("gd", tau=2.0 / (3.0 * lmax + lmin)),

@@ -56,13 +56,13 @@ __all__ = [
 class Preconditioner:
     """Primal preconditioner C(x).
 
-    Supported kinds: identity, fixed positive diagonal, fixed symmetric
-    positive definite dense matrix, or a callback x -> matrix for
-    state-dependent preconditioning.
+    Supported kinds: fixed positive diagonal, fixed symmetric positive
+    definite dense matrix, or a callback x -> matrix for state-dependent
+    preconditioning. C = I is no object: every caller takes ``None`` as I.
     """
 
     def __init__(self, kind: str, payload=None):
-        if kind not in ("identity", "diagonal", "dense", "callback"):
+        if kind not in ("diagonal", "dense", "callback"):
             raise ValueError(f"unknown preconditioner kind {kind!r}")
         self.kind = kind
         if kind == "diagonal":
@@ -83,10 +83,6 @@ class Preconditioner:
         self.payload = payload
 
     @classmethod
-    def identity(cls) -> "Preconditioner":
-        return cls("identity")
-
-    @classmethod
     def diagonal(cls, d) -> "Preconditioner":
         return cls("diagonal", d)
 
@@ -104,18 +100,14 @@ class Preconditioner:
 
     def apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """C(x) v."""
-        if self.kind == "identity":
-            return v
         if self.kind == "diagonal":
             return self.payload * v
         if self.kind == "dense":
             return self.payload @ v
         return np.asarray(self.payload(x), dtype=float) @ v
 
-    def matrix(self, x: np.ndarray, dim: int) -> np.ndarray:
+    def matrix(self, x: np.ndarray) -> np.ndarray:
         """Dense representation of C(x)."""
-        if self.kind == "identity":
-            return np.eye(dim)
         if self.kind == "diagonal":
             return np.diag(self.payload)
         if self.kind == "dense":
@@ -497,9 +489,10 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
 
     xstar = obj.minimizer
 
-    def record(it: int, xc: np.ndarray, gc: np.ndarray) -> float:
+    def record(it: int, xc: np.ndarray, gn2: float) -> float:
+        # numpy's 1-d norm is sqrt(g.dot(g)): gn is np.linalg.norm(g)'s bits
         fval = obj.value(xc)
-        gn = float(np.linalg.norm(gc))
+        gn = math.sqrt(gn2)
         p = state.get("p")
         lyap = 0.5 * gn * gn if p is None else lyapunov_value(p, gn * gn)
         dist = float(np.linalg.norm(xc - xstar)) if xstar is not None else None
@@ -518,14 +511,14 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
             gn2 = float(g.dot(g))
             if not math.isfinite(gn2 + x.dot(zero)):
                 traj.diverged = True
-                record(it, x, g)
+                record(it, x, gn2)
                 break
-            if it % record_every == 0 and not math.isfinite(record(it, x, g)):
+            if it % record_every == 0 and not math.isfinite(record(it, x, gn2)):
                 traj.diverged = True
                 break
             if gn2 <= gtol2 or it >= max_iter:
                 if it % record_every != 0:
-                    record(it, x, g)
+                    record(it, x, gn2)
                 break
             x, state = step(x, g, state, params, gradient)
             it += 1

@@ -77,6 +77,16 @@ def test_theorem6_recipe_values():
         theorem6_params(2.0, 1.0, 1.0)
 
 
+def test_theorem6_recipe_names_a_mu_too_small_for_floats():
+    # gamma*A = (mu+L) gamma / (2 + (mu+L) gamma) rounds to 1 here; the
+    # message used to name only the violated inequalities
+    with pytest.raises(ValueError, match="mu = 1e-17 is too small relative "
+                                         "to L = 1 for the recipe in floating"
+                                         " point"):
+        theorem6_params(1e-17, 1.0, 1.0)
+    theorem6_params(1e-16, 1.0, 1.0)
+
+
 def test_theorem6_recipe_is_a_checked_pdd_hp_dict():
     p = theorem6_params(1.0, 2.0, 3.0).params
     assert sorted(p) == ["A", "epsilon", "omega", "sigma", "tau"]

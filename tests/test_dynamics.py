@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,7 +68,7 @@ def test_make_special_case():
     assert nes.eps_at(3.0) == pytest.approx(1.0)
 
     hd = make_special_case("hessian_damping", eps=1.0, gamma=0.5)
-    assert hd.gamma == 0.5 and hd.A == 1.0 and hd.C.kind == "identity"
+    assert hd.gamma == 0.5 and hd.A == 1.0 and hd.C is None
     with pytest.raises(ValueError):
         make_special_case("hessian_damping", eps=1.0, gamma=0.0)
     with pytest.raises(ValueError):
@@ -116,7 +118,8 @@ def allocating_field(x, p, t, params, obj, grad=None):
     g = obj.gradient(x) if grad is None else grad
     A = params.A
     dp = A * g - (params.eps_at(t) * A) * p
-    dx = -params.C.apply(x, p + params.gamma * dp)
+    v = p + params.gamma * dp
+    dx = -(v if params.C is None else params.C.apply(x, v))
     return dx, dp
 
 
@@ -172,7 +175,7 @@ def assert_same_bits(got, want):
 
 def preconditioner(kind, d, rng):
     if kind == "identity":
-        return Preconditioner.identity()
+        return None
     if kind == "diagonal":
         return Preconditioner.diagonal(rng.uniform(0.5, 2.0, d))
     M = rng.standard_normal((d, d))
@@ -471,3 +474,24 @@ def test_lyapunov_decay_continuous():
     for k in range(0, traj.xs.shape[0], 100):
         It = analysis.lyapunov_I(obj, traj.xs[k], traj.ps[k])
         assert It <= 1.05 * I0 * np.exp(-mu * traj.times[k])
+
+
+@pytest.mark.parametrize("t_end,dt", [(1e300, 1e-10), (10.0, 1e-6),
+                                      (math.inf, 1.0), (5e3, 1e-3)])
+def test_rk4_refuses_a_trajectory_over_the_cap_before_allocating(t_end, dt):
+    # 1e300 / 1e-10 overflowed int(round(.)); 10 / 1e-6 at d = 100 asked
+    # np.empty for 16 GB
+    obj = ob.quadratic(np.eye(100))
+    with pytest.raises(ValueError, match=r"dt = .* at dimension 100 need "
+                                         r".* bytes, over the 1073741824-byte"):
+        integrate_rk4(DynParams(A=1.0, epsilon=1.0, gamma=0.5), obj,
+                      np.ones(100), np.zeros(100), t_end=t_end, dt=dt)
+
+
+@pytest.mark.parametrize("t_end", [1e300, math.inf])
+def test_consistency_probe_obeys_the_trajectory_cap(t_end):
+    obj = ob.quadratic(np.eye(2))
+    with pytest.raises(ValueError, match="byte cap"):
+        discrete_continuous_consistency(obj, [0.1, 0.05], gamma=0.5, eps=1.0,
+                                        A=1.0, x0=np.ones(2), p0=np.zeros(2),
+                                        t_end=t_end)

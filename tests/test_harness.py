@@ -881,3 +881,94 @@ def test_a_real_no_float_holds_is_rejected_at_load_time(where):
         else _config_dict(dynamics={"gamma": 10 ** 400})
     with pytest.raises(ValueError, match="must be"):
         harness.config_from_dict(d)
+
+
+@pytest.mark.parametrize("t_end,dt", [(1e300, 1e-10), (10.0, 1e-6)])
+def test_dynamics_refuses_a_huge_trajectory_before_any_directory(tmp_path,
+                                                                t_end, dt):
+    # the first raised OverflowError in integrate_rk4; the second asked
+    # np.empty for a (1e7 + 1) x 200 array, 16 GB
+    from pddopt.cli import main
+
+    d = _config_dict(dynamics={"t_end": t_end, "dt": dt})
+    save_config(harness.config_from_dict(d), tmp_path / "cfg.json")
+    with pytest.raises(ValueError, match="at dimension 100 need .* bytes"):
+        main(["dynamics", str(tmp_path / "cfg.json"), "--out",
+              str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_names_a_mu_too_small_for_the_recipe(tmp_path):
+    from pddopt.cli import main
+
+    cfg = ExperimentConfig(
+        problem=ProblemSpec(name="quadratic", params={"diag": [1e-17, 1.0]}),
+        optimizers=[OptimizerSpec("gd", "gd", {"tau": 0.1})], x0=[1.0, 1.0])
+    save_config(cfg, tmp_path / "cfg.json")
+    with pytest.raises(ValueError, match="mu = 1e-17 is too small relative "
+                                         "to L = 1 for the recipe"):
+        main(["analyze", str(tmp_path / "cfg.json"), "--out",
+              str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def _pdd_quadratic(*Cs, n=5):
+    """A seed-11 quadratic with one pdd per C spec (None: no C key)."""
+    hp = {"tau": 0.5, "sigma": 0.5, "A": 1.0, "epsilon": 1.0, "omega": 1.0}
+    return ExperimentConfig(
+        problem=ProblemSpec(name="quadratic", params={"n": n}, seed=11),
+        optimizers=[OptimizerSpec("pdd", f"pdd{i}", hp if C is None
+                                  else {**hp, "C": C})
+                    for i, C in enumerate(Cs)],
+        x0={"fill": 5.0}, max_iter=5,
+        analysis={"num_samples": 3, "pdd_steps": 20})
+
+
+def test_an_identity_C_runs_the_null_C_path_strip_twin_included():
+    # "identity" was a Preconditioner of its own: a C.apply per step, and
+    # above one strip the whole-array step instead of the strip twin
+    import dataclasses
+
+    from pddopt import objective as ob
+    from pddopt.optimizers import RULES, run_optimizer
+
+    cfg = _pdd_quadratic(None, "identity", "diag_inv_q", n=100)
+    cfg.optimizers[0].params["C"] = None
+    strips = []
+    rule = RULES["pdd"]
+
+    def spy(*args):
+        strips.append(1)
+        return rule.strip_step(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ob, "_STRIP", 64)
+        mp.setitem(RULES, "pdd", dataclasses.replace(rule, strip_step=spy))
+        obj, _, x0, params = harness.prepare(cfg)
+        assert params[0]["C"] is None and params[1]["C"] is None
+        trajs = []
+        for hp in params:
+            strips.clear()
+            trajs.append(run_optimizer(obj, "pdd", hp, x0, 5))
+            assert len(strips) == (5 if hp["C"] is None else 0)
+    assert trajs[0].records == trajs[1].records
+    assert trajs[0].final_x.tobytes() == trajs[1].final_x.tobytes()
+
+
+def test_analyze_certifies_a_leading_identity_C_with_I(tmp_path):
+    # the first pdd whose config C is not null gives analyze its C: a
+    # leading "identity" is I even though a diagonal follows it
+    from pddopt.cli import main
+
+    outs = {}
+    for name, Cs in [("plain", (None,)), ("identity", ("identity", "diag_inv_q")),
+                     ("diagonal", ("diag_inv_q",))]:
+        save_config(_pdd_quadratic(*Cs), tmp_path / f"{name}.json")
+        outs[name] = tmp_path / name
+        assert main(["analyze", str(tmp_path / f"{name}.json"), "--out",
+                     str(outs[name])]) == 0
+    for csv_name in ("rate_report.csv", "rate_summary.csv", "spectral.csv"):
+        plain = (outs["plain"] / csv_name).read_bytes()
+        assert (outs["identity"] / csv_name).read_bytes() == plain
+    assert (outs["diagonal"] / "rate_summary.csv").read_bytes() != \
+        (outs["plain"] / "rate_summary.csv").read_bytes()

@@ -369,7 +369,7 @@ def test_validate_method_rejects_bad_specs():
                                 "epsilon": "one", "omega": 1.0})
     validate_method("pdd", {"tau": 0.1, "sigma": 0.1, "A": 1.0,
                             "epsilon": 1.0, "omega": 1.0,
-                            "C": Preconditioner.identity()})
+                            "C": None})
 
 
 def test_validate_method_rejects_an_int_no_float_holds():
@@ -459,7 +459,7 @@ def test_preconditioner_validation():
             Preconditioner.dense(np.array([[1.0, bad], [bad, 1.0]]))
     P = Preconditioner.diagonal([2.0, 4.0])
     np.testing.assert_allclose(P.apply(None, np.ones(2)), [2.0, 4.0])
-    np.testing.assert_allclose(P.matrix(None, 2), np.diag([2.0, 4.0]))
+    np.testing.assert_allclose(P.matrix(None), np.diag([2.0, 4.0]))
 
 
 @pytest.mark.parametrize("method,params,name", [

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -383,7 +383,13 @@ def mutated(draw, d, dim):
         (obj(d.get("dynamics")), harness.SECTIONS["dynamics"]),
         (params, harness.PROBLEM_PARAMS.get(str(problem.get("name")), {}))]
         + [(o, OPTIMIZER) for o in opts] if t is not None and table]
-    kind = draw(st.sampled_from(["invalid", "odd", "length", "C", "hp"]))
+    kind = draw(st.sampled_from(["invalid", "odd", "length", "C", "hp",
+                                 "span"]))
+    if kind == "span" and obj(d.get("dynamics")) is not None:
+        # always over integrate_rk4's cap, so no long integration runs
+        d["dynamics"].update(t_end=draw(st.floats(1e7, 1e300)), dt=draw(
+            st.floats(0.0, 1e-3, exclude_min=True)))
+        return d
     if kind in ("invalid", "odd"):
         target, table = draw(st.sampled_from(sections))
         key = draw(st.sampled_from(sorted(table)))
@@ -415,7 +421,9 @@ def mutated(draw, d, dim):
     return d
 
 
+# no shrinking: a failure reports in seconds, not after minutes of it
 @settings(max_examples=80, deadline=3000,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate],
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_every_command_runs_or_raises_value_error_before_writing(tmp_path, data):
