@@ -257,23 +257,23 @@ class ConstantEstimates:
     Lp_hat: float
 
 
-def sample_D0_lower_bound(obj: Objective, points: Sequence, n_dirs: int = 8,
-                          seed: int = 0, h: float = 1e-3) -> float:
+def sample_D0_lower_bound(obj: Objective, points: Sequence,
+                          seed: int = 0) -> float:
     """Sampled lower bound on the supremum of the third-derivative form of
     the Lyapunov functional (the true constant is a global supremum and is
     not computable exactly; for quadratics it is 0).
 
-    For each sample point and unit direction u in (x, p)-space the third
-    directional derivative of I is estimated by central differences of
-    I along u.
+    For each sample point and each of 8 random unit directions u in
+    (x, p)-space the third directional derivative of I is estimated by
+    central differences of I along u, with step h = 1e-3.
     """
     rng = np.random.default_rng(seed)
-    best = 0.0
+    best, h = 0.0, 1e-3
     d = obj.dim
     for pt in points:
         x = as_vector(pt, d)
         p = rng.standard_normal(d)
-        for _ in range(n_dirs):
+        for _ in range(8):
             u = rng.standard_normal(2 * d)
             u /= np.linalg.norm(u)
             ux, up = u[:d], u[d:]
@@ -300,8 +300,7 @@ def _c_sqrt(C: Optional[Preconditioner], x: np.ndarray,
 
 
 def estimate_constants(obj: Objective, sample_points: Sequence,
-                       C: Optional[Preconditioner] = None,
-                       fd_scale: float = 1e-5) -> ConstantEstimates:
+                       C: Optional[Preconditioner] = None) -> ConstantEstimates:
     """Estimate the rate constants over a sample of points.
 
     mu_hat / L_hat are the extreme eigenvalues of hess f(x) C(x) over the
@@ -329,7 +328,7 @@ def estimate_constants(obj: Objective, sample_points: Sequence,
         L_hat = max(L_hat, float(w[-1]))
 
         v = obj.gradient(x)
-        h = fd_scale * (1.0 + np.linalg.norm(x)) / (1.0 + np.linalg.norm(v))
+        h = 1e-5 * (1.0 + np.linalg.norm(x)) / (1.0 + np.linalg.norm(v))
         T = (obj.hessian_at(x + h * v) - obj.hessian_at(x - h * v)) / (2.0 * h)
         M = Cmat.T @ (T + Hess @ Hess) @ Cmat
         M = 0.5 * (M + M.T)

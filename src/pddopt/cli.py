@@ -8,9 +8,9 @@ Subcommands:
     dynamics <config.json> integrate the continuous system, emit CSV
     toynet                train the small network with every stochastic method
 
-Common flags: --out, --seed, --max-iter, --grad-tol. The environment
-variable PDD_OUT_DIR sets the default output root. Exit status is nonzero
-when any run diverges.
+Flags: --out, --seed, and for run and preset --max-iter, --grad-tol. The
+environment variable PDD_OUT_DIR sets the default output root. Exit status
+is nonzero when any run diverges.
 """
 
 from __future__ import annotations
@@ -197,8 +197,10 @@ def main(argv=None) -> int:
     p.add_argument("name", choices=harness.PRESET_NAMES)
     p.add_argument("--dump-config", default=None,
                    help="also write the materialized config JSON here")
-    command("analyze", cmd_analyze, "rate certificates for a config")
-    command("dynamics", cmd_dynamics, "integrate the continuous system")
+    command("analyze", cmd_analyze, "rate certificates for a config",
+            overrides=False)
+    command("dynamics", cmd_dynamics, "integrate the continuous system",
+            overrides=False)
     p = command("toynet", cmd_toynet, "stochastic training comparison",
                 config_arg=False, overrides=False)
     p.add_argument("--seeds", type=int, default=None,

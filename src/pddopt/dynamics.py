@@ -166,14 +166,13 @@ def _step_count(t_end: float, t0: float, dt: float, d: int) -> float:
 
 
 def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
-                  t_end: float, dt: float,
-                  t0: Optional[float] = None) -> OdeTrajectory:
+                  t_end: float, dt: float) -> OdeTrajectory:
     """Classical fixed-step fourth-order Runge-Kutta integration.
 
-    For time-dependent epsilon the start time defaults to t0 = dt so that
-    eps is never evaluated at t = 0. The trajectory is flagged diverged (and
-    integration stops) on the first non-finite state; its arrays then end
-    at that state.
+    Integration starts at t0 = 0, or at t0 = dt for time-dependent epsilon
+    so that eps is never evaluated at t = 0. The trajectory is flagged
+    diverged (and integration stops) on the first non-finite state; its
+    arrays then end at that state.
 
     The state advances as one stacked vector (x, p), each step writing the
     next state into its own row of one (steps + 1, 2d) array; ``xs`` and
@@ -191,8 +190,7 @@ def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if t0 is None:
-        t0 = dt if callable(params.epsilon) else 0.0
+    t0 = dt if callable(params.epsilon) else 0.0
     if not t_end >= t0 + dt:
         raise ValueError("t_end must allow at least one step")
     d = obj.dim
@@ -281,15 +279,13 @@ def second_order_residual(traj: OdeTrajectory, params: DynParams,
 
 def discrete_continuous_consistency(obj: Objective, taus: Sequence[float],
                                     gamma: float, eps: float, A: float,
-                                    x0, p0, t_end: float,
-                                    C: Optional[Preconditioner] = None,
-                                    ref_refine: int = 20) -> List[float]:
+                                    x0, p0, t_end: float) -> List[float]:
     """Distance between the discrete iteration and its continuous limit.
 
     For each tau (with sigma = tau and omega = gamma/sigma held so that
     sigma*omega stays fixed) the discrete iterates at times n*tau are
     compared against one Runge-Kutta reference, integrated once with step
-    min(taus)/ref_refine and read at every tau's grid points; returned is
+    min(taus)/20 and read at every tau's grid points; returned is
     the max-over-time state distance per tau. The taus must nest: each is
     an integer multiple of the smallest (up to rounding), else ValueError;
     a reference that diverges, or is over `integrate_rk4`'s cap, does too.
@@ -300,7 +296,9 @@ def discrete_continuous_consistency(obj: Objective, taus: Sequence[float],
     tau_min = min(taus)
     if not tau_min > 0:
         raise ValueError("taus must be positive")
-    _step_count(t_end, 0.0, tau_min / ref_refine, obj.dim)
+    ref_refine = 20  # RK4 steps per smallest tau
+    dt = tau_min / ref_refine
+    _step_count(t_end, 0.0, dt, obj.dim)
     plan = []  # (tau, pdd steps, reference steps per pdd step)
     for tau in taus:
         m = round(tau / tau_min)
@@ -308,18 +306,16 @@ def discrete_continuous_consistency(obj: Objective, taus: Sequence[float],
             raise ValueError(f"taus must be integer multiples of the smallest, "
                              f"{tau_min!r}; {tau!r} is not")
         plan.append((tau, int(round(t_end / tau)), m * ref_refine))
-    dt = tau_min / ref_refine
     ref_steps = max(n * stride for _, n, stride in plan)
-    ref = integrate_rk4(DynParams(A=A, epsilon=eps, gamma=gamma, C=C), obj,
-                        x0, p0, t_end=ref_steps * dt, dt=dt, t0=0.0)
+    ref = integrate_rk4(DynParams(A=A, epsilon=eps, gamma=gamma), obj,
+                        x0, p0, t_end=ref_steps * dt, dt=dt)
     if ref.diverged:
         raise ValueError(f"the RK4 reference (dt = {dt!r}) diverged at "
-                         f"t = {float(ref.times[-1])!r}; raise ref_refine "
-                         f"or shorten t_end")
+                         f"t = {float(ref.times[-1])!r}; shorten t_end")
     errors = []
     for tau, n, stride in plan:
         hp = {"tau": tau, "sigma": tau, "A": A, "epsilon": eps,
-              "omega": gamma / tau, "C": C}
+              "omega": gamma / tau}
         x, s = x0, {"p": p0}
         worst = 0.0
         for k in range(1, n + 1):

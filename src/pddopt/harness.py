@@ -241,11 +241,16 @@ def read_section(name: str, d, where: Optional[str] = None) -> dict:
 
 
 def problem_params(spec: ProblemSpec) -> dict:
-    """The named problem's params, read by `read_section`."""
+    """The named problem's params, read by `read_section`; a quadratic's
+    diag sets its dimension, so it takes no n beside it."""
     if spec.name not in PROBLEM_PARAMS:
         raise ValueError(f"unknown problem {spec.name!r}; "
                          f"choose from {list(PROBLEM_PARAMS)}")
-    return read_section(spec.name, spec.params, f"problem {spec.name!r} params")
+    where = f"problem {spec.name!r} params"
+    p = read_section(spec.name, spec.params, where)
+    if spec.name == "quadratic" and {"diag", "n"} <= set(spec.params):
+        raise ValueError(f"{where}: give 'diag' or 'n', not both")
+    return p
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -306,7 +306,7 @@ def make_diag_dominant_Q(n: int, seed: int) -> np.ndarray:
 # objective factories
 # ---------------------------------------------------------------------------
 
-def quadratic(Q, name: str = "quadratic") -> Objective:
+def quadratic(Q) -> Objective:
     """f = x'Qx/2 with gradient Qx and Hessian Q; Q symmetric pos. definite."""
     Q = _check_symmetric(Q, 1e-12, "Q")
     try:
@@ -320,11 +320,11 @@ def quadratic(Q, name: str = "quadratic") -> Objective:
         gradient=lambda x: Q @ x,
         hessian=lambda x: Q,
         minimizer=np.zeros(n),
-        name=name,
+        name="quadratic",
     )
 
 
-def reg_log_sum_exp(Q, name: str = "logsumexp") -> Objective:
+def reg_log_sum_exp(Q) -> Objective:
     """f = log sum_i exp(q_i'x) + x'Qx/2 with q_i' the i-th row of Q, finite
     for |q_i'x| up to ~1e4 because the exponents are max-shifted."""
     Q = _check_symmetric(Q, 1e-12, "Q")
@@ -336,11 +336,11 @@ def reg_log_sum_exp(Q, name: str = "logsumexp") -> Objective:
         value=lambda x: _lse_value(Q, x),
         gradient=lambda x: _lse_grad(Q, x),
         hessian=lambda x: _lse_hess(Q, x),
-        name=name,
+        name="logsumexp",
     )
 
 
-def quad_minus_cos(c, name: str = "quadcos") -> Objective:
+def quad_minus_cos(c) -> Objective:
     """f = |x|^2 - cos(c'x); gradient 2x + sin(c'x) c; Hessian 2I + cos(c'x) cc'."""
     c = as_vector(c, name="c")
     if float(c @ c) >= 2.0:
@@ -353,12 +353,11 @@ def quad_minus_cos(c, name: str = "quadcos") -> Objective:
         gradient=lambda x: 2.0 * x + np.sin(float(c @ x)) * c,
         hessian=lambda x: 2.0 * np.eye(n) + np.cos(float(c @ x)) * np.outer(c, c),
         minimizer=np.zeros(n),
-        name=name,
+        name="quadcos",
     )
 
 
-def rosenbrock(a: float = 1.0, b: float = 100.0, n: int = 2,
-               name: Optional[str] = None) -> Objective:
+def rosenbrock(a: float = 1.0, b: float = 100.0, n: int = 2) -> Objective:
     """f = sum_{i<n} (a - x_i)^2 + b (x_{i+1} - x_i^2)^2. Exposes the gradient
     only; the Hessian is obtained by finite differences where analysis needs it."""
     if n < 2:
@@ -374,18 +373,18 @@ def rosenbrock(a: float = 1.0, b: float = 100.0, n: int = 2,
         value=lambda x: _rosenbrock_value(a, b, x),
         gradient=functools.partial(_rosenbrock_grad, a, b),
         minimizer=minimizer,
-        name=name or f"rosenbrock{n}d",
+        name=f"rosenbrock{n}d",
     )
 
 
-def ackley(name: str = "ackley") -> Objective:
+def ackley() -> Objective:
     """Two-dimensional Ackley function, gradient 0 at the origin by convention."""
     return Objective(
         2,
         value=_ackley_value,
         gradient=_ackley_grad,
         minimizer=np.zeros(2),
-        name=name,
+        name="ackley",
     )
 
 

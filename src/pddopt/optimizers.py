@@ -457,7 +457,7 @@ def validate_method(method: str, params: dict) -> None:
 
 def run_optimizer(obj: Objective, method: str, params: dict, x0,
                   max_iter: int, grad_tol: float = 0.0,
-                  record_every: int = 1, p0=None,
+                  record_every: int = 1,
                   label: Optional[str] = None) -> Trajectory:
     """Iterate one optimizer until the gradient norm drops to ``grad_tol``,
     ``max_iter`` is reached, or the run diverges.
@@ -466,9 +466,8 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
     recorded every ``record_every`` iterations plus at the final iterate;
     divergence (any non-finite value, gradient, or iterate) sets a flag on
     the trajectory instead of raising, so a benchmark batch survives
-    unstable hyperparameters. The dual of the pdd method starts at zero
-    unless ``p0`` is given; a ``p0`` for a method without a dual raises
-    ``ValueError``. Identical inputs always produce identical trajectories.
+    unstable hyperparameters. The dual of the pdd method starts at zero.
+    Identical inputs always produce identical trajectories.
     """
     if not max_iter >= 1:  # also rejects nan, which never stops
         raise ValueError("max_iter must be >= 1")
@@ -482,11 +481,6 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
     x = as_vector(x0, obj.dim, "x0")
     traj = Trajectory(method=label or method)
     state, step = rule.start(x, params)
-    if p0 is not None:
-        if "p" not in state:
-            raise ValueError(f"{method} has no dual variable for p0 to start")
-        state["p"][...] = as_vector(p0, obj.dim, "p0")  # the caller keeps p0
-
     xstar = obj.minimizer
 
     def record(it: int, xc: np.ndarray, gn2: float) -> float:

@@ -220,7 +220,7 @@ def _rule(method: str) -> Rule:
 
 def stochastic_step(methods: Sequence[str], states: List[dict], x: np.ndarray,
                     sizes: Sequence[int], batch: Tuple[np.ndarray, np.ndarray],
-                    hps: Optional[Dict[str, Dict[str, float]]] = None
+                    hps: Dict[str, Dict[str, float]]
                     ) -> Tuple[List[dict], np.ndarray, np.ndarray]:
     """One mini-batch update of the parameter stack ``x`` of shape
     (M, ..., P), whose leading axis runs over ``methods``; ``states[i]`` is
@@ -229,11 +229,9 @@ def stochastic_step(methods: Sequence[str], states: List[dict], x: np.ndarray,
     block; igahd evaluates its second gradient on its own block only.
     Returns (states, x+, batch losses of shape x.shape[:-1]).
 
-    ``hps`` maps each method to its hyperparameters (default
-    `DEFAULT_HYPERPARAMS`) and is used as given: the rule steps check no
-    range, so pass values that ``Rule.validate`` has accepted (`train`
-    checks them once)."""
-    hps = hps or DEFAULT_HYPERPARAMS
+    ``hps`` maps each method to its hyperparameters and is used as given:
+    the rule steps check no range, so pass values that ``Rule.validate``
+    has accepted (`train` checks them once)."""
     loss, g = mlp_loss_grad(x, sizes, *batch)
     x_new, new_states = np.empty_like(x), []
     for i, method in enumerate(methods):

@@ -53,6 +53,8 @@ def test_continuous_lambda_examples():
     assert continuous_lambda(1.0, 1.0, 1.0, 1.0, 0.5) == pytest.approx(0.5)
     # gamma = eps = 0 certifies nothing (negative)
     assert continuous_lambda(1.0, 2.0, 0.0, 0.0, 1.0) < 0.0
+    with pytest.raises(ValueError, match="need 0 < mu <= L"):
+        continuous_lambda(0.0, 1.0, 1.0, 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +120,8 @@ def test_theorem6_rejects_non_finite_constants():
             theorem6_params(mu, L, Lp)
     with pytest.raises(ValueError):
         theorem6_params(1.0, 2.0, 3.0, delta=inf)
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        theorem6_params(1.0, 2.0, 3.0, delta=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +167,8 @@ def test_spectral_tuned_eps_rate():
 def test_spectral_rejects_nonpositive_modes():
     with pytest.raises(ValueError):
         quadratic_spectral_rate([1.0, -0.5], [1.0, 1.0], 0.1, 0.1)
+    with pytest.raises(ValueError, match="mus and as_ must have the same length"):
+        quadratic_spectral_rate([1.0, 0.5], [1.0], 0.1, 0.1)
 
 
 def test_mode_rates_match_dense_eigenvalues():
@@ -347,6 +353,13 @@ def test_estimate_constants_with_inverse_hessian_preconditioner():
     assert est.L_hat == pytest.approx(1.0, abs=1e-12)
     # C' (hess^2) C = Q^{-1} Q^2 Q^{-1} = I
     assert est.Lp_hat == pytest.approx(1.0, abs=1e-9)
+
+
+def test_estimate_constants_rejects_a_C_that_is_not_positive_definite():
+    C = Preconditioner.from_callback(lambda x: -np.eye(2))
+    with pytest.raises(ValueError, match="preconditioner must be positive "
+                                         "definite"):
+        estimate_constants(ob.quadratic(np.eye(2)), [np.zeros(2)], C=C)
 
 
 def test_estimate_constants_factors_a_constant_C_once(monkeypatch):

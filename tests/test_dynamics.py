@@ -373,7 +373,7 @@ def per_tau_reference_consistency(obj, taus, gamma, eps, A, x0, p0, t_end,
     for tau in taus:
         n = int(round(t_end / tau))
         ref = integrate_rk4(dyn, obj, x0, p0, t_end=n * tau,
-                            dt=tau / ref_refine, t0=0.0)
+                            dt=tau / ref_refine)
         hp = dict(tau=tau, sigma=tau, A=A, epsilon=eps, omega=gamma / tau)
         x, s = x0, {"p": p0}
         worst = 0.0
@@ -434,14 +434,22 @@ def test_consistency_rejects_taus_that_do_not_nest():
             x0=np.array([1.0]), p0=np.array([0.0]), t_end=1.0)
 
 
+def test_consistency_rejects_a_zero_tau():
+    obj = ob.quadratic(np.array([[1.0]]))
+    with pytest.raises(ValueError, match="taus must be positive"):
+        discrete_continuous_consistency(
+            obj, taus=(0.1, 0.0), gamma=0.5, eps=1.0, A=1.0,
+            x0=np.array([1.0]), p0=np.array([0.0]), t_end=1.0)
+
+
 def test_consistency_rejects_a_diverged_reference():
-    # dt = 0.5 is far outside RK4's stability region for the 1e4 mode: the
-    # reference overflows to nan at t = 13, long before t_end
+    # dt = 0.5/20 = 0.025 is far outside RK4's stability region for the 1e4
+    # mode: the reference overflows to nan at t = 1.1, long before t_end
     obj = ob.quadratic(np.diag([1.0, 1e4]))
-    with pytest.raises(ValueError, match=r"reference .* diverged at t = 13\.0"):
+    with pytest.raises(ValueError, match=r"reference .* diverged at t = 1\.1;"):
         discrete_continuous_consistency(
             obj, taus=[1.0, 0.5], gamma=0.5, eps=1.0, A=1.0,
-            x0=np.ones(2), p0=np.zeros(2), t_end=2000.0, ref_refine=1)
+            x0=np.ones(2), p0=np.zeros(2), t_end=2000.0)
 
 
 def test_consistency_zero_from_stationary_start():

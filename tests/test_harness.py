@@ -1,6 +1,7 @@
 import csv
 import importlib
 import inspect
+import json
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -972,3 +973,56 @@ def test_analyze_certifies_a_leading_identity_C_with_I(tmp_path):
         assert (outs["identity"] / csv_name).read_bytes() == plain
     assert (outs["diagonal"] / "rate_summary.csv").read_bytes() != \
         (outs["plain"] / "rate_summary.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# a quadratic takes diag or n; analyze and dynamics take no run settings
+# ---------------------------------------------------------------------------
+
+def test_build_problem_rejects_a_quadratic_with_both_diag_and_n():
+    # the diag set a 2-d problem and n = 100 was dropped
+    with pytest.raises(ValueError, match="problem 'quadratic' params: give "
+                                         "'diag' or 'n', not both"):
+        build_problem(ProblemSpec("quadratic", {"diag": [1.0, 2.0], "n": 100}))
+
+
+def test_run_rejects_a_quadratic_with_both_diag_and_n_at_load(tmp_path):
+    from pddopt.cli import main
+
+    d = harness.config_to_dict(_pdd_quadratic(None, n=2))
+    d["problem"]["params"]["diag"] = [1.0, 2.0]
+    (tmp_path / "cfg.json").write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="give 'diag' or 'n', not both"):
+        main(["run", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("analyze", "--max-iter", "5"), ("dynamics", "--grad-tol", "1e-3")])
+def test_analyze_and_dynamics_take_no_max_iter_or_grad_tol(
+        tmp_path, capsys, command, flag, value):
+    # neither command runs an optimizer, so neither read the value
+    from pddopt.cli import main
+
+    save_config(_pdd_quadratic(None), tmp_path / "cfg.json")
+    with pytest.raises(SystemExit) as exit_:
+        main([command, str(tmp_path / "cfg.json"), flag, value])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_an_unknown_preconditioner_spec_is_rejected():
+    with pytest.raises(ValueError, match="unknown preconditioner spec 0.5"):
+        harness.resolve_preconditioner(0.5, {}, 2)
+
+
+def test_emit_csv_refuses_an_empty_trajectory(tmp_path):
+    with pytest.raises(ValueError, match="refusing to emit an empty trajectory"):
+        emit_csv(Trajectory("gd"), tmp_path / "gd.csv")
+    assert not (tmp_path / "gd.csv").exists()
+
+
+def test_emit_svg_names_the_path_it_could_not_write(tmp_path):
+    path = tmp_path / "missing" / "x.svg"
+    with pytest.raises(OSError, match=f"writing {re.escape(str(path))}: "):
+        emit_svg([("gd", np.array([1, 10]), np.array([1.0, 0.1]))], path)

@@ -39,6 +39,8 @@ def test_quadratic_eval_examples():
 def test_quadratic_rejects_bad_Q():
     with pytest.raises(ValueError):
         fgh(ob.quadratic(np.array([[1.0, 2.0], [0.0, 1.0]])), np.zeros(2))
+    with pytest.raises(ValueError, match=r"Q must be square, got shape \(2, 3\)"):
+        ob.quadratic(np.ones((2, 3)))
     with pytest.raises(ValueError):
         ob.quadratic(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError):
@@ -200,7 +202,14 @@ def test_ackley_symmetries():
 # diagonally dominant generator
 # ---------------------------------------------------------------------------
 
+def test_lse_rejects_a_Q_that_is_not_diagonally_dominant():
+    with pytest.raises(ValueError, match="Q must be diagonally dominant"):
+        ob.reg_log_sum_exp(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
 def test_make_diag_dominant_Q():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ob.make_diag_dominant_Q(0, seed=0)
     Q = ob.make_diag_dominant_Q(1, seed=0)
     assert Q.shape == (1, 1) and Q[0, 0] > 0
 
@@ -226,6 +235,8 @@ def test_check_gradient_quadratic_exact():
 def test_check_gradient_rosenbrock_and_ackley():
     assert ob.check_gradient(ob.rosenbrock(), np.array([-3.0, -4.0]), h=1e-6) <= 1e-5
     assert ob.check_gradient(ob.ackley(), np.array([2.5, 4.0]), h=1e-6) <= 1e-5
+    with pytest.raises(ValueError, match="h must be positive"):
+        ob.check_gradient(ob.ackley(), np.zeros(2), h=0.0)
 
 
 @pytest.fixture(params=["quadratic", "logsumexp", "quadcos", "rosenbrock2d",
@@ -277,6 +288,17 @@ def test_objective_rejects_bogus_minimizer():
     with pytest.raises(ValueError):
         ob.Objective(1, value=lambda x: float(x[0]),
                      gradient=lambda x: np.ones(1), minimizer=np.zeros(1))
+
+
+def test_objective_rejects_an_empty_domain():
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        ob.Objective(0, value=lambda x: 0.0, gradient=lambda x: x)
+
+
+def test_hessian_without_an_analytic_one_raises():
+    with pytest.raises(ob.MissingHessianError, match="rosenbrock2d has no "
+                                                     "analytic Hessian"):
+        ob.rosenbrock().hessian(np.zeros(2))
 
 
 def test_hessian_at_falls_back_to_finite_differences():

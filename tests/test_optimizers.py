@@ -13,6 +13,7 @@ from pddopt.optimizers import (
     Preconditioner,
     TrajectoryRecord,
     compute_beta2,
+    compute_nag_beta,
     pdd_step,
     run_optimizer,
     validate_method,
@@ -33,7 +34,7 @@ def counting(obj):
 
 
 def one_d_quadratic():
-    return ob.quadratic(np.array([[1.0]]), name="half-x2")
+    return ob.quadratic(np.array([[1.0]]))
 
 
 def rule_step(method, x, state, obj, **hp):
@@ -213,6 +214,16 @@ def test_compute_beta2():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("fn,args,message", [
+    (compute_nag_beta, (1.0,), "kappa must exceed 1"),
+    (compute_beta2, (0.0, 1.0), "m1 and tau must be positive"),
+    # sqrt(m1 tau) = 5: 4 + 8*5 - 2*25 < 0
+    (compute_beta2, (25.0, 1.0), "balancing denominator is not positive")])
+def test_momentum_formulas_reject_out_of_range_constants(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
 # ---------------------------------------------------------------------------
 # gradient-evaluation budget
 # ---------------------------------------------------------------------------
@@ -322,6 +333,24 @@ def test_non_finite_iterate_with_finite_gradient_diverges(bad):
     np.testing.assert_array_equal(traj.final_x, [-bad, -0.5])
 
 
+def test_non_finite_value_at_a_finite_iterate_diverges():
+    # f turns inf at x[0] = -1 while x and the gradient stay finite
+    obj = ob.Objective(2, value=lambda x: 1.0 if x[0] > -1.0 else math.inf,
+                       gradient=lambda x: np.ones(2))
+    traj = run_optimizer(obj, "gd", {"tau": 0.5}, np.zeros(2), max_iter=10,
+                         record_every=1)
+    assert traj.diverged and [(r.iter, r.f) for r in traj.records] == [
+        (0, 1.0), (1, 1.0), (2, math.inf)]
+
+
+@pytest.mark.parametrize("x0,message", [
+    ([[0.0, 0.0]], r"x0 must be a 1-d vector, got shape \(1, 2\)"),
+    ([math.nan, 0.0], "x0 contains non-finite entries")])
+def test_run_optimizer_rejects_a_start_that_is_no_finite_vector(x0, message):
+    with pytest.raises(ValueError, match=message):
+        run_optimizer(ob.ackley(), "gd", {"tau": 0.1}, x0, max_iter=1)
+
+
 def test_huge_finite_iterate_is_not_divergence():
     # x . 0 must stay 0 for entries near the top of the float range
     x, g, tau = np.array([1e308, -1e308]), np.array([1e140, -1e140]), 1e160
@@ -377,24 +406,6 @@ def test_validate_method_rejects_an_int_no_float_holds():
     with pytest.raises(ValueError, match="gd: parameter 'tau' must be a "
                                          "finite number"):
         validate_method("gd", {"tau": 10 ** 400})
-
-
-def test_pdd_p0_override():
-    obj = ob.quadratic(np.diag([1.0, 2.0]))
-    params = {"tau": 0.05, "sigma": 0.05, "A": 1.0, "epsilon": 1.0,
-              "omega": 1.0}
-    p0 = np.array([0.3, -0.4])
-    traj = run_optimizer(obj, "pdd", params, np.zeros(2), max_iter=1,
-                         p0=p0)
-    # the start is the minimizer, so the recorded functional is |p0|^2/2
-    assert traj.records[0].lyapunov == pytest.approx(0.5 * float(p0 @ p0))
-
-
-def test_p0_rejected_for_a_method_without_a_dual():
-    obj = ob.quadratic(np.diag([1.0, 2.0]))
-    with pytest.raises(ValueError, match="gd has no dual"):
-        run_optimizer(obj, "gd", {"tau": 0.1}, np.ones(2), max_iter=1,
-                      p0=np.zeros(2))
 
 
 @pytest.mark.parametrize("with_C", [False, True], ids=["no-C", "diagonal-C"])
@@ -457,6 +468,10 @@ def test_preconditioner_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             Preconditioner.dense(np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(ValueError, match="unknown preconditioner kind 'identity'"):
+        Preconditioner("identity")
+    with pytest.raises(ValueError, match="callback preconditioner needs a callable"):
+        Preconditioner.from_callback(np.eye(2))
     P = Preconditioner.diagonal([2.0, 4.0])
     np.testing.assert_allclose(P.apply(None, np.ones(2)), [2.0, 4.0])
     np.testing.assert_allclose(P.matrix(None), np.diag([2.0, 4.0]))
@@ -474,6 +489,7 @@ def test_preconditioner_validation():
      "sigma"),
     ("pdd", {"tau": 0.1, "sigma": 0.1, "A": 1.0, "epsilon": 1.0, "omega": 1.0,
              "C": "identity"}, "C"),
+    ("igahd_sc", {"tau": 0.1, "m1": 1.0, "beta2": 2.0}, "beta2"),
 ])
 def test_out_of_range_hyperparameters_rejected_before_any_step(method, params,
                                                                name):
@@ -547,12 +563,12 @@ def test_driver_matches_public_kernels_bitwise(method, hp):
                                     np.array([-3.0, -4.0]), 300)
 
 
-def assert_run_matches_reference(method, hp, obj, x0, steps, p0=None):
+def assert_run_matches_reference(method, hp, obj, x0, steps):
     """``run_optimizer`` against `_reference_run`: the same (f, |g|) rows
-    and the same final x and p, bit for bit; x0 and p0 are left as given."""
-    given = x0.copy(), None if p0 is None else p0.copy()
+    and the same final x and p, bit for bit; x0 is left as given."""
+    given = x0.copy()
     traj = run_optimizer(obj, method, hp, x0, max_iter=steps, grad_tol=0.0,
-                         record_every=1, p0=p0)
+                         record_every=1)
     assert not traj.diverged
     rows, x, p = _reference_run(method, hp, obj, x0, steps)
     assert [(r.f, r.grad_norm) for r in traj.records] == rows
@@ -561,9 +577,7 @@ def assert_run_matches_reference(method, hp, obj, x0, steps, p0=None):
         assert traj.final_p is None
     else:
         assert traj.final_p.tobytes() == p.tobytes()
-    assert x0.tobytes() == given[0].tobytes()
-    if p0 is not None:
-        assert p0.tobytes() == given[1].tobytes()
+    assert x0.tobytes() == given.tobytes()
 
 
 # the rosenbrockNd preset's methods, each with a strip-fused step
@@ -582,12 +596,11 @@ STRIP_METHODS = [
 @pytest.mark.parametrize("method,hp", STRIP_METHODS)
 def test_strip_steps_match_public_kernels_bitwise(method, hp, strip, n, steps):
     x0 = np.linspace(-1.0, 1.5, n)
-    p0 = np.zeros(n) if method == "pdd" else None  # updated in place, a copy
     with pytest.MonkeyPatch.context() as mp:
         if strip is not None:
             mp.setattr(ob, "_STRIP", strip)
         assert_run_matches_reference(method, hp, ob.rosenbrock(n=n), x0,
-                                        steps, p0)
+                                        steps)
 
 
 @pytest.mark.parametrize("method,hp", STRIP_METHODS)

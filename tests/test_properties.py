@@ -233,7 +233,8 @@ TOP, PROBLEM, OPTIMIZER = (harness.SECTIONS[s]
                            for s in ("config", "problem", "optimizer"))
 problems = st.sampled_from(sorted(harness.PROBLEM_PARAMS)).flatmap(
     lambda name: st.builds(harness.ProblemSpec, st.just(name),
-                           section(harness.PROBLEM_PARAMS[name]),
+                           section(harness.PROBLEM_PARAMS[name]).filter(
+                               lambda p: not {"diag", "n"} <= set(p)),
                            valid(PROBLEM["seed"])))
 optimizer_specs = st.builds(
     harness.OptimizerSpec, st.sampled_from(sorted(RULES)),
@@ -295,10 +296,11 @@ def vector_of(n, elements=small):
 
 @st.composite
 def small_problem_params(draw, name, dim):
-    """Valid params of problem ``name`` at dimension ``dim`` (d <= 4)."""
+    """Valid params of problem ``name`` at dimension ``dim`` (d <= 4); a
+    quadratic gets a positive diag or an n, never both."""
     if name == "quadratic":
         return draw(st.sampled_from([{"n": dim}, {}]) | st.builds(
-            dict, diag=vector_of(dim, st.floats(-1.0, 10.0))))
+            dict, diag=vector_of(dim, st.floats(0.1, 10.0))))
     if name == "logsumexp":
         return {"n": dim, "scale": draw(st.floats(0.1, 10.0))}
     if name == "quadcos":
@@ -313,10 +315,11 @@ def small_problem_params(draw, name, dim):
 
 
 @st.composite
-def small_configs(draw):
-    """(config dict, dimension) of a valid config whose commands finish in
-    milliseconds."""
-    name = draw(st.sampled_from(sorted(harness.PROBLEM_PARAMS)))
+def small_configs(draw, names, with_pdd=False):
+    """(config dict, dimension) of a valid config of one of the problems
+    ``names`` whose commands finish in milliseconds; ``with_pdd`` puts a
+    pdd first among its optimizers."""
+    name = draw(st.sampled_from(names))
     dim = draw(st.integers(2 if name == "rosenbrockNd" else 1, 4))
     params = draw(small_problem_params(name, dim))
     if name in ("rosenbrock2d", "ackley"):
@@ -328,9 +331,10 @@ def small_configs(draw):
                                 max_size=2, unique=True))
         optimizers = [{"method": m, "label": m, "params": {}} for m in methods]
     else:
+        methods = ["pdd"] * with_pdd + draw(st.lists(
+            st.sampled_from(sorted(RULES)), min_size=1 - with_pdd, max_size=3))
         optimizers = []
-        for i, method in enumerate(draw(st.lists(st.sampled_from(sorted(RULES)),
-                                                 min_size=1, max_size=3))):
+        for i, method in enumerate(methods):
             hp = draw(hyperparams(method))
             if method == "pdd" and draw(st.booleans()):
                 hp["C"] = draw(st.sampled_from(
@@ -348,10 +352,11 @@ def small_configs(draw):
              "num_samples": st.integers(1, 3), "pdd_steps": st.integers(1, 20),
              "sample_scale": st.floats(0.0, 1.0), "delta": st.floats(0.0, 2.0),
              "seed": st.integers(0, 3)})),
+         # t_end >= 2 dt: one step even from t0 = dt, as "3/t" starts
          "dynamics": draw(st.fixed_dictionaries({}, optional={
              "A": st.floats(0.1, 3.0), "gamma": st.floats(0.0, 2.0),
              "epsilon": st.floats(0.0, 3.0) | st.just("3/t"),
-             "t_end": st.floats(0.01, 0.5), "dt": st.floats(0.005, 0.05),
+             "t_end": st.floats(0.11, 0.5), "dt": st.floats(0.005, 0.05),
              "p0": vector_of(dim)}))}
     return d, dim
 
@@ -362,86 +367,91 @@ odd_values = st.sampled_from([None, True, "x", [], {}, [1.0, "x"], -1, 0,
 bad_C = st.sampled_from([
     "bogus", "diag_inv_q", {"diagonal": [-1.0]}, {"diagonal": "x"},
     {"diagonal": [1.0, math.nan]}, {"diagonal": [1.0], "scale": 2.0},
-    {"diag": [1.0]}, {"diagonal": [[1.0]]}, {"diagonal": []}, 3, [1.0], True])
+    {"diag": [1.0]}, {"diagonal": [[1.0]]}, {"diagonal": []}, 3, 0.5, [1.0],
+    True])
+# the change each example makes to its valid config: none, a value (invalid
+# for its key, or odd), a vector length, pdd's C, an optimizer's params, a
+# dynamics span over the trajectory cap, or a --seed of -1
+CHANGES = ("none", "invalid", "odd", "length", "C", "hp", "span", "seed")
+NO_TOYNET = ("length", "C", "span")  # each needs a problem with a dimension
 
 
 @st.composite
-def mutated(draw, d, dim):
-    """``d`` with one change that the config may or may not survive; a part
-    that an earlier change made no JSON object is left alone."""
-    def obj(v):
-        return v if isinstance(v, dict) else None
-
-    problem = obj(d.get("problem")) or {}
-    params = obj(problem.get("params"))
-    opts = [o for o in d["optimizers"] if obj(o) is not None
-            and obj(o.get("params")) is not None] \
-        if isinstance(d.get("optimizers"), list) else []
-    sections = [(t, table) for t, table in [
-        (d, TOP), (problem, PROBLEM),
-        (obj(d.get("analysis")), harness.SECTIONS["analysis"]),
-        (obj(d.get("dynamics")), harness.SECTIONS["dynamics"]),
-        (params, harness.PROBLEM_PARAMS.get(str(problem.get("name")), {}))]
-        + [(o, OPTIMIZER) for o in opts] if t is not None and table]
-    kind = draw(st.sampled_from(["invalid", "odd", "length", "C", "hp",
-                                 "span"]))
-    if kind == "span" and obj(d.get("dynamics")) is not None:
+def changed(draw, kind, d, dim):
+    """``d`` with the one change ``kind`` names ("none" and "seed" leave
+    it as it is)."""
+    problem, params, opts = d["problem"], d["problem"]["params"], d["optimizers"]
+    if kind == "span":
         # always over integrate_rk4's cap, so no long integration runs
         d["dynamics"].update(t_end=draw(st.floats(1e7, 1e300)), dt=draw(
             st.floats(0.0, 1e-3, exclude_min=True)))
-        return d
-    if kind in ("invalid", "odd"):
-        target, table = draw(st.sampled_from(sections))
+    elif kind in ("invalid", "odd"):
+        target, table = draw(st.sampled_from([(t, table) for t, table in [
+            (d, TOP), (problem, PROBLEM),
+            (d["analysis"], harness.SECTIONS["analysis"]),
+            (d["dynamics"], harness.SECTIONS["dynamics"]),
+            (params, harness.PROBLEM_PARAMS[problem["name"]])]
+            + [(o, OPTIMIZER) for o in opts] if table]))
         key = draw(st.sampled_from(sorted(table)))
         # 10**400 is an in-range size for an int key, which nothing bounds
         target[key] = draw(invalid(table[key]) if kind == "invalid" else
                            odd_values.filter(lambda v: v != 10 ** 400)
                            if table[key].kind in INTEGRAL else odd_values)
-        return d
-    wrong = vector_of(draw(st.sampled_from([0, dim - 1, dim + 1])))
-    where = draw(st.sampled_from(["x0", "p0", "diag"]))
-    if kind == "length" and where == "x0":
-        d["x0"] = draw(wrong)
-    elif kind == "length" and where == "p0" and obj(d.get("dynamics")):
-        d["dynamics"]["p0"] = draw(wrong)
-    elif kind == "length" and where == "diag" and params is not None:
-        params["diag"] = draw(vector_of(dim + 1, st.floats(0.1, 3.0)))
-    elif opts:
-        hp = draw(st.sampled_from(opts))["params"]
-        if kind == "length":
-            hp["C"] = {"diagonal": [abs(v) + 0.5 for v in draw(wrong)]}
-        elif kind == "C":
-            hp["C"] = draw(bad_C)
+    elif kind == "length":
+        wrong = vector_of(draw(st.sampled_from([0, dim - 1, dim + 1])))
+        pdds = [o for o in opts if o["method"] == "pdd"]
+        where = draw(st.sampled_from(["x0", "p0"] + ["C"] * bool(pdds)
+                                     + ["diag"] * ("diag" in params)))
+        if where == "x0":
+            d["x0"] = draw(wrong)
+        elif where == "p0":
+            d["dynamics"]["p0"] = draw(wrong)
+        elif where == "diag":
+            params["diag"] = draw(vector_of(dim + 1, st.floats(0.1, 3.0)))
         else:
-            key = draw(st.sampled_from(sorted(hp) + ["tau", "bogus"]))
-            if draw(st.booleans()):
-                hp.pop(key, None)
-            else:
-                hp[key] = draw(odd_values | st.floats(-2.0, 2.0))
+            draw(st.sampled_from(pdds))["params"]["C"] = {
+                "diagonal": [abs(v) + 0.5 for v in draw(wrong)]}
+    elif kind == "C":
+        opts[0]["params"]["C"] = draw(bad_C)  # the first is a pdd
+    elif kind == "hp":
+        hp = draw(st.sampled_from(opts))["params"]
+        key = draw(st.sampled_from(sorted(hp) + ["tau", "bogus"]))
+        if draw(st.booleans()):
+            hp.pop(key, None)
+        else:
+            hp[key] = draw(odd_values | st.floats(-2.0, 2.0))
     return d
 
 
 # no shrinking: a failure reports in seconds, not after minutes of it
-@settings(max_examples=80, deadline=3000,
+@settings(max_examples=10, deadline=3000,
           phases=[Phase.explicit, Phase.reuse, Phase.generate],
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_every_command_runs_or_raises_value_error_before_writing(tmp_path, data):
-    d, dim = data.draw(small_configs(), label="config")
-    for _ in range(data.draw(st.integers(0, 2), label="changes")):
-        d = data.draw(mutated(d, dim), label="changed")
-    flags = ["--max-iter", str(data.draw(st.integers(0, 30), label="max_iter"))]
-    seed = data.draw(st.none() | st.integers(-1, 3), label="seed")
-    if seed is not None:
-        flags += ["--seed", str(seed)]
-    work = Path(tempfile.mkdtemp(dir=tmp_path))
-    path = work / "config.json"
-    path.write_text(json.dumps(d))
-    for command in ("run", "analyze", "dynamics"):
-        out = work / command
-        try:
-            code = cli.main([command, str(path), "--out", str(out), *flags])
-        except ValueError:
-            assert not out.exists() or not any(out.iterdir()), command
-        else:
-            assert code in (0, 1), command
+    # each example makes every change, each to a config of its own: a drawn
+    # change clustered, so some kinds got no example in a run
+    for kind in CHANGES:
+        names = [n for n in sorted(harness.PROBLEM_PARAMS)
+                 if n != "toynet" or kind not in NO_TOYNET]
+        d, dim = data.draw(small_configs(names, with_pdd=kind == "C"),
+                           label=f"{kind} config")
+        d = data.draw(changed(kind, d, dim), label=kind)
+        seed = -1 if kind == "seed" else data.draw(
+            st.none() | st.integers(0, 3), label=f"{kind} seed")
+        flags = [] if seed is None else ["--seed", str(seed)]
+        # only run takes --max-iter; 0 is tested as a CLI override
+        max_iter = str(data.draw(st.integers(1, 30), label=f"{kind} max_iter"))
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        path = work / "config.json"
+        path.write_text(json.dumps(d))
+        for command in ("run", "analyze", "dynamics"):
+            out = work / command
+            extra = ["--max-iter", max_iter] if command == "run" else []
+            try:
+                code = cli.main([command, str(path), "--out", str(out), *flags,
+                                 *extra])
+            except ValueError:
+                assert not out.exists() or not any(out.iterdir()), (kind, command)
+            else:
+                assert code in (0, 1), (kind, command)

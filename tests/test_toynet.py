@@ -89,6 +89,19 @@ def test_zero_final_layer_loss_is_log_k():
     assert loss == pytest.approx(math.log(3), rel=1e-12)
 
 
+@pytest.mark.parametrize("sizes", [(0, 2), (4, 1)])
+def test_blobs_reject_invalid_sizes(sizes):
+    with pytest.raises(ValueError, match="invalid sizes"):
+        tn.make_blobs(0, 100, *sizes, spread=0.5)
+
+
+def test_an_empty_batch_is_rejected():
+    sizes = [4, 3, 2]
+    with pytest.raises(ValueError, match="empty batch"):
+        tn.mlp_loss_grad(tn.init_params(sizes, seed=0), sizes, np.zeros((0, 4)),
+                         np.zeros(0, dtype=int))
+
+
 @pytest.mark.parametrize("labels", [[0, -1, 2], [0, 3, 1]])
 def test_labels_outside_the_classes_rejected(labels):
     # a negative label would wrap to class k + y, one >= k index past the end
@@ -157,7 +170,7 @@ def test_duplicating_batch_changes_nothing():
 def step_one(method, state, x, sizes, batch):
     """`stochastic_step` on a stack of one method and one run."""
     states, x_new, loss = tn.stochastic_step((method,), [state], x[None], sizes,
-                                             batch)
+                                             batch, tn.DEFAULT_HYPERPARAMS)
     return states[0], x_new[0], loss[0]
 
 
@@ -230,7 +243,8 @@ def test_unknown_method_rejected():
     sizes = [2, 2, 2]
     x = tn.init_params(sizes, seed=0)
     with pytest.raises(ValueError):
-        tn.stochastic_step(("lbfgs",), [{}], x[None], sizes, tiny_batch(d=2))
+        tn.stochastic_step(("lbfgs",), [{}], x[None], sizes, tiny_batch(d=2),
+                           tn.DEFAULT_HYPERPARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +286,12 @@ def test_bad_hyperparameters_rejected_before_any_batch(monkeypatch, hyperparams)
                          hyperparams=hyperparams)
     with pytest.raises(ValueError):
         tn.train(cfg)
+
+
+def test_adam_rejects_a_zero_eps():
+    hp = {"tau": 0.001, "beta1": 0.9, "beta2": 0.999, "eps": 0.0}
+    with pytest.raises(ValueError, match="adam: tau and eps must be positive"):
+        tn._rule("adam").validate("adam", hp)
 
 
 def test_train_metrics_deterministic(tmp_path):
@@ -334,7 +354,7 @@ def test_stochastic_step_makes_one_stack_pass_and_one_igahd_pass(monkeypatch):
     monkeypatch.setattr(tn, "mlp_loss_grad", counted)
     states = [tn._rule(m).init(x0) for m in tn.METHODS]
     _, x_new, loss = tn.stochastic_step(tn.METHODS, states, x, sizes,
-                                        (X[None], y[None]))
+                                        (X[None], y[None]), tn.DEFAULT_HYPERPARAMS)
     assert shapes == [x.shape, x0.shape]
     assert x_new.shape == x.shape and loss.shape == x.shape[:-1]
 
@@ -415,6 +435,18 @@ def test_diverging_run_gets_a_nan_row_and_the_others_go_on():
     assert math.isnan(rows[0]["train_loss"]) and math.isnan(rows[0]["test_acc"])
     assert all(math.isfinite(r["train_loss"]) and math.isfinite(r["test_acc"])
                for r in rows[1:])
+
+
+def test_train_stops_once_every_run_has_diverged(monkeypatch):
+    # sgd alone with tau = 1e30 overflows in its second epoch of 5 batches
+    # (160 training rows); the two epochs left would train nothing
+    steps = []
+    step = tn.stochastic_step
+    monkeypatch.setattr(tn, "stochastic_step",
+                        lambda *args: steps.append(1) or step(*args))
+    rows = tn.train(tn.TrainConfig(n=200, d_in=5, k=3, epochs=4, hidden=(4,),
+                                   methods=("sgd",), hyperparams=DIVERGING_SGD))
+    assert len(steps) == 10 and [r["epoch"] for r in rows] == [0, 1]
 
 
 @pytest.mark.parametrize("field, value", [
