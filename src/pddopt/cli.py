@@ -6,11 +6,10 @@ Subcommands:
     analyze <config.json> estimated constants, stepsize recipe, decay report
                           (and mode-wise spectral rates for quadratics)
     dynamics <config.json> integrate the continuous system, emit CSV
-    toynet                train the small network with every stochastic method
 
-Flags: --out, --seed, and for run and preset --max-iter, --grad-tol. The
-environment variable PDD_OUT_DIR sets the default output root. Exit status
-is nonzero when any run diverges.
+Flags: --out, --seed, and for run and preset --max-iter, --grad-tol (a toynet
+config refuses both). The environment variable PDD_OUT_DIR sets the default
+output root. Exit status is nonzero when any run diverges.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .optimizers import lyapunov_value, pdd_step
 
 def _apply_overrides(config, args):
     """``config`` with the command line's values; running it checks them."""
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config.problem.seed = args.seed
     if getattr(args, "max_iter", None) is not None:
         config.max_iter = args.max_iter
@@ -37,6 +36,10 @@ def _apply_overrides(config, args):
 
 
 def _report_artifact(artifact) -> int:
+    if artifact.config.problem.name == "toynet":
+        seeds = harness.problem_params(artifact.config.problem)["seeds"]
+        print(f"  trained {len(seeds)} seeds x {len(artifact.config.optimizers)} "
+              f"methods ({artifact.wall_clock['toynet']:.1f}s)")
     for label, traj in artifact.trajectories.items():
         last = traj.records[-1]
         state = "DIVERGED" if traj.diverged else "ok"
@@ -160,52 +163,31 @@ def cmd_dynamics(args) -> int:
     return 1 if traj.diverged else 0
 
 
-def cmd_toynet(args) -> int:
-    config = harness.preset("toynet", out_dir=args.out, seed=args.seed)
-    p = config.problem.params
-    if args.seeds is not None:
-        p["seeds"] = list(range(args.seeds))
-    if args.epochs is not None:
-        p["epochs"] = args.epochs
-    artifact = harness.run_experiment(config, out_dir_override=args.out)
-    print(f"  trained {len(p['seeds'])} seeds x {len(config.optimizers)} methods "
-          f"({artifact.wall_clock['toynet']:.1f}s)")
-    return _report_artifact(artifact)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pddopt",
         description="primal-dual damping optimization benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help, config_arg=True, overrides=True):
+    for name, fn, help in (
+            ("run", cmd_run, "run a config file"),
+            ("preset", cmd_run, "run a named experiment"),
+            ("analyze", cmd_analyze, "rate certificates for a config"),
+            ("dynamics", cmd_dynamics, "integrate the continuous system")):
         p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
-        if config_arg:
+        if name == "preset":
+            p.add_argument("name", choices=harness.PRESET_NAMES)
+            p.add_argument("--dump-config", default=None,
+                           help="also write the materialized config JSON here")
+        else:
             p.add_argument("config", help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,
-                       help="problem seed (toynet: the dataset's)")
-        if overrides:
+                       help="problem seed (toynet: the data's, not params.seeds)")
+        if fn is cmd_run:  # analyze and dynamics run no optimizer
             p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
             p.add_argument("--grad-tol", type=float, default=None, dest="grad_tol")
-        return p
-
-    command("run", cmd_run, "run a config file")
-    p = command("preset", cmd_run, "run a named experiment", config_arg=False)
-    p.add_argument("name", choices=harness.PRESET_NAMES)
-    p.add_argument("--dump-config", default=None,
-                   help="also write the materialized config JSON here")
-    command("analyze", cmd_analyze, "rate certificates for a config",
-            overrides=False)
-    command("dynamics", cmd_dynamics, "integrate the continuous system",
-            overrides=False)
-    p = command("toynet", cmd_toynet, "stochastic training comparison",
-                config_arg=False, overrides=False)
-    p.add_argument("--seeds", type=int, default=None,
-                   help="train seeds 0..seeds-1 (default: the preset's)")
-    p.add_argument("--epochs", type=int, default=None)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -76,7 +76,7 @@ class ProblemSpec:
 @dataclass
 class OptimizerSpec:
     method: str
-    label: str
+    label: Optional[str] = None  # None only for toynet, which keys by method
     params: dict = field(default_factory=dict)
 
 
@@ -84,7 +84,7 @@ class OptimizerSpec:
 class ExperimentConfig:
     problem: ProblemSpec
     optimizers: List[OptimizerSpec]
-    x0: Union[List[float], Dict[str, float]]
+    x0: Union[List[float], Dict[str, float], None] = None  # None only for toynet
     max_iter: int = 10000
     grad_tol: float = 1e-10
     record_every: int = 10
@@ -162,24 +162,35 @@ def _in_range(v, rng: str) -> bool:
         _OPS[op](v, float(b)) for op, b in (c.split() for c in rng.split(",") if c))
 
 
+def _field_defaults(*classes) -> dict:
+    return {f.name: f.default if f.default_factory is MISSING
+            else f.default_factory() for cls in classes for f in fields(cls)}
+
+
 def _defaults_from(cls, **keys: Key) -> Dict[str, Key]:
     """``keys``, each defaulting as the same-named field of ``cls`` does."""
-    default = {f.name: f.default if f.default_factory is MISSING
-               else f.default_factory() for f in fields(cls)}
+    default = _field_defaults(cls)
     return {k: key._replace(default=default[k]) for k, key in keys.items()}
 
 
+# toynet's tables refuse these: it reads no start, cap, tolerance, stride,
+# certificate or label
+TOYNET_UNREAD = ("x0", "max_iter", "grad_tol", "record_every", "analysis",
+                 "dynamics", "label")
+
 SECTIONS = {
-    "config": _defaults_from(
+    # an objective needs a start and a CSV a name; only toynet's are None
+    "config": {**_defaults_from(
         ExperimentConfig, problem=Key("section"), optimizers=Key("list"),
         x0=Key("x0"), max_iter=Key("int", range=">= 1"),
         grad_tol=Key("real", range=">= 0"), record_every=Key("int", range=">= 1"),
         outputs=Key("outputs"), output_dir=Key("path"),
-        analysis=Key("section"), dynamics=Key("section")),
+        analysis=Key("section"), dynamics=Key("section")), "x0": Key("x0")},
     "problem": _defaults_from(ProblemSpec, name=Key("str"), params=Key("section"),
                               seed=Key("int", range=">= 0")),
-    "optimizer": _defaults_from(OptimizerSpec, method=Key("str"),
-                                label=Key("label"), params=Key("object")),
+    "optimizer": {**_defaults_from(OptimizerSpec, method=Key("str"),
+                                   label=Key("label"), params=Key("object")),
+                  "label": Key("label")},
     # read by `pddopt analyze`; a seed of None is the problem's
     "analysis": dict(
         delta=Key("real", 1.0, ">= 0"), num_samples=Key("int", 20, ">= 1"),
@@ -208,6 +219,9 @@ PROBLEM_PARAMS = {
         batch_size=Key("int", range=">= 1"), hidden=Key("ints", range=">= 1"),
         seeds=Key("seeds", range=">= 0")),
 }
+SECTIONS.update({f"toynet {name}": {k: key for k, key in SECTIONS[name].items()
+                                     if k not in TOYNET_UNREAD}
+                 for name in ("config", "optimizer")})
 
 
 def read_section(name: str, d, where: Optional[str] = None) -> dict:
@@ -254,20 +268,35 @@ def problem_params(spec: ProblemSpec) -> dict:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {**asdict(config), "outputs": list(config.outputs)}
+    """``config`` as JSON values; a toynet config leaves out each
+    `TOYNET_UNREAD` key while it holds its field's default."""
+    d = {**asdict(config), "outputs": list(config.outputs)}
+    if config.problem.name != "toynet":
+        return d
+    default = _field_defaults(ExperimentConfig, OptimizerSpec)
+
+    def read_keys(section):
+        return {k: v for k, v in section.items() if k not in TOYNET_UNREAD
+                or type(v) is not type(default[k]) or v != default[k]}
+    return {**read_keys(d), "optimizers": [read_keys(o) for o in d["optimizers"]]}
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Check every section of ``d`` and build the config; its dict sections
-    keep exactly the keys they were given."""
-    c = read_section("config", d)
+    keep exactly the keys they were given. A toynet config is read against
+    the toynet tables, which refuse the `TOYNET_UNREAD` keys."""
+    problem = d.get("problem") if isinstance(d, dict) else None
+    if isinstance(problem, dict):  # checked first, as its name picks the tables
+        problem = ProblemSpec(**read_section("problem", problem))
+        problem_params(problem)
+    toy = "toynet " if getattr(problem, "name", "") == "toynet" else ""
+    c = read_section(toy + "config", d, "config")
     config = ExperimentConfig(**{
         **c, "outputs": tuple(c["outputs"]),
         "problem": ProblemSpec(**read_section("problem", c["problem"])),
-        "optimizers": [OptimizerSpec(**read_section("optimizer", o,
+        "optimizers": [OptimizerSpec(**read_section(toy + "optimizer", o,
                                                     f"optimizers[{i}]"))
                        for i, o in enumerate(c["optimizers"])]})
-    problem_params(config.problem)
     read_section("analysis", config.analysis)
     read_section("dynamics", config.dynamics)
     return config
@@ -324,13 +353,8 @@ def build_problem(spec: ProblemSpec) -> Tuple[Objective, dict]:
 
 def materialize_x0(x0, dim: int) -> np.ndarray:
     if isinstance(x0, dict):
-        if "fill" in x0:
-            return np.full(dim, float(x0["fill"]))
-        raise ValueError(f"unknown x0 rule {x0!r}")
-    v = np.asarray(x0, dtype=float)
-    if v.shape != (dim,):
-        raise ValueError(f"x0 has shape {v.shape}, problem dimension is {dim}")
-    return v
+        return np.full(dim, float(x0["fill"]))
+    return as_vector(x0, dim, "x0")
 
 
 def resolve_preconditioner(spec, ctx: dict, dim: int) -> Optional[Preconditioner]:
@@ -375,8 +399,7 @@ def preset(name: str, out_dir: Optional[str] = None,
         # TrainConfig's defaults, with ten training seeds
         params = problem_params(ProblemSpec("toynet"))
         params.update(hidden=list(params["hidden"]), seeds=list(range(10)))
-        return config(params, 0, [_opt(m) for m in toynet.METHODS], x0=[],
-                      max_iter=1)
+        return config(params, 0, [OptimizerSpec(m) for m in toynet.METHODS])
 
     if name == "logsumexp":
         # the dual preconditioner scale A = 10 is only stable at the
@@ -582,7 +605,7 @@ def validate_config(config: ExperimentConfig) -> None:
     """Check every section, as loading does (so CLI overrides too), and that
     the labels are unique."""
     config_from_dict(config_to_dict(config))
-    labels = [o.label for o in config.optimizers]
+    labels = [o.label for o in config.optimizers if o.label is not None]
     if len(set(labels)) < len(labels):
         raise ValueError(f"duplicate optimizer label in {labels}")
 
@@ -610,12 +633,6 @@ def prepare(config: ExperimentConfig) -> tuple:
 def _run_toynet(config: ExperimentConfig,
                 out_dir_override: Optional[str]) -> RunArtifact:
     validate_config(config)
-    for o in config.optimizers:
-        # rows, CSV and legend are keyed by method (toynet.train checks
-        # each); unique labels then also rule out a method listed twice
-        if o.label != o.method:
-            raise ValueError(f"toynet optimizer label {o.label!r} must "
-                             f"equal its method {o.method!r}")
     p = problem_params(config.problem)
     cfg = toynet.TrainConfig(
         data_seed=config.problem.seed,

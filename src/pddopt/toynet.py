@@ -276,9 +276,9 @@ def train(config: TrainConfig) -> List[dict]:
     for name in ("batch_size", "epochs"):
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be at least 1")
-    for name in ("methods", "seeds"):
-        if len(getattr(config, name)) == 0:
-            raise ValueError(f"{name} must not be empty")
+    for name, values in (("methods", config.methods), ("seeds", config.seeds)):
+        if len(values) == 0 or len(set(values)) < len(values):  # they key the rows
+            raise ValueError(f"{name} must be non-empty and distinct, got {values}")
     hp_table = config.hyperparams or DEFAULT_HYPERPARAMS
     hps = {}
     for method in config.methods:

@@ -97,10 +97,9 @@ def test_validation_rejects_unknown_methods(tmp_path):
         x0=[2.5, 4.0], output_dir=str(tmp_path))
     with pytest.raises(ValueError):
         run_experiment(cfg)
-    toy = ExperimentConfig(
-        problem=ProblemSpec(name="toynet"),
-        optimizers=[OptimizerSpec("lbfgs", "lbfgs", {})],
-        x0=[], output_dir=str(tmp_path))
+    toy = ExperimentConfig(problem=ProblemSpec(name="toynet"),
+                           optimizers=[OptimizerSpec("lbfgs")],
+                           output_dir=str(tmp_path))
     with pytest.raises(ValueError):
         run_experiment(toy)
 
@@ -212,7 +211,7 @@ def _toynet_config(tmp_path, optimizers, **params):
     prob = ProblemSpec(name="toynet", params={
         "n": 200, "d_in": 5, "k": 3, "epochs": 1, "hidden": [4],
         "seeds": [0], **params})
-    return ExperimentConfig(problem=prob, optimizers=optimizers, x0=[],
+    return ExperimentConfig(problem=prob, optimizers=optimizers,
                             outputs=("csv",), output_dir=str(tmp_path / "out"))
 
 
@@ -222,7 +221,7 @@ def test_toynet_config_checks_params_before_any_batch(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness.toynet, "stochastic_step", no_batch)
     cfg = _toynet_config(tmp_path, [
-        OptimizerSpec("sgd", "sgd", {"tau": -1.0, "bogus": 3})])
+        OptimizerSpec("sgd", params={"tau": -1.0, "bogus": 3})])
     with pytest.raises(ValueError):
         run_experiment(cfg)
 
@@ -232,31 +231,82 @@ def test_toynet_config_passes_its_params(tmp_path, monkeypatch):
     monkeypatch.setattr(harness.toynet, "train",
                         lambda cfg: seen.append(cfg.hyperparams) or [])
     run_experiment(_toynet_config(tmp_path, [
-        OptimizerSpec("sgd", "sgd", {"tau": 0.05}),
-        OptimizerSpec("adam", "adam", {})]))
-    run_experiment(_toynet_config(tmp_path, [
-        OptimizerSpec("sgd", "sgd", {})]))
+        OptimizerSpec("sgd", params={"tau": 0.05}), OptimizerSpec("adam")]))
+    run_experiment(_toynet_config(tmp_path, [OptimizerSpec("sgd")]))
     # an empty params dict keeps the defaults
     assert seen == [{"sgd": {"tau": 0.05}}, None]
 
 
 def test_toynet_config_rejects_unread_params_and_repeated_methods(tmp_path):
     with pytest.raises(ValueError, match="epoch.*valid keys"):
+        run_experiment(_toynet_config(tmp_path, [OptimizerSpec("sgd")], epoch=3))
+    # toynet.train refuses the repeat, since its rows are keyed by method
+    with pytest.raises(ValueError, match=r"methods .*\('sgd', 'sgd'\)"):
         run_experiment(_toynet_config(
-            tmp_path, [OptimizerSpec("sgd", "sgd", {})], epoch=3))
-    with pytest.raises(ValueError, match="sgd"):
-        run_experiment(_toynet_config(
-            tmp_path, [OptimizerSpec("sgd", "a", {}),
-                       OptimizerSpec("sgd", "b", {"tau": 0.01})]))
-
-
-def test_toynet_config_rejects_label_other_than_method(tmp_path):
-    # rows, toynet_metrics.csv and the legend are keyed by method, so the
-    # label my-sgd would be dropped silently
-    with pytest.raises(ValueError, match="my-sgd"):
-        run_experiment(_toynet_config(
-            tmp_path, [OptimizerSpec("sgd", "my-sgd", {})]))
+            tmp_path, [OptimizerSpec("sgd"), OptimizerSpec("sgd", params={
+                "tau": 0.01})]))
     assert not (tmp_path / "out").exists()
+
+
+def _toynet_file(tmp_path, seeds, epochs, **top):
+    """The toynet preset's config with ``seeds``, ``epochs`` and ``top``,
+    saved as ``pddopt preset toynet --dump-config`` writes it; returns its
+    path."""
+    d = harness.config_to_dict(preset("toynet"))
+    d["problem"]["params"].update(seeds=seeds, epochs=epochs)
+    path = tmp_path / "toynet.json"
+    path.write_text(json.dumps({**d, **top}))
+    return str(path)
+
+
+@pytest.mark.parametrize("key,top,flags", [
+    ("x0", {"x0": [1.0]}, []), ("max_iter", {"max_iter": 10000}, []),
+    ("grad_tol", {"grad_tol": 1e-10}, []), ("record_every", {"record_every": 10}, []),
+    ("analysis", {"analysis": {}}, []), ("dynamics", {"dynamics": {}}, []),
+    ("label", {"optimizers": [{"method": "sgd", "label": "sgd", "params": {}}]}, []),
+    ("max_iter", {}, ["--max-iter", "5"]), ("grad_tol", {}, ["--grad-tol", "0.5"])],
+    ids=["x0", "max_iter", "grad_tol", "record_every", "analysis", "dynamics",
+         "label", "--max-iter", "--grad-tol"])
+def test_toynet_config_refuses_the_keys_it_does_not_read(tmp_path, key, top,
+                                                         flags):
+    # each was accepted and had no effect; a file refuses one even at its
+    # default, and an optimizer a label even when it equals its method
+    from pddopt.cli import main
+
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
+        main(["run", _toynet_file(tmp_path, [0], 1, **top), "--out", str(out),
+              *flags])
+    assert not out.exists()
+
+
+def test_toynet_run_writes_nothing_for_a_repeated_seed(tmp_path):
+    # 20 CSV rows with 10 distinct (epoch, method, seed) keys used to be written
+    from pddopt.cli import main
+
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"seeds .*\(0, 0\)"):
+        main(["run", _toynet_file(tmp_path, [0, 0], 1), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", harness.PRESET_NAMES)
+def test_every_preset_config_round_trips(tmp_path, name):
+    save_config(preset(name), tmp_path / "a.json")
+    save_config(load_config(tmp_path / "a.json"), tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    if name == "toynet":  # only the keys toynet reads
+        d = json.loads((tmp_path / "a.json").read_text())
+        assert list(d) == ["problem", "optimizers", "outputs", "output_dir"]
+        assert all(list(o) == ["method", "params"] for o in d["optimizers"])
+
+
+def test_toynet_is_no_subcommand(capsys):
+    from pddopt.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["toynet", "--seeds", "2"])
+    assert exc.value.code == 2 and "invalid choice: 'toynet'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where,key", [
@@ -386,10 +436,8 @@ def test_materialize_x0_rules():
                           np.full(3, 0.1))
     assert np.array_equal(harness.materialize_x0([1.0, 2.0], 2),
                           np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="x0 has length 2, expected 3"):
         harness.materialize_x0([1.0, 2.0], 3)
-    with pytest.raises(ValueError):
-        harness.materialize_x0({"spam": 1}, 2)
 
 
 def test_cli_run_and_analyze(tmp_path, capsys):
@@ -445,11 +493,12 @@ def test_cli_preset_with_dump_config(tmp_path):
     assert (tmp_path / "o" / "convergence.svg").exists()
 
 
-def test_cli_toynet(tmp_path):
+def test_cli_toynet(tmp_path, capsys):
     from pddopt.cli import main
 
-    assert main(["toynet", "--seeds", "2", "--epochs", "2",
+    assert main(["run", _toynet_file(tmp_path, [0, 1], 2),
                  "--out", str(tmp_path)]) == 0
+    assert "trained 2 seeds x 5 methods" in capsys.readouterr().out
     rows = list(csv.DictReader(open(tmp_path / "toynet_metrics.csv")))
     assert {r["method"] for r in rows} == {"sgd", "nag_momentum", "pdd",
                                            "igahd", "adam"}
@@ -531,16 +580,16 @@ def test_toynet_counts_that_are_not_integers_are_rejected(key, value):
         harness.config_from_dict(d)
 
 
-@pytest.mark.parametrize("flag,key", [("--seeds", "seeds"),
-                                      ("--epochs", "epochs")])
-def test_cli_toynet_rejects_zero_seeds_or_epochs_before_writing(
-        tmp_path, flag, key):
+@pytest.mark.parametrize("key", ["seeds", "epochs"])
+def test_cli_toynet_rejects_zero_seeds_or_epochs_before_writing(tmp_path, key):
     from pddopt.cli import main
 
     out = tmp_path / "out"
+    path = _toynet_file(tmp_path, **{"seeds": [0], "epochs": 1,
+                                     key: [] if key == "seeds" else 0})
     with pytest.raises(ValueError,
                        match=f"problem 'toynet' params: '{key}' must be"):
-        main(["toynet", flag, "0", "--out", str(out)])
+        main(["run", path, "--out", str(out)])
     assert not out.exists()
 
 
@@ -656,6 +705,15 @@ def test_an_unknown_problem_is_rejected_at_load_time():
         harness.config_from_dict(d)
 
 
+def test_a_misspelled_toynet_problem_is_named_before_the_other_keys():
+    # the name picks the config tables, so it is checked first; the general
+    # table would have reported the x0 that a toynet config does not hold
+    d = _config_dict("toynet")
+    d["problem"]["name"] = "toynett"
+    with pytest.raises(ValueError, match="unknown problem 'toynett'"):
+        harness.config_from_dict(d)
+
+
 def test_a_saved_config_keeps_exactly_its_keys(tmp_path):
     cfg = preset("quadcos")
     cfg.analysis = {"num_samples": 3}
@@ -677,7 +735,8 @@ def _readme_config_table():
 
 
 def test_readme_lists_every_declared_key_with_its_kind():
-    declared = {(section, k, key.kind)
+    # toynet's config and optimizer tables are rows of the general ones
+    declared = {(section.removeprefix("toynet "), k, key.kind)
                 for section, table in harness.SECTIONS.items()
                 for k, key in table.items()}
     declared |= {(f"{name} params", k, key.kind)
@@ -711,7 +770,7 @@ def test_package_exports_only_names_its_modules_export():
 
 def test_toynet_writes_only_the_outputs_it_is_given(tmp_path):
     # the metrics CSV used to be written whatever outputs said
-    cfg = _toynet_config(tmp_path, [OptimizerSpec("sgd", "sgd", {})])
+    cfg = _toynet_config(tmp_path, [OptimizerSpec("sgd")])
     cfg.outputs = ("svg",)
     art = run_experiment(cfg)
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["toynet_loss.svg"]
@@ -719,7 +778,7 @@ def test_toynet_writes_only_the_outputs_it_is_given(tmp_path):
 
 
 @pytest.mark.parametrize("command,change,message", [
-    ("analyze", {"x0": [1.0, 2.0]}, "x0 has shape"),
+    ("analyze", {"x0": [1.0, 2.0]}, "x0 has length 2, expected 5"),
     ("dynamics", {"dynamics": {"t_end": 1e-4, "dt": 1e-3}}, "t_end")])
 def test_analyze_and_dynamics_make_no_directory_when_they_fail(
         tmp_path, command, change, message):
@@ -736,7 +795,7 @@ def test_analyze_and_dynamics_make_no_directory_when_they_fail(
 
 def test_toynet_makes_no_directory_when_training_fails(tmp_path):
     # make_blobs needs n >= 10 k; the directory used to be made first
-    cfg = _toynet_config(tmp_path, [OptimizerSpec("sgd", "sgd", {})], n=20, k=5)
+    cfg = _toynet_config(tmp_path, [OptimizerSpec("sgd")], n=20, k=5)
     with pytest.raises(ValueError, match="n >= 10k"):
         run_experiment(cfg)
     assert not (tmp_path / "out").exists()

@@ -231,23 +231,39 @@ def section(table):
 
 TOP, PROBLEM, OPTIMIZER = (harness.SECTIONS[s]
                            for s in ("config", "problem", "optimizer"))
+
+
+def tables(name):
+    """The config and optimizer tables a problem's config is read with:
+    toynet's hold only the keys it reads."""
+    toy = "toynet " if name == "toynet" else ""
+    return harness.SECTIONS[toy + "config"], harness.SECTIONS[toy + "optimizer"]
+
+
 problems = st.sampled_from(sorted(harness.PROBLEM_PARAMS)).flatmap(
     lambda name: st.builds(harness.ProblemSpec, st.just(name),
                            section(harness.PROBLEM_PARAMS[name]).filter(
                                lambda p: not {"diag", "n"} <= set(p)),
                            valid(PROBLEM["seed"])))
-optimizer_specs = st.builds(
-    harness.OptimizerSpec, st.sampled_from(sorted(RULES)),
-    valid(OPTIMIZER["label"]),
-    st.dictionaries(st.sampled_from(("tau", "beta", "sigma", "C")),
-                    reals | st.just("identity")))
-configs = st.builds(
-    harness.ExperimentConfig, problem=problems,
-    optimizers=st.lists(optimizer_specs, min_size=1, max_size=4),
-    analysis=section(harness.SECTIONS["analysis"]),
-    dynamics=section(harness.SECTIONS["dynamics"]),
-    **{k: valid(key) for k, key in TOP.items()
-       if key.kind not in ("section", "list")})
+
+
+def configs_of(problem):
+    """Configs of ``problem`` that set each key its tables declare."""
+    top, opt = tables(problem.name)
+    spec = st.builds(
+        harness.OptimizerSpec, st.sampled_from(sorted(RULES)),
+        valid(opt["label"]) if "label" in opt else st.none(),
+        st.dictionaries(st.sampled_from(("tau", "beta", "sigma", "C")),
+                        reals | st.just("identity")))
+    return st.builds(
+        harness.ExperimentConfig, problem=st.just(problem),
+        optimizers=st.lists(spec, min_size=1, max_size=4),
+        **{k: section(harness.SECTIONS[k]) if key.kind == "section"
+           else valid(key) for k, key in top.items()
+           if k not in ("problem", "optimizers")})
+
+
+configs = problems.flatmap(configs_of)
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,14 +281,14 @@ def test_config_round_trip(config):
 def test_a_bool_string_or_out_of_range_value_is_rejected(config, data):
     d = harness.config_to_dict(config)
     name = d["problem"]["name"]
+    top, opt = tables(name)
     where, target, table = data.draw(st.sampled_from([
-        ("config", d, TOP), ("problem", d["problem"], PROBLEM),
-        ("optimizers[0]", d["optimizers"][0], OPTIMIZER),
-        ("analysis", d["analysis"], harness.SECTIONS["analysis"]),
-        ("dynamics", d["dynamics"], harness.SECTIONS["dynamics"]),
+        ("config", d, top), ("problem", d["problem"], PROBLEM),
+        ("optimizers[0]", d["optimizers"][0], opt),
         (f"problem {name!r} params", d["problem"]["params"],
-         harness.PROBLEM_PARAMS[name])]).filter(lambda s: s[2]),
-        label="section")
+         harness.PROBLEM_PARAMS[name])] + [
+        (s, d[s], harness.SECTIONS[s]) for s in ("analysis", "dynamics")
+        if s in d]).filter(lambda s: s[2]), label="section")
     key = data.draw(st.sampled_from(sorted(table)), label="key")
     target[key] = data.draw(invalid(table[key]), label="value")
     with pytest.raises(ValueError) as err:
@@ -318,7 +334,8 @@ def small_problem_params(draw, name, dim):
 def small_configs(draw, names, with_pdd=False):
     """(config dict, dimension) of a valid config of one of the problems
     ``names`` whose commands finish in milliseconds; ``with_pdd`` puts a
-    pdd first among its optimizers."""
+    pdd first among its optimizers. A toynet config holds only the keys
+    toynet reads."""
     name = draw(st.sampled_from(names))
     dim = draw(st.integers(2 if name == "rosenbrockNd" else 1, 4))
     params = draw(small_problem_params(name, dim))
@@ -329,7 +346,7 @@ def small_configs(draw, names, with_pdd=False):
     if name == "toynet":
         methods = draw(st.lists(st.sampled_from(toynet.METHODS), min_size=1,
                                 max_size=2, unique=True))
-        optimizers = [{"method": m, "label": m, "params": {}} for m in methods]
+        optimizers = [{"method": m, "params": {}} for m in methods]
     else:
         methods = ["pdd"] * with_pdd + draw(st.lists(
             st.sampled_from(sorted(RULES)), min_size=1 - with_pdd, max_size=3))
@@ -345,9 +362,12 @@ def small_configs(draw, names, with_pdd=False):
     d = {"problem": {"name": name, "params": params,
                      "seed": draw(st.integers(0, 3))},
          "optimizers": optimizers,
+         "outputs": list(draw(valid(TOP["outputs"])))}
+    if name == "toynet":
+        return d, dim
+    d.update({
          "x0": draw(st.builds(dict, fill=small) | vector_of(dim)),
          "record_every": draw(st.integers(1, 10)),
-         "outputs": list(draw(valid(TOP["outputs"]))),
          "analysis": draw(st.fixed_dictionaries({}, optional={
              "num_samples": st.integers(1, 3), "pdd_steps": st.integers(1, 20),
              "sample_scale": st.floats(0.0, 1.0), "delta": st.floats(0.0, 2.0),
@@ -357,7 +377,7 @@ def small_configs(draw, names, with_pdd=False):
              "A": st.floats(0.1, 3.0), "gamma": st.floats(0.0, 2.0),
              "epsilon": st.floats(0.0, 3.0) | st.just("3/t"),
              "t_end": st.floats(0.11, 0.5), "dt": st.floats(0.005, 0.05),
-             "p0": vector_of(dim)}))}
+             "p0": vector_of(dim)}))})
     return d, dim
 
 
@@ -371,8 +391,10 @@ bad_C = st.sampled_from([
     True])
 # the change each example makes to its valid config: none, a value (invalid
 # for its key, or odd), a vector length, pdd's C, an optimizer's params, a
-# dynamics span over the trajectory cap, or a --seed of -1
-CHANGES = ("none", "invalid", "odd", "length", "C", "hp", "span", "seed")
+# dynamics span over the trajectory cap, a --seed of -1, or a key toynet
+# does not read
+CHANGES = ("none", "invalid", "odd", "length", "C", "hp", "span", "seed",
+           "unread")
 NO_TOYNET = ("length", "C", "span")  # each needs a problem with a dimension
 
 
@@ -386,12 +408,13 @@ def changed(draw, kind, d, dim):
         d["dynamics"].update(t_end=draw(st.floats(1e7, 1e300)), dt=draw(
             st.floats(0.0, 1e-3, exclude_min=True)))
     elif kind in ("invalid", "odd"):
+        top, opt = tables(problem["name"])
         target, table = draw(st.sampled_from([(t, table) for t, table in [
-            (d, TOP), (problem, PROBLEM),
-            (d["analysis"], harness.SECTIONS["analysis"]),
-            (d["dynamics"], harness.SECTIONS["dynamics"]),
+            (d, top), (problem, PROBLEM),
             (params, harness.PROBLEM_PARAMS[problem["name"]])]
-            + [(o, OPTIMIZER) for o in opts] if table]))
+            + [(d[s], harness.SECTIONS[s]) for s in ("analysis", "dynamics")
+               if s in d]
+            + [(o, opt) for o in opts] if table]))
         key = draw(st.sampled_from(sorted(table)))
         # 10**400 is an in-range size for an int key, which nothing bounds
         target[key] = draw(invalid(table[key]) if kind == "invalid" else
@@ -420,6 +443,13 @@ def changed(draw, kind, d, dim):
             hp.pop(key, None)
         else:
             hp[key] = draw(odd_values | st.floats(-2.0, 2.0))
+    elif kind == "unread":  # d is a toynet config; any value is refused
+        key = draw(st.sampled_from(harness.TOYNET_UNREAD))
+        if key == "label":
+            draw(st.sampled_from(opts))[key] = draw(valid(OPTIMIZER[key]))
+        else:
+            d[key] = draw(section(harness.SECTIONS[key])
+                          if TOP[key].kind == "section" else valid(TOP[key]))
     return d
 
 
@@ -432,22 +462,28 @@ def test_every_command_runs_or_raises_value_error_before_writing(tmp_path, data)
     # each example makes every change, each to a config of its own: a drawn
     # change clustered, so some kinds got no example in a run
     for kind in CHANGES:
-        names = [n for n in sorted(harness.PROBLEM_PARAMS)
-                 if n != "toynet" or kind not in NO_TOYNET]
+        names = ["toynet"] if kind == "unread" else [
+            n for n in sorted(harness.PROBLEM_PARAMS)
+            if n != "toynet" or kind not in NO_TOYNET]
         d, dim = data.draw(small_configs(names, with_pdd=kind == "C"),
                            label=f"{kind} config")
         d = data.draw(changed(kind, d, dim), label=kind)
+        toy = d["problem"]["name"] == "toynet"
         seed = -1 if kind == "seed" else data.draw(
             st.none() | st.integers(0, 3), label=f"{kind} seed")
         flags = [] if seed is None else ["--seed", str(seed)]
-        # only run takes --max-iter; 0 is tested as a CLI override
-        max_iter = str(data.draw(st.integers(1, 30), label=f"{kind} max_iter"))
+        # only run takes --max-iter; 0 is tested as a CLI override. A toynet
+        # config refuses it, so it gets it in some examples only.
+        max_iter = [] if toy and not data.draw(
+            st.booleans(), label=f"{kind} toynet --max-iter") else [
+            "--max-iter", str(data.draw(st.integers(1, 30),
+                                        label=f"{kind} max_iter"))]
         work = Path(tempfile.mkdtemp(dir=tmp_path))
         path = work / "config.json"
         path.write_text(json.dumps(d))
         for command in ("run", "analyze", "dynamics"):
             out = work / command
-            extra = ["--max-iter", max_iter] if command == "run" else []
+            extra = max_iter if command == "run" else []
             try:
                 code = cli.main([command, str(path), "--out", str(out), *flags,
                                  *extra])
@@ -455,3 +491,4 @@ def test_every_command_runs_or_raises_value_error_before_writing(tmp_path, data)
                 assert not out.exists() or not any(out.iterdir()), (kind, command)
             else:
                 assert code in (0, 1), (kind, command)
+                assert not (kind == "unread" or toy and extra), (kind, command)

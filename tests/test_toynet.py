@@ -450,7 +450,8 @@ def test_train_stops_once_every_run_has_diverged(monkeypatch):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("batch_size", 0), ("epochs", 0), ("seeds", ()), ("methods", ())])
+    ("batch_size", 0), ("epochs", 0), ("seeds", ()), ("methods", ()),
+    ("seeds", (0, 0)), ("methods", ("sgd", "sgd"))])
 def test_bad_counts_rejected_before_the_data(monkeypatch, field, value):
     def no_data(*args, **kwargs):
         raise AssertionError("data built before the check")
