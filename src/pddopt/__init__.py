@@ -20,7 +20,6 @@ from .objective import (
     check_gradient,
 )
 from .optimizers import (
-    Preconditioner,
     Trajectory,
     pdd_step,
     run_optimizer,

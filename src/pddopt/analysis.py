@@ -10,6 +10,9 @@ Everything here turns the rate theory into numbers that can be checked:
   from the constants mu, L (extreme eigenvalues of hess f . C) and L'
   (a bound involving the third derivative),
 * the N/H matrices that drive the discrete one-step estimate.
+
+C is pdd's primal preconditioner: a positive diagonal given as the vector
+of its entries, or None for I.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .objective import Objective, as_vector
-from .optimizers import Preconditioner, lyapunov_value, validate_method
+from .optimizers import as_preconditioner, lyapunov_value, validate_method
 
 __all__ = [
     "SpectralMode",
@@ -86,7 +89,7 @@ class Theorem6Recipe:
 
 
 def theorem6_params(mu: float, L: float, Lp: float, delta: float = 1.0,
-                    C: Optional[Preconditioner] = None) -> Theorem6Recipe:
+                    C: Optional[np.ndarray] = None) -> Theorem6Recipe:
     """Parameters certifying geometric decay of the Lyapunov functional.
 
     tau = sigma = mu / (4 (delta + 36 max(L', 1))), gamma = (1 - sigma mu)/mu,
@@ -188,8 +191,8 @@ def build_N_H(obj: Objective, x, params: dict) -> Tuple[np.ndarray, np.ndarray]:
 
     (x+, p+) - (x, p) = -tau N(x) (grad f(x), p) with
 
-        N = 1/(1 + sigma eps A) [[C(x)(sigma A + gamma A), C(x)(1 - eps gamma A)],
-                                 [   -(sigma/tau) A I,        (sigma/tau) eps A I]]
+        N = 1/(1 + sigma eps A) [[C (sigma A + gamma A), C (1 - eps gamma A)],
+                                 [  -(sigma/tau) A I,      (sigma/tau) eps A I]]
 
     where gamma = sigma omega, and H = sym(diag(hess f(x), I) . N). H is
     exactly symmetric by construction. ``params`` is pdd's hp dict.
@@ -197,7 +200,7 @@ def build_N_H(obj: Objective, x, params: dict) -> Tuple[np.ndarray, np.ndarray]:
     x = as_vector(x, obj.dim)
     d = obj.dim
     I = np.eye(d)
-    Cmat = I if params.get("C") is None else params["C"].matrix(x)
+    Cmat = I if params.get("C") is None else np.diag(params["C"])
     Hess = obj.hessian_at(x)
     A, sigma, tau, eps = params["A"], params["sigma"], params["tau"], params["epsilon"]
     gamma = sigma * params["omega"]
@@ -251,7 +254,7 @@ def discrete_decay_check(values: Sequence[float],
 @dataclass(frozen=True)
 class ConstantEstimates:
     """Sampled bounds: mu_hat/L_hat bracket eig(hess f . C), Lp_hat bounds
-    C'(d3f . grad f + hess f^2) C over the sample set."""
+    C (d3f . grad f + hess f^2) C over the sample set."""
     mu_hat: float
     L_hat: float
     Lp_hat: float
@@ -287,50 +290,41 @@ def sample_D0_lower_bound(obj: Objective, points: Sequence,
     return best
 
 
-def _c_sqrt(C: Optional[Preconditioner], x: np.ndarray,
-            dim: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """C(x) and its square root S = C(x)^{1/2}; C = None is I, S then None."""
-    if C is None:
-        return np.eye(dim), None
-    Cmat = C.matrix(x)
-    w, V = np.linalg.eigh(Cmat)
-    if np.any(w <= 0):
-        raise ValueError("preconditioner must be positive definite")
-    return Cmat, (V * np.sqrt(w)) @ V.T
-
-
 def estimate_constants(obj: Objective, sample_points: Sequence,
-                       C: Optional[Preconditioner] = None) -> ConstantEstimates:
+                       C: Optional[np.ndarray] = None) -> ConstantEstimates:
     """Estimate the rate constants over a sample of points.
 
-    mu_hat / L_hat are the extreme eigenvalues of hess f(x) C(x) over the
+    mu_hat / L_hat are the extreme eigenvalues of hess f(x) C over the
     sample (for C = I this is just the Hessian spectrum). Lp_hat bounds
-    C' (d3f . grad f + hess f^2) C, with the third-derivative contraction
+    C (d3f . grad f + hess f^2) C, with the third-derivative contraction
     approximated by a central difference of the Hessian along the gradient
-    direction. Sampled estimates are lower bounds on the true global
-    constants; include any points you intend to certify in the sample.
-    A constant C is factored once, a callback C at every point.
+    direction. C is the positive diagonal's vector, so a product with it
+    scales rows or columns; None is I, taken as a vector of ones, whose
+    products change no bit. Sampled estimates are lower bounds on the true
+    global constants; include any points you intend to certify in the
+    sample.
     """
+    C = np.ones(obj.dim) if C is None else np.asarray(C, dtype=float)
+    if not np.all(C > 0):
+        raise ValueError("preconditioner must be positive definite")
+    C = as_preconditioner(C, obj.dim)
+    s = np.sqrt(C)
     mu_hat = math.inf
     L_hat = -math.inf
     Lp_hat = -math.inf
-    factored = None
     for pt in sample_points:
         x = as_vector(pt, obj.dim)
-        if factored is None or C is not None and not C.is_constant:
-            factored = _c_sqrt(C, x, obj.dim)
-        Cmat, S = factored
         Hess = obj.hessian_at(x)
         # eigenvalues of hess.C (= hess f . B . hess f); hess.C is similar
-        # to S hess S, symmetric for SPD C
-        w = np.linalg.eigvalsh(Hess if S is None else S @ Hess @ S)
+        # to S hess S with S = C^(1/2), which is symmetric
+        w = np.linalg.eigvalsh(s[:, None] * Hess * s)
         mu_hat = min(mu_hat, float(w[0]))
         L_hat = max(L_hat, float(w[-1]))
 
         v = obj.gradient(x)
         h = 1e-5 * (1.0 + np.linalg.norm(x)) / (1.0 + np.linalg.norm(v))
         T = (obj.hessian_at(x + h * v) - obj.hessian_at(x - h * v)) / (2.0 * h)
-        M = Cmat.T @ (T + Hess @ Hess) @ Cmat
+        M = C[:, None] * (T + Hess @ Hess) * C
         M = 0.5 * (M + M.T)
         Lp_hat = max(Lp_hat, float(np.linalg.eigvalsh(M)[-1]))
     return ConstantEstimates(mu_hat=mu_hat, L_hat=L_hat, Lp_hat=Lp_hat)

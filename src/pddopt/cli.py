@@ -25,14 +25,15 @@ from .optimizers import lyapunov_value, pdd_step
 
 
 def _apply_overrides(config, args):
-    """``config`` with the command line's values; running it checks them."""
+    """``config`` with the command line's values, read as the same keys in a
+    config file are: a toynet config refuses --max-iter and --grad-tol."""
+    d = harness.config_to_dict(config)
     if args.seed is not None:
-        config.problem.seed = args.seed
-    if getattr(args, "max_iter", None) is not None:
-        config.max_iter = args.max_iter
-    if getattr(args, "grad_tol", None) is not None:
-        config.grad_tol = args.grad_tol
-    return config
+        d["problem"]["seed"] = args.seed
+    for key in ("max_iter", "grad_tol"):
+        if getattr(args, key, None) is not None:
+            d[key] = getattr(args, key)
+    return harness.config_from_dict(d)
 
 
 def _report_artifact(artifact) -> int:
@@ -121,12 +122,12 @@ def cmd_analyze(args) -> int:
     print(f"  wrote {summary}\n  wrote {ratios}")
 
     if config.problem.name == "quadratic":
-        Q = ctx["Q"]
-        B = (np.eye(obj.dim) if C is None else C.matrix(x0)) @ np.linalg.inv(Q)
-        mus = np.linalg.eigvals(B @ Q @ (p["A"] * np.eye(obj.dim)) @ Q).real
+        # the modes of B Q A Q = A C Q (B = C Q^-1) are A times the
+        # eigenvalues of S Q S, S = C^(1/2), which is symmetric
+        s = np.sqrt(np.ones(obj.dim) if C is None else C)
         rep = analysis.quadratic_spectral_rate(
-            np.sort(mus)[::-1], np.full(obj.dim, p["A"]),
-            gamma=gamma, eps=p["epsilon"])
+            p["A"] * np.linalg.eigvalsh(s[:, None] * ctx["Q"] * s)[::-1],
+            np.full(obj.dim, p["A"]), gamma=gamma, eps=p["epsilon"])
         spath = harness.write_csv(
             out_dir / "spectral.csv", ["mu", "a", "root1_re", "root1_im",
                                        "root2_re", "root2_im", "alpha",

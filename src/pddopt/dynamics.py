@@ -4,24 +4,24 @@ As the stepsizes shrink with sigma*omega -> gamma, the iteration follows
 the first-order system
 
     dp/dt = A grad f(x) - eps A p
-    dx/dt = -C(x) (p + gamma (A grad f(x) - eps A p))
+    dx/dt = -C (p + gamma (A grad f(x) - eps A p))
 
-which is equivalent (for constant C) to the second-order equation
+which is equivalent to the second-order equation
 
     x'' + (eps A I + gamma C A hess f(x)) x' + C A grad f(x) = 0.
 
 Choosing C = A = I recovers the classical special cases: Hessian-driven
 damping (gamma > 0), the heavy ball equation (gamma = 0), and the
 Nesterov equation (gamma = 0, eps(t) = 3/t). Only scalar dual
-preconditioners A are supported.
+preconditioners A are supported; the primal C is a positive diagonal given
+as the vector of its entries, or None for I.
 
 `integrate_rk4` makes its four stage vectors, one work vector and the
 trajectory array once per integration. Each stage input, stage result and
 RK4 combination is written into them through numpy's ``out=``, and each new
 state goes straight into its row of the trajectory, so a step allocates
-only what the gradient and a non-identity C(x) v return. The operations
-and their order are those of the allocating formula, so the results are
-bitwise equal to it.
+only what the gradient returns. The operations and their order are those
+of the allocating formula, so the results are bitwise equal to it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .objective import Objective, as_vector
-from .optimizers import Preconditioner, pdd_step
+from .optimizers import as_preconditioner, pdd_step
 
 __all__ = [
     "DynParams",
@@ -62,11 +62,13 @@ class DynParams:
 
     ``epsilon`` may be a constant or a map t -> eps(t); time-dependent
     choices are only evaluated at t > 0 (start integration at t0 = dt).
+    ``C`` is the positive diagonal's vector (None is C = I), held as the
+    float64 vector `as_preconditioner` returns; ``==`` does not compare it.
     """
     A: float
     epsilon: EpsLike
     gamma: float
-    C: Optional[Preconditioner] = None  # None is C = I
+    C: Optional[np.ndarray] = field(default=None, compare=False)
     # (A, gamma, eps*A) as read-only 0-d float64 arrays, eps*A None when
     # epsilon is callable: numpy converts a Python float operand on every
     # call, and `pdd_vector_field` runs 4 times per RK4 step
@@ -79,6 +81,8 @@ class DynParams:
             raise ValueError("gamma must be nonnegative")
         if not callable(self.epsilon) and not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
+        if self.C is not None:
+            object.__setattr__(self, "C", as_preconditioner(self.C))
         epsA = None if callable(self.epsilon) else self.eps_at(0.0) * self.A
         object.__setattr__(self, "_operands", (
             _operand(self.A), _operand(self.gamma),
@@ -115,7 +119,7 @@ def pdd_vector_field(x: np.ndarray, p: np.ndarray, t: float,
     overlap x, p or grad, and those two views come back as (dx, dp); without
     ``out`` a new vector is allocated. Either way it evaluates
 
-        dp = A g - (eps(t) A) p,    dx = -C(x) (p + gamma dp)
+        dp = A g - (eps(t) A) p,    dx = -C (p + gamma dp)
 
     with the same operations in the same order, so the bits do not depend
     on ``out``.
@@ -133,7 +137,9 @@ def pdd_vector_field(x: np.ndarray, p: np.ndarray, t: float,
     np.subtract(dp, dx, out=dp)
     np.multiply(gamma, dp, out=dx)
     np.add(p, dx, out=dx)
-    np.negative(dx if params.C is None else params.C.apply(x, dx), out=dx)
+    if params.C is not None:
+        np.multiply(params.C, dx, out=dx)
+    np.negative(dx, out=dx)
     return dx, dp
 
 
@@ -195,6 +201,8 @@ def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
         raise ValueError("t_end must allow at least one step")
     d = obj.dim
     n_steps = round(_step_count(t_end, t0, dt, d))
+    if params.C is not None:
+        as_preconditioner(params.C, d)
     x0 = as_vector(x0, d, "x0")
     p0 = as_vector(p0, d, "p0")
 
@@ -253,15 +261,11 @@ def second_order_residual(traj: OdeTrajectory, params: DynParams,
         x'' + (eps A I + gamma C A hess f(x)) x' + C A grad f(x)
 
     with x'' and x' approximated by central differences of the stored x(t).
-    Requires a constant C (its time derivative term is dropped) and a
-    Hessian (analytic or finite-difference).
+    Requires a Hessian (analytic or finite-difference).
     """
-    if params.C is not None and not params.C.is_constant:
-        raise ValueError("residual check requires a constant preconditioner")
     if traj.xs.shape[0] < 3:
         raise ValueError("need at least 3 samples for central differences")
-    d = traj.xs.shape[1]
-    Cmat = np.eye(d) if params.C is None else params.C.matrix(traj.xs[0])
+    C = 1.0 if params.C is None else params.C
     A = params.A
     dt = traj.dt
     worst = 0.0
@@ -271,8 +275,8 @@ def second_order_residual(traj: OdeTrajectory, params: DynParams,
         a = (traj.xs[k + 1] - 2.0 * xk + traj.xs[k - 1]) / (dt * dt)
         eps_k = params.eps_at(float(traj.times[k]))
         H = obj.hessian_at(xk)
-        r = (a + eps_k * A * v + params.gamma * A * (Cmat @ (H @ v))
-             + A * (Cmat @ obj.gradient(xk)))
+        r = (a + eps_k * A * v + params.gamma * A * (C * (H @ v))
+             + A * (C * obj.gradient(xk)))
         worst = max(worst, float(np.linalg.norm(r)))
     return worst
 

@@ -37,8 +37,8 @@ from .objective import (
     reg_log_sum_exp,
     rosenbrock,
 )
-from .optimizers import (Preconditioner, Trajectory, compute_beta2,
-                         compute_nag_beta, run_optimizer, validate_method)
+from .optimizers import (Trajectory, compute_beta2, compute_nag_beta,
+                         run_optimizer, validate_method)
 
 __all__ = [
     "ProblemSpec",
@@ -357,8 +357,9 @@ def materialize_x0(x0, dim: int) -> np.ndarray:
     return as_vector(x0, dim, "x0")
 
 
-def resolve_preconditioner(spec, ctx: dict, dim: int) -> Optional[Preconditioner]:
-    """Turn a config-level C spec into a Preconditioner on R^``dim``.
+def resolve_preconditioner(spec, ctx: dict, dim: int) -> Optional[np.ndarray]:
+    """Turn a config-level C spec into pdd's C: the vector of a diagonal on
+    R^``dim``, whose entries `prepare` checks with the rest of pdd's params.
 
     Accepted: null and "identity" (C = I, as None), "diag_inv_q" (inverse
     diagonal of the generated Q), or {"diagonal": [...]} with ``dim`` entries.
@@ -369,11 +370,11 @@ def resolve_preconditioner(spec, ctx: dict, dim: int) -> Optional[Preconditioner
         Q = ctx.get("Q")
         if Q is None:
             raise ValueError("diag_inv_q needs a problem that generates Q")
-        return Preconditioner.diagonal(1.0 / np.diag(Q))
+        return 1.0 / np.diag(Q)
     if not (isinstance(spec, dict) and list(spec) == ["diagonal"]
             and KINDS["vector"][1](spec["diagonal"])):
         raise ValueError(f"unknown preconditioner spec {spec!r}")
-    return Preconditioner.diagonal(as_vector(spec["diagonal"], dim, "C's diagonal"))
+    return as_vector(spec["diagonal"], dim, "C's diagonal")
 
 
 # ---------------------------------------------------------------------------

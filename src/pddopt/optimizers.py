@@ -6,16 +6,18 @@ variable p:
 
     p+  = (p + sigma*A*grad f(x)) / (1 + sigma*eps*A)
     pt  = p+ + omega*(p+ - p)
-    x+  = x - tau * C(x) pt
+    x+  = x - tau * C pt
 
 with stepsizes tau, sigma, dual preconditioner scale A, regularization
-eps, extrapolation omega and primal preconditioner C(x); one gradient
-evaluation per step. Baselines: gradient descent, Nesterov's accelerated
-gradient, heavy ball, and the inertial gradient algorithms with Hessian
-damping (general and strongly convex). Each method is one entry of
-`RULES`, a range check plus an init/step pair that `run_optimizer` drives;
-pdd's step is `pdd_step`, which `analyze` and the consistency probe call on
-plain arrays too.
+eps, extrapolation omega and primal preconditioner C; one gradient
+evaluation per step. C is a positive diagonal held as the vector of its
+entries (see `as_preconditioner`), so C pt is an elementwise product, and
+None is C = I. Baselines: gradient descent, Nesterov's accelerated gradient,
+heavy ball, and the inertial gradient algorithms with Hessian damping
+(general and strongly convex). Each method is one entry of `RULES`, a
+range check plus an init/step pair that `run_optimizer` drives; pdd's step
+is `pdd_step`, which `analyze` and the consistency probe call on plain
+arrays too.
 
 Above `objective._STRIP` = 16384 entries, `run_optimizer` steps gd, nag,
 pdd without C and igahd through a strip-fused twin of the rule's step (see
@@ -39,7 +41,7 @@ from . import objective
 from .objective import Objective, as_vector
 
 __all__ = [
-    "Preconditioner",
+    "as_preconditioner",
     "TrajectoryRecord",
     "Trajectory",
     "pdd_step",
@@ -53,69 +55,18 @@ __all__ = [
 ]
 
 
-class Preconditioner:
-    """Primal preconditioner C(x).
-
-    Supported kinds: fixed positive diagonal, fixed symmetric positive
-    definite dense matrix, or a callback x -> matrix for state-dependent
-    preconditioning. C = I is no object: every caller takes ``None`` as I.
-    """
-
-    def __init__(self, kind: str, payload=None):
-        if kind not in ("diagonal", "dense", "callback"):
-            raise ValueError(f"unknown preconditioner kind {kind!r}")
-        self.kind = kind
-        if kind == "diagonal":
-            d = as_vector(payload, name="diagonal")
-            if np.any(d <= 0):
-                raise ValueError("diagonal preconditioner entries must be positive")
-            payload = d
-        elif kind == "dense":
-            M = objective._check_symmetric(payload, 1e-12,
-                                           "dense preconditioner")
-            try:
-                np.linalg.cholesky(M)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("dense preconditioner must be positive definite") from exc
-            payload = M
-        elif kind == "callback" and not callable(payload):
-            raise ValueError("callback preconditioner needs a callable")
-        self.payload = payload
-
-    @classmethod
-    def diagonal(cls, d) -> "Preconditioner":
-        return cls("diagonal", d)
-
-    @classmethod
-    def dense(cls, M) -> "Preconditioner":
-        return cls("dense", M)
-
-    @classmethod
-    def from_callback(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "Preconditioner":
-        return cls("callback", fn)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.kind != "callback"
-
-    def apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """C(x) v."""
-        if self.kind == "diagonal":
-            return self.payload * v
-        if self.kind == "dense":
-            return self.payload @ v
-        return np.asarray(self.payload(x), dtype=float) @ v
-
-    def matrix(self, x: np.ndarray) -> np.ndarray:
-        """Dense representation of C(x)."""
-        if self.kind == "diagonal":
-            return np.diag(self.payload)
-        if self.kind == "dense":
-            return np.array(self.payload)
-        return np.asarray(self.payload(x), dtype=float)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Preconditioner({self.kind})"
+def as_preconditioner(C, dim: Optional[int] = None) -> np.ndarray:
+    """pdd's primal preconditioner C, a positive diagonal, as a float64
+    vector: 1-d, finite, every entry > 0 and, where ``dim`` is given, of
+    length ``dim``. C = I is no vector: every caller takes ``None`` as I."""
+    try:
+        v = np.asarray(C, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"C must be a vector of positive reals, got {C!r}") from None
+    v = as_vector(v, dim, "C")
+    if not np.all(v > 0):
+        raise ValueError("C: diagonal preconditioner entries must be positive")
+    return v
 
 
 @dataclass(frozen=True)
@@ -163,7 +114,7 @@ class Rule:
 
     A rule may also carry a strip-fused twin of ``step``, ``strip_step``,
     with ``step``'s signature, which `start` selects for vectors longer than
-    `objective._STRIP` entries when ``hp`` has no C (C(x) v mixes entries).
+    `objective._STRIP` entries when ``hp`` has no C (no twin scales by C).
     Its state is ``init(x0)`` plus two x+ buffers, "out", and "strips", a
     ``(slice, scratch)`` pair per strip of `objective._STRIP` entries. It
     runs the whole formula one strip at a time, in ``step``'s operation
@@ -293,22 +244,22 @@ def _igahd_sc_step(x, g, s, hp, grad):
 def _check_pdd(tau, sigma, A, epsilon, omega, C=None) -> None:
     if not (tau > 0 and sigma > 0 and A > 0 and epsilon >= 0 and omega >= 0):
         raise ValueError("need tau, sigma, A > 0 and epsilon, omega >= 0")
-    if C is not None and not isinstance(C, Preconditioner):
-        raise ValueError("C must be a Preconditioner")
+    if C is not None:
+        as_preconditioner(C)
 
 
 def pdd_step(x, g, s, hp, grad=None):
-    """Primal-dual damping, with g = grad f(x) and C = I where ``hp`` has no
-    "C" (or C = None):
+    """Primal-dual damping, with g = grad f(x) and C the positive diagonal
+    ``hp["C"]``, or I where ``hp`` has no "C" (or C = None):
 
     p+ = (p + sigma A g) / (1 + sigma eps A),  pt = p+ + omega (p+ - p),
-    x+ = x - tau C(x) pt
+    x+ = x - tau C pt
     """
     p, sigma, A = s["p"], hp["sigma"], hp["A"]
     p_new = (p + (sigma * A) * g) / (1.0 + sigma * hp["epsilon"] * A)
     p_tilde = p_new + hp["omega"] * (p_new - p)
     C = hp.get("C")
-    return (x - hp["tau"] * (p_tilde if C is None else C.apply(x, p_tilde)),
+    return (x - hp["tau"] * (p_tilde if C is None else C * p_tilde),
             {"p": p_new})
 
 
@@ -462,11 +413,12 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
     """Iterate one optimizer until the gradient norm drops to ``grad_tol``,
     ``max_iter`` is reached, or the run diverges.
 
-    The hyperparameters are checked once, before the first step. Metrics are
-    recorded every ``record_every`` iterations plus at the final iterate;
-    divergence (any non-finite value, gradient, or iterate) sets a flag on
-    the trajectory instead of raising, so a benchmark batch survives
-    unstable hyperparameters. The dual of the pdd method starts at zero.
+    The hyperparameters are checked once, before the first step, pdd's C
+    against the objective's dimension too. Metrics are recorded every
+    ``record_every`` iterations plus at the final iterate; divergence (any
+    non-finite value, gradient, or iterate) sets a flag on the trajectory
+    instead of raising, so a benchmark batch survives unstable
+    hyperparameters. The dual of the pdd method starts at zero.
     Identical inputs always produce identical trajectories.
     """
     if not max_iter >= 1:  # also rejects nan, which never stops
@@ -477,6 +429,8 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
         raise ValueError("record_every must be >= 1")
     validate_method(method, params)
     rule = RULES[method]
+    if params.get("C") is not None:
+        as_preconditioner(params["C"], obj.dim)
 
     x = as_vector(x0, obj.dim, "x0")
     traj = Trajectory(method=label or method)

@@ -12,7 +12,7 @@ from pddopt.analysis import (
     quadratic_spectral_rate,
     theorem6_params,
 )
-from pddopt.optimizers import Preconditioner, pdd_step
+from pddopt.optimizers import pdd_step
 
 from oracles import assemble_quadratic_system
 
@@ -92,9 +92,10 @@ def test_theorem6_recipe_names_a_mu_too_small_for_floats():
 def test_theorem6_recipe_is_a_checked_pdd_hp_dict():
     p = theorem6_params(1.0, 2.0, 3.0).params
     assert sorted(p) == ["A", "epsilon", "omega", "sigma", "tau"]
-    C = Preconditioner.diagonal([1.0, 2.0])
+    C = np.array([1.0, 2.0])
     assert theorem6_params(1.0, 2.0, 3.0, C=C).params["C"] is C
-    with pytest.raises(ValueError, match="pdd: C must be a Preconditioner"):
+    with pytest.raises(ValueError, match=r"pdd: C must be a 1-d vector, got "
+                                         r"shape \(2, 2\)"):
         theorem6_params(1.0, 2.0, 3.0, C=np.eye(2))
 
 
@@ -347,7 +348,7 @@ def test_estimate_constants_with_inverse_hessian_preconditioner():
     # C = Q^{-1} makes hess.C = I: mu = L = 1
     Q = np.diag([1.0, 2.0])
     obj = ob.quadratic(Q)
-    C = Preconditioner.dense(np.linalg.inv(Q))
+    C = 1.0 / np.diag(Q)
     est = estimate_constants(obj, [np.array([0.3, -0.7])], C=C)
     assert est.mu_hat == pytest.approx(1.0, abs=1e-12)
     assert est.L_hat == pytest.approx(1.0, abs=1e-12)
@@ -356,33 +357,10 @@ def test_estimate_constants_with_inverse_hessian_preconditioner():
 
 
 def test_estimate_constants_rejects_a_C_that_is_not_positive_definite():
-    C = Preconditioner.from_callback(lambda x: -np.eye(2))
+    C = -np.ones(2)
     with pytest.raises(ValueError, match="preconditioner must be positive "
                                          "definite"):
         estimate_constants(ob.quadratic(np.eye(2)), [np.zeros(2)], C=C)
-
-
-def test_estimate_constants_factors_a_constant_C_once(monkeypatch):
-    eigh = np.linalg.eigh
-    calls = []
-
-    def counting_eigh(M):
-        calls.append(M.shape)
-        return eigh(M)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    obj = ob.reg_log_sum_exp(ob.make_diag_dominant_Q(6, seed=2))
-    pts = np.random.default_rng(21).standard_normal((4, 6))
-    diag = np.linspace(0.5, 2.0, 6)
-    est = estimate_constants(obj, pts, C=Preconditioner.diagonal(diag))
-    assert len(calls) == 1
-    # the same matrix as a callback is factored at every point, to the same
-    # estimates
-    calls.clear()
-    per_point = estimate_constants(
-        obj, pts, C=Preconditioner.from_callback(lambda x: np.diag(diag)))
-    assert len(calls) == 4
-    assert per_point == est
 
 
 def test_D0_sample_is_zero_for_quadratics():

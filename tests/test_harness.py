@@ -264,13 +264,16 @@ def _toynet_file(tmp_path, seeds, epochs, **top):
     ("grad_tol", {"grad_tol": 1e-10}, []), ("record_every", {"record_every": 10}, []),
     ("analysis", {"analysis": {}}, []), ("dynamics", {"dynamics": {}}, []),
     ("label", {"optimizers": [{"method": "sgd", "label": "sgd", "params": {}}]}, []),
-    ("max_iter", {}, ["--max-iter", "5"]), ("grad_tol", {}, ["--grad-tol", "0.5"])],
+    ("max_iter", {}, ["--max-iter", "5"]), ("grad_tol", {}, ["--grad-tol", "0.5"]),
+    ("max_iter", {}, ["--max-iter", "10000"]),
+    ("grad_tol", {}, ["--grad-tol", "1e-10"])],
     ids=["x0", "max_iter", "grad_tol", "record_every", "analysis", "dynamics",
-         "label", "--max-iter", "--grad-tol"])
+         "label", "--max-iter", "--grad-tol", "--max-iter-default",
+         "--grad-tol-default"])
 def test_toynet_config_refuses_the_keys_it_does_not_read(tmp_path, key, top,
                                                          flags):
-    # each was accepted and had no effect; a file refuses one even at its
-    # default, and an optimizer a label even when it equals its method
+    # each was accepted and had no effect; a file or a flag refuses one even
+    # at its default, and an optimizer a label even when it equals its method
     from pddopt.cli import main
 
     out = tmp_path / "out"

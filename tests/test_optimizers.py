@@ -10,8 +10,8 @@ import pytest
 from pddopt import analysis, objective as ob, toynet
 from pddopt.optimizers import (
     RULES,
-    Preconditioner,
     TrajectoryRecord,
+    as_preconditioner,
     compute_beta2,
     compute_nag_beta,
     pdd_step,
@@ -314,15 +314,15 @@ def constant_gradient(g, dim=2):
                         gradient=lambda x: np.array(g, dtype=float))
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
 def test_non_finite_iterate_with_finite_gradient_diverges(bad):
-    # C's first row sends x[0] to -inf or nan on the first step while the
-    # gradient stays [1, 1]; the run stops there with one last record
-    C = Preconditioner.from_callback(
-        lambda x: np.array([[bad, 0.0], [0.0, 1.0]]))
-    hp = {"tau": 0.5, "sigma": 1.0, "A": 1.0, "epsilon": 0.0, "omega": 0.0,
-          "C": C}
-    traj = run_optimizer(constant_gradient([1.0, 1.0]), "pdd", hp, np.zeros(2),
+    # tau C pt overflows in C's first entry, sending x[0] to -inf or inf on
+    # the first step while the gradient stays [s, s]; the run stops there
+    # with one last record
+    s = -math.copysign(1.0, bad)
+    hp = {"tau": 4.0, "sigma": 1.0, "A": 1.0, "epsilon": 0.0, "omega": 0.0,
+          "C": np.array([1e308, 1.0])}
+    traj = run_optimizer(constant_gradient([s, s]), "pdd", hp, np.zeros(2),
                          max_iter=10, record_every=1)
     assert traj.diverged
     gn = float(np.linalg.norm([1.0, 1.0]))
@@ -330,7 +330,7 @@ def test_non_finite_iterate_with_finite_gradient_diverges(bad):
         TrajectoryRecord(0, 1.0, gn, 0.5 * (0.0 + gn * gn)),
         TrajectoryRecord(1, 1.0, gn, 0.5 * (2.0 + gn * gn)),
     ]
-    np.testing.assert_array_equal(traj.final_x, [-bad, -0.5])
+    np.testing.assert_array_equal(traj.final_x, [bad, -4.0 * s])
 
 
 def test_non_finite_value_at_a_finite_iterate_diverges():
@@ -414,7 +414,7 @@ def test_run_optimizer_steps_pdd_with_pdd_step(with_C):
     # a hand loop of it from the certified recipe ends on run_optimizer's bits
     assert RULES["pdd"].step is pdd_step
     obj = ob.reg_log_sum_exp(ob.make_diag_dominant_Q(4, seed=21))
-    C = Preconditioner.diagonal([1.0, 0.5, 2.0, 0.8]) if with_C else None
+    C = np.array([1.0, 0.5, 2.0, 0.8]) if with_C else None
     x0 = np.full(4, 0.3)
     est = analysis.estimate_constants(obj, [x0, -x0], C=C)
     recipe = analysis.theorem6_params(est.mu_hat, est.L_hat,
@@ -442,39 +442,55 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out.count("\n") == 2
 
 
-def test_callback_preconditioner_matches_dense():
-    Q = np.diag([1.0, 4.0])
-    obj = ob.quadratic(Q)
-    Cmat = np.array([[0.5, 0.1], [0.1, 0.8]])
-    dense = dict(tau=0.1, sigma=0.1, A=1.0, epsilon=1.0, omega=1.0,
-                 C=Preconditioner.dense(Cmat))
-    callback = dict(tau=0.1, sigma=0.1, A=1.0, epsilon=1.0, omega=1.0,
-                    C=Preconditioner.from_callback(lambda x: Cmat))
-    x0 = np.array([1.0, -1.0])
-    s0 = {"p": np.array([0.2, 0.1])}
-    a = pdd_step(x0, obj.gradient(x0), s0, dense)
-    b = pdd_step(x0, obj.gradient(x0), s0, callback)
-    np.testing.assert_array_equal(a[0], b[0])
-    np.testing.assert_array_equal(a[1]["p"], b[1]["p"])
-
-
 def test_preconditioner_validation():
-    with pytest.raises(ValueError):
-        Preconditioner.diagonal([1.0, -2.0])
-    with pytest.raises(ValueError):
-        Preconditioner.dense(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        Preconditioner.dense(np.diag([1.0, -1.0]))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="non-finite"):
-            Preconditioner.dense(np.array([[1.0, bad], [bad, 1.0]]))
-    with pytest.raises(ValueError, match="unknown preconditioner kind 'identity'"):
-        Preconditioner("identity")
-    with pytest.raises(ValueError, match="callback preconditioner needs a callable"):
-        Preconditioner.from_callback(np.eye(2))
-    P = Preconditioner.diagonal([2.0, 4.0])
-    np.testing.assert_allclose(P.apply(None, np.ones(2)), [2.0, 4.0])
-    np.testing.assert_allclose(P.matrix(None), np.diag([2.0, 4.0]))
+    # C is the vector of a positive diagonal, checked once by one helper
+    for bad, message in [
+            ([1.0, -2.0], "C: diagonal preconditioner entries must be positive"),
+            ([1.0, 0.0], "C: diagonal preconditioner entries must be positive"),
+            ([1.0, np.nan], "C contains non-finite entries"),
+            ([1.0, np.inf], "C contains non-finite entries"),
+            (np.eye(2), r"C must be a 1-d vector, got shape \(2, 2\)"),
+            (2.0, r"C must be a 1-d vector, got shape \(\)"),
+            ("identity", "C must be a vector of positive reals, got 'identity'"),
+            ({"diagonal": [1.0]}, "C must be a vector of positive reals")]:
+        with pytest.raises(ValueError, match=message):
+            as_preconditioner(bad)
+    with pytest.raises(ValueError, match="C has length 2, expected 3"):
+        as_preconditioner([2.0, 4.0], 3)
+    C = as_preconditioner([2.0, 4.0], 2)
+    assert C.dtype == np.float64
+    np.testing.assert_array_equal(C, [2.0, 4.0])
+    # a DynParams holds the checked vector and leaves C out of its ==
+    from pddopt.dynamics import DynParams
+
+    params = DynParams(A=1.0, epsilon=1.0, gamma=0.0, C=[2, 4])
+    assert params.C.dtype == np.float64 and params.C.tolist() == [2.0, 4.0]
+    assert params == DynParams(A=1.0, epsilon=1.0, gamma=0.0, C=np.ones(2))
+    with pytest.raises(ValueError, match="C: diagonal preconditioner entries"):
+        DynParams(A=1.0, epsilon=1.0, gamma=0.0, C=[1.0, -1.0])
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("entry", ["run_optimizer", "integrate_rk4",
+                                   "estimate_constants"])
+def test_a_C_of_the_wrong_length_is_refused_before_the_first_gradient(entry, n):
+    # a 1-entry C used to broadcast over all 3 coordinates, a 4-entry one to
+    # die in numpy after the first gradient
+    from pddopt.dynamics import DynParams, integrate_rk4
+
+    obj, calls = counting(ob.quadratic(np.diag([1.0, 2.0, 3.0])))
+    C, x0 = np.full(n, 2.0), np.ones(3)
+    with pytest.raises(ValueError, match=f"C has length {n}, expected 3"):
+        if entry == "run_optimizer":
+            run_optimizer(obj, "pdd", {"tau": 0.1, "sigma": 0.1, "A": 1.0,
+                                       "epsilon": 1.0, "omega": 1.0, "C": C},
+                          x0, max_iter=50)
+        elif entry == "integrate_rk4":
+            integrate_rk4(DynParams(A=1.0, epsilon=1.0, gamma=0.5, C=C), obj,
+                          x0, np.zeros(3), t_end=0.5, dt=0.01)
+        else:
+            analysis.estimate_constants(obj, [x0], C=C)
+    assert calls["n"] == 0
 
 
 @pytest.mark.parametrize("method,params,name", [
@@ -539,7 +555,7 @@ def _reference_run(method, hp, obj, x, steps):
             p_new = (p + sA * g) / (1.0 + hp["sigma"] * hp["epsilon"] * hp["A"])
             pt = p_new + hp["omega"] * (p_new - p)
             if "C" in hp:  # a diagonal C scales each coordinate
-                pt = hp["C"].payload * pt
+                pt = hp["C"] * pt
             x_new, p = x - tau * pt, p_new
         x_prev, g_prev, x = x, g, x_new
     return rows, x, p if method == "pdd" else None
@@ -554,7 +570,7 @@ def _reference_run(method, hp, obj, x, steps):
     ("pdd", {"tau": 0.005, "sigma": 0.005, "A": 5.0, "epsilon": 1.0,
              "omega": 1.0}),
     ("pdd", {"tau": 0.005, "sigma": 0.005, "A": 5.0, "epsilon": 1.0,
-             "omega": 1.0, "C": Preconditioner.diagonal([0.5, 0.25])}),
+             "omega": 1.0, "C": np.array([0.5, 0.25])}),
 ])
 def test_driver_matches_public_kernels_bitwise(method, hp):
     # the reference transcribes the formulas, so a reordered floating-point
@@ -626,8 +642,7 @@ def test_run_optimizer_steps_whole_arrays_up_to_one_strip(method, hp):
 
 def test_rules_without_a_strip_step_for_their_hp_step_whole_arrays():
     x0 = np.zeros(ob._STRIP + 1)
-    pdd_with_C = dict(STRIP_METHODS[2][1],
-                      C=Preconditioner.diagonal(np.ones(len(x0))))
+    pdd_with_C = dict(STRIP_METHODS[2][1], C=np.ones(len(x0)))
     for method, hp in [("pdd", pdd_with_C),
                        ("heavy_ball", {"tau": 0.001, "beta": 0.9}),
                        ("igahd_sc", {"tau": 0.001, "m1": 1.0, "beta2": 0.01})]:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pddopt import cli, harness, toynet
+from pddopt import analysis, cli, harness, toynet
 from pddopt import objective as ob
 from pddopt.optimizers import RULES, run_optimizer
 
@@ -130,6 +130,48 @@ def test_rosenbrock_runs_across_strips_match_the_array_formula():
         assert not runs[0].diverged, spec.method
         assert runs[0].records == runs[1].records, spec.method
         assert runs[0].final_x.tobytes() == runs[1].final_x.tobytes()
+
+
+def dense_C_constants(obj, points, c):
+    """`analysis.estimate_constants` as it was with C a dense matrix:
+    S hess S with S = diag(sqrt(c)) and C' M C with C = diag(c), as matmuls."""
+    S, Cm = np.diag(np.sqrt(c)), np.diag(c)
+    mu, L, Lp = math.inf, -math.inf, -math.inf
+    for x in points:
+        Hess = obj.hessian_at(x)
+        w = np.linalg.eigvalsh(S @ Hess @ S)
+        mu, L = min(mu, float(w[0])), max(L, float(w[-1]))
+        v = obj.gradient(x)
+        h = 1e-5 * (1.0 + np.linalg.norm(x)) / (1.0 + np.linalg.norm(v))
+        T = (obj.hessian_at(x + h * v) - obj.hessian_at(x - h * v)) / (2.0 * h)
+        M = Cm @ (T + Hess @ Hess) @ Cm
+        M = 0.5 * (M + M.T)
+        Lp = max(Lp, float(np.linalg.eigvalsh(M)[-1]))
+    return mu, L, Lp
+
+
+# no subnormal or signed zero entry: a product with an exact zero of
+# diag(...) may then differ from the elementwise one in a zero's sign
+entries = st.floats(-1e3, 1e3).map(lambda v: 0.0 if abs(v) < 1e-6 else v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.integers(1, 5), k=st.integers(1, 3))
+def test_estimate_constants_with_a_vector_C_is_the_dense_diagonal(data, d, k):
+    # f = x'Hx/2 + sum(x^4)/12: hess f = H + diag(x^2), so the third
+    # derivative term is not zero
+    B = data.draw(hnp.arrays(float, (d, d), elements=entries), label="H")
+    H = np.tril(B) + np.tril(B, -1).T
+    c = data.draw(hnp.arrays(float, d, elements=st.floats(1e-3, 1e3)),
+                  label="c")
+    points = data.draw(st.lists(hnp.arrays(float, d, elements=st.floats(
+        -10.0, 10.0).map(lambda v: v + 0.0)), min_size=k, max_size=k),
+        label="points")
+    obj = ob.Objective(d, value=lambda x: 0.5 * x @ H @ x + np.sum(x ** 4) / 12,
+                       gradient=lambda x: H @ x + x ** 3 / 3,
+                       hessian=lambda x: H + np.diag(x * x))
+    est = analysis.estimate_constants(obj, points, C=c)
+    assert (est.mu_hat, est.L_hat, est.Lp_hat) == dense_C_constants(obj, points, c)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +476,9 @@ def changed(draw, kind, d, dim):
         else:
             draw(st.sampled_from(pdds))["params"]["C"] = {
                 "diagonal": [abs(v) + 0.5 for v in draw(wrong)]}
-    elif kind == "C":
-        opts[0]["params"]["C"] = draw(bad_C)  # the first is a pdd
+    elif kind == "C":  # the first is a pdd; a zero entry passes the length
+        opts[0]["params"]["C"] = draw(bad_C | st.integers(0, dim - 1).map(
+            lambda k: {"diagonal": [float(i != k) for i in range(dim)]}))
     elif kind == "hp":
         hp = draw(st.sampled_from(opts))["params"]
         key = draw(st.sampled_from(sorted(hp) + ["tau", "bogus"]))
@@ -468,7 +511,9 @@ def test_every_command_runs_or_raises_value_error_before_writing(tmp_path, data)
         d, dim = data.draw(small_configs(names, with_pdd=kind == "C"),
                            label=f"{kind} config")
         d = data.draw(changed(kind, d, dim), label=kind)
-        toy = d["problem"]["name"] == "toynet"
+        # an odd change may replace the problem section with any JSON value
+        problem = d["problem"]
+        toy = isinstance(problem, dict) and problem.get("name") == "toynet"
         seed = -1 if kind == "seed" else data.draw(
             st.none() | st.integers(0, 3), label=f"{kind} seed")
         flags = [] if seed is None else ["--seed", str(seed)]
