@@ -200,7 +200,8 @@ def build_N_H(obj: Objective, x, params: dict) -> Tuple[np.ndarray, np.ndarray]:
     x = as_vector(x, obj.dim)
     d = obj.dim
     I = np.eye(d)
-    Cmat = I if params.get("C") is None else np.diag(params["C"])
+    C = params.get("C")
+    Cmat = I if C is None else np.diag(as_preconditioner(C, d))
     Hess = obj.hessian_at(x)
     A, sigma, tau, eps = params["A"], params["sigma"], params["tau"], params["epsilon"]
     gamma = sigma * params["omega"]

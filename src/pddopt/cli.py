@@ -7,9 +7,10 @@ Subcommands:
                           (and mode-wise spectral rates for quadratics)
     dynamics <config.json> integrate the continuous system, emit CSV
 
-Flags: --out, --seed, and for run and preset --max-iter, --grad-tol (a toynet
-config refuses both). The environment variable PDD_OUT_DIR sets the default
-output root. Exit status is nonzero when any run diverges.
+Flags: --out (written into the config's output_dir), and for preset --seed
+(the problem seed, which also sizes logsumexp's steps) and --dump-config;
+every other setting is a config key. The environment variable PDD_OUT_DIR
+sets the default output root. Exit status is nonzero when any run diverges.
 """
 
 from __future__ import annotations
@@ -23,17 +24,16 @@ from . import analysis, harness
 from .dynamics import DynParams, integrate_rk4
 from .optimizers import lyapunov_value, pdd_step
 
+SAMPLE_SCALE = 0.5  # analyze's sample points are x0 + 0.5 N(0, I)
 
-def _apply_overrides(config, args):
-    """``config`` with the command line's values, read as the same keys in a
-    config file are: a toynet config refuses --max-iter and --grad-tol."""
-    d = harness.config_to_dict(config)
-    if args.seed is not None:
-        d["problem"]["seed"] = args.seed
-    for key in ("max_iter", "grad_tol"):
-        if getattr(args, key, None) is not None:
-            d[key] = getattr(args, key)
-    return harness.config_from_dict(d)
+
+def _load(args) -> harness.ExperimentConfig:
+    """The config a command reads: the named preset at --seed, or the file;
+    --out, where given, is its output_dir."""
+    config = harness.preset(args.name, seed=args.seed) \
+        if args.command == "preset" else harness.load_config(args.config)
+    config.output_dir = args.out or config.output_dir
+    return config
 
 
 def _report_artifact(artifact) -> int:
@@ -58,10 +58,8 @@ def _report_artifact(artifact) -> int:
 def cmd_run(args) -> int:
     """`run` a config file, or a `preset`; --dump-config writes only a config
     that the run accepted."""
-    config = _apply_overrides(
-        harness.preset(args.name, out_dir=args.out, seed=args.seed)
-        if args.command == "preset" else harness.load_config(args.config), args)
-    artifact = harness.run_experiment(config, out_dir_override=args.out)
+    config = _load(args)
+    artifact = harness.run_experiment(config)
     if getattr(args, "dump_config", None):
         harness.save_config(config, args.dump_config)
         print(f"  wrote {args.dump_config}")
@@ -69,16 +67,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = _apply_overrides(harness.load_config(args.config), args)
+    config = _load(args)
     obj, ctx, x0, params = harness.prepare(config)
     opts = harness.read_section(
         "analysis", {"seed": config.problem.seed, **config.analysis})
-    # pdd's C: the first not null in the config (so "identity" is I), else I
-    C = next((hp["C"] for spec, hp in zip(config.optimizers, params)
-              if spec.params.get("C") is not None), None)
+    # pdd's C: the first one given in the config, else I
+    C = next((hp["C"] for hp in params if hp.get("C") is not None), None)
 
     rng = np.random.default_rng(opts["seed"])
-    pts = np.vstack([x0, x0 + opts["sample_scale"] * rng.standard_normal(
+    pts = np.vstack([x0, x0 + SAMPLE_SCALE * rng.standard_normal(
         (opts["num_samples"], obj.dim))])
     est = analysis.estimate_constants(obj, pts, C=C)
     if not est.mu_hat > 0:
@@ -101,7 +98,7 @@ def cmd_analyze(args) -> int:
     d0 = analysis.sample_D0_lower_bound(obj, pts[:5], seed=opts["seed"])
 
     gamma = p["sigma"] * p["omega"]
-    out_dir = harness.resolve_output_dir(config, args.out, tag="analyze")
+    out_dir = harness.resolve_output_dir(config, tag="analyze")
     summary = harness.write_csv(out_dir / "rate_summary.csv", [
         "mu_hat", "L_hat", "Lp_hat", "tau", "gamma", "A", "epsilon", "omega",
         "decay_factor", "lambda_min_H", "M_bound", "D0_sample_lb",
@@ -141,16 +138,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
-    config = _apply_overrides(harness.load_config(args.config), args)
+    config = _load(args)
     obj, _, x0, _ = harness.prepare(config)
     d = harness.read_section("dynamics", config.dynamics)
 
     params = DynParams(A=d["A"], gamma=d["gamma"], epsilon=(lambda t: 3.0 / t)
                        if d["epsilon"] == "3/t" else float(d["epsilon"]))
-    p0 = np.zeros(obj.dim) if d["p0"] is None else d["p0"]  # checked on use
 
-    traj = integrate_rk4(params, obj, x0, p0, t_end=d["t_end"], dt=d["dt"])
-    out_dir = harness.resolve_output_dir(config, args.out, tag="dynamics")
+    traj = integrate_rk4(params, obj, x0, np.zeros(obj.dim), t_end=d["t_end"],
+                         dt=d["dt"])
+    out_dir = harness.resolve_output_dir(config, tag="dynamics")
     with np.errstate(all="ignore"):  # f may overflow near a divergence
         path = harness.write_csv(
             out_dir / "dynamics.csv", ["t", "f", "grad_norm", "lyapunov"],
@@ -181,14 +178,11 @@ def main(argv=None) -> int:
             p.add_argument("name", choices=harness.PRESET_NAMES)
             p.add_argument("--dump-config", default=None,
                            help="also write the materialized config JSON here")
+            p.add_argument("--seed", type=int, default=None, help="problem "
+                           "seed (toynet: the data's, not params.seeds)")
         else:
             p.add_argument("config", help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="problem seed (toynet: the data's, not params.seeds)")
-        if fn is cmd_run:  # analyze and dynamics run no optimizer
-            p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-            p.add_argument("--grad-tol", type=float, default=None, dest="grad_tol")
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -10,11 +10,10 @@ which is equivalent to the second-order equation
 
     x'' + (eps A I + gamma C A hess f(x)) x' + C A grad f(x) = 0.
 
-Choosing C = A = I recovers the classical special cases: Hessian-driven
-damping (gamma > 0), the heavy ball equation (gamma = 0), and the
-Nesterov equation (gamma = 0, eps(t) = 3/t). Only scalar dual
-preconditioners A are supported; the primal C is a positive diagonal given
-as the vector of its entries, or None for I.
+This module takes C = I and a scalar dual preconditioner A. With A = 1
+it recovers the classical special cases: Hessian-driven damping
+(gamma > 0), the heavy ball equation (gamma = 0), and the Nesterov
+equation (gamma = 0, eps(t) = 3/t).
 
 `integrate_rk4` makes its four stage vectors, one work vector and the
 trajectory array once per integration. Each stage input, stage result and
@@ -33,7 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .objective import Objective, as_vector
-from .optimizers import as_preconditioner, pdd_step
+from .optimizers import pdd_step
 
 __all__ = [
     "DynParams",
@@ -62,13 +61,11 @@ class DynParams:
 
     ``epsilon`` may be a constant or a map t -> eps(t); time-dependent
     choices are only evaluated at t > 0 (start integration at t0 = dt).
-    ``C`` is the positive diagonal's vector (None is C = I), held as the
-    float64 vector `as_preconditioner` returns; ``==`` does not compare it.
+    The primal preconditioner C is I.
     """
     A: float
     epsilon: EpsLike
     gamma: float
-    C: Optional[np.ndarray] = field(default=None, compare=False)
     # (A, gamma, eps*A) as read-only 0-d float64 arrays, eps*A None when
     # epsilon is callable: numpy converts a Python float operand on every
     # call, and `pdd_vector_field` runs 4 times per RK4 step
@@ -81,8 +78,6 @@ class DynParams:
             raise ValueError("gamma must be nonnegative")
         if not callable(self.epsilon) and not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.C is not None:
-            object.__setattr__(self, "C", as_preconditioner(self.C))
         epsA = None if callable(self.epsilon) else self.eps_at(0.0) * self.A
         object.__setattr__(self, "_operands", (
             _operand(self.A), _operand(self.gamma),
@@ -119,7 +114,7 @@ def pdd_vector_field(x: np.ndarray, p: np.ndarray, t: float,
     overlap x, p or grad, and those two views come back as (dx, dp); without
     ``out`` a new vector is allocated. Either way it evaluates
 
-        dp = A g - (eps(t) A) p,    dx = -C (p + gamma dp)
+        dp = A g - (eps(t) A) p,    dx = -(p + gamma dp)
 
     with the same operations in the same order, so the bits do not depend
     on ``out``.
@@ -137,14 +132,12 @@ def pdd_vector_field(x: np.ndarray, p: np.ndarray, t: float,
     np.subtract(dp, dx, out=dp)
     np.multiply(gamma, dp, out=dx)
     np.add(p, dx, out=dx)
-    if params.C is not None:
-        np.multiply(params.C, dx, out=dx)
     np.negative(dx, out=dx)
     return dx, dp
 
 
 def make_special_case(kind: str, eps: float = 1.0, gamma: float = 1.0) -> DynParams:
-    """Named parameter sets with C = A = I.
+    """Named parameter sets with A = 1.
 
     hessian_damping: given eps and gamma (gamma must be nonzero);
     heavy_ball: gamma = 0 with constant eps;
@@ -201,8 +194,6 @@ def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
         raise ValueError("t_end must allow at least one step")
     d = obj.dim
     n_steps = round(_step_count(t_end, t0, dt, d))
-    if params.C is not None:
-        as_preconditioner(params.C, d)
     x0 = as_vector(x0, d, "x0")
     p0 = as_vector(p0, d, "p0")
 
@@ -258,14 +249,13 @@ def second_order_residual(traj: OdeTrajectory, params: DynParams,
                           obj: Objective) -> float:
     """Max norm, over interior samples, of the second-order equation residual
 
-        x'' + (eps A I + gamma C A hess f(x)) x' + C A grad f(x)
+        x'' + (eps A I + gamma A hess f(x)) x' + A grad f(x)
 
     with x'' and x' approximated by central differences of the stored x(t).
     Requires a Hessian (analytic or finite-difference).
     """
     if traj.xs.shape[0] < 3:
         raise ValueError("need at least 3 samples for central differences")
-    C = 1.0 if params.C is None else params.C
     A = params.A
     dt = traj.dt
     worst = 0.0
@@ -275,8 +265,8 @@ def second_order_residual(traj: OdeTrajectory, params: DynParams,
         a = (traj.xs[k + 1] - 2.0 * xk + traj.xs[k - 1]) / (dt * dt)
         eps_k = params.eps_at(float(traj.times[k]))
         H = obj.hessian_at(xk)
-        r = (a + eps_k * A * v + params.gamma * A * (C * (H @ v))
-             + A * (C * obj.gradient(xk)))
+        r = (a + eps_k * A * v + params.gamma * A * (H @ v)
+             + A * obj.gradient(xk))
         worst = max(worst, float(np.linalg.norm(r)))
     return worst
 

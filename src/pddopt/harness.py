@@ -88,7 +88,6 @@ class ExperimentConfig:
     max_iter: int = 10000
     grad_tol: float = 1e-10
     record_every: int = 10
-    outputs: Tuple[str, ...] = ("csv", "svg")
     output_dir: Optional[str] = None
     analysis: dict = field(default_factory=dict)
     dynamics: dict = field(default_factory=dict)
@@ -133,9 +132,6 @@ KINDS = {
            lambda v: _list_of(_is_real)(v) or isinstance(v, dict)
            and list(v) == ["fill"] and _is_real(v["fill"])),
     "epsilon": ('a finite number or "3/t"', lambda v: v == "3/t" or _is_real(v)),
-    "outputs": ('a list of distinct values from ["csv", "svg"]',
-                lambda v: _list_of(("csv", "svg").__contains__)(v)
-                and len(set(v)) == len(v)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "label": (f"a string matching {_LABEL_RE.pattern}",
               lambda v: isinstance(v, str) and bool(_LABEL_RE.fullmatch(v))),
@@ -184,7 +180,7 @@ SECTIONS = {
         ExperimentConfig, problem=Key("section"), optimizers=Key("list"),
         x0=Key("x0"), max_iter=Key("int", range=">= 1"),
         grad_tol=Key("real", range=">= 0"), record_every=Key("int", range=">= 1"),
-        outputs=Key("outputs"), output_dir=Key("path"),
+        output_dir=Key("path"),
         analysis=Key("section"), dynamics=Key("section")), "x0": Key("x0")},
     "problem": _defaults_from(ProblemSpec, name=Key("str"), params=Key("section"),
                               seed=Key("int", range=">= 0")),
@@ -194,13 +190,12 @@ SECTIONS = {
     # read by `pddopt analyze`; a seed of None is the problem's
     "analysis": dict(
         delta=Key("real", 1.0, ">= 0"), num_samples=Key("int", 20, ">= 1"),
-        sample_scale=Key("real", 0.5, ">= 0"), pdd_steps=Key("int", 2000, ">= 1"),
-        seed=Key("int", None, ">= 0")),
-    # read by `pddopt dynamics`; a p0 of None is the zero vector
+        pdd_steps=Key("int", 2000, ">= 1"), seed=Key("int", None, ">= 0")),
+    # read by `pddopt dynamics`, whose dual starts at zero
     "dynamics": dict(
         A=Key("real", 1.0, "> 0"), epsilon=Key("epsilon", 1.0, ">= 0"),
-        gamma=Key("real", 0.0, ">= 0"), p0=Key("vector", None),
-        t_end=Key("real", 10.0, "> 0"), dt=Key("real", 1e-3, "> 0")),
+        gamma=Key("real", 0.0, ">= 0"), t_end=Key("real", 10.0, "> 0"),
+        dt=Key("real", 1e-3, "> 0")),
 }
 _ROSENBROCK = dict(a=Key("real", 1.0), b=Key("real", 100.0))
 # problem name -> its params; a quadratic's diag of None generates Q
@@ -270,7 +265,7 @@ def problem_params(spec: ProblemSpec) -> dict:
 def config_to_dict(config: ExperimentConfig) -> dict:
     """``config`` as JSON values; a toynet config leaves out each
     `TOYNET_UNREAD` key while it holds its field's default."""
-    d = {**asdict(config), "outputs": list(config.outputs)}
+    d = asdict(config)
     if config.problem.name != "toynet":
         return d
     default = _field_defaults(ExperimentConfig, OptimizerSpec)
@@ -292,8 +287,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     toy = "toynet " if getattr(problem, "name", "") == "toynet" else ""
     c = read_section(toy + "config", d, "config")
     config = ExperimentConfig(**{
-        **c, "outputs": tuple(c["outputs"]),
-        "problem": ProblemSpec(**read_section("problem", c["problem"])),
+        **c, "problem": ProblemSpec(**read_section("problem", c["problem"])),
         "optimizers": [OptimizerSpec(**read_section(toy + "optimizer", o,
                                                     f"optimizers[{i}]"))
                        for i, o in enumerate(c["optimizers"])]})
@@ -361,10 +355,10 @@ def resolve_preconditioner(spec, ctx: dict, dim: int) -> Optional[np.ndarray]:
     """Turn a config-level C spec into pdd's C: the vector of a diagonal on
     R^``dim``, whose entries `prepare` checks with the rest of pdd's params.
 
-    Accepted: null and "identity" (C = I, as None), "diag_inv_q" (inverse
-    diagonal of the generated Q), or {"diagonal": [...]} with ``dim`` entries.
+    Accepted: null (C = I, as None), "diag_inv_q" (inverse diagonal of the
+    generated Q), or {"diagonal": [...]} with ``dim`` entries.
     """
-    if spec is None or spec == "identity":
+    if spec is None:
         return None
     if spec == "diag_inv_q":
         Q = ctx.get("Q")
@@ -387,9 +381,12 @@ def _opt(method: str, label: Optional[str] = None, **params) -> OptimizerSpec:
 
 def preset(name: str, out_dir: Optional[str] = None,
            seed: Optional[int] = None) -> ExperimentConfig:
-    """Named experiment configurations with the reference hyperparameters."""
+    """Named experiment configurations with the reference hyperparameters.
+    ``seed`` is checked first, as logsumexp's steps are sized from its Q."""
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if seed is not None:
+        read_section("problem", {"name": name, "seed": seed})
 
     def config(params, default_seed, opts, **top):
         problem = ProblemSpec(name, params,
@@ -591,10 +588,9 @@ def emit_svg(series: Sequence[Tuple[str, np.ndarray, np.ndarray]], path,
 # experiment runner
 # ---------------------------------------------------------------------------
 
-def resolve_output_dir(config: ExperimentConfig, override: Optional[str] = None,
-                       tag: str = "run") -> Path:
-    if override or config.output_dir:
-        root = Path(override or config.output_dir)
+def resolve_output_dir(config: ExperimentConfig, tag: str = "run") -> Path:
+    if config.output_dir:
+        root = Path(config.output_dir)
     else:
         base = os.environ.get(DEFAULT_OUT_ROOT_ENV) or "pdd_out"
         root = Path(base) / f"{config.problem.name}-{tag}"
@@ -603,8 +599,8 @@ def resolve_output_dir(config: ExperimentConfig, override: Optional[str] = None,
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    """Check every section, as loading does (so CLI overrides too), and that
-    the labels are unique."""
+    """Check every section, as loading does (so a config built or changed in
+    code too), and that the labels are unique."""
     config_from_dict(config_to_dict(config))
     labels = [o.label for o in config.optimizers if o.label is not None]
     if len(set(labels)) < len(labels):
@@ -631,8 +627,7 @@ def prepare(config: ExperimentConfig) -> tuple:
     return obj, ctx, x0, resolved
 
 
-def _run_toynet(config: ExperimentConfig,
-                out_dir_override: Optional[str]) -> RunArtifact:
+def _run_toynet(config: ExperimentConfig) -> RunArtifact:
     validate_config(config)
     p = problem_params(config.problem)
     cfg = toynet.TrainConfig(
@@ -646,34 +641,29 @@ def _run_toynet(config: ExperimentConfig,
     t0 = time.perf_counter()
     rows = toynet.train(cfg)
     wall = time.perf_counter() - t0
-    out_dir = resolve_output_dir(config, out_dir_override)  # once training ran
-    files = []
-    if "csv" in config.outputs:
-        files.append(str(out_dir / "toynet_metrics.csv"))
-        write_csv(files[-1], ("epoch", "method", "seed", "train_loss",
-                              "test_acc"),
-                  ((r["epoch"], r["method"], r["seed"], _fmt(r["train_loss"]),
-                    _fmt(r["test_acc"])) for r in rows))
-    if "svg" in config.outputs:
-        losses: Dict[str, Dict[int, List[float]]] = {}  # method, epoch
-        for r in rows:
-            if math.isfinite(r["train_loss"]):
-                losses.setdefault(r["method"], {}).setdefault(
-                    r["epoch"], []).append(r["train_loss"])
-        series = [(m, np.array(sorted(losses[m]), dtype=float) + 1.0,
-                   np.array([np.mean(v) for _, v in sorted(losses[m].items())]))
-                  for m in cfg.methods if m in losses]
-        if series:  # empty when every run diverged in its first epoch
-            files.append(str(out_dir / "toynet_loss.svg"))
-            emit_svg(series, files[-1], xlabel="epoch", ylabel="train loss",
-                     title="toynet mean train loss")
+    out_dir = resolve_output_dir(config)  # once training ran
+    files = [str(out_dir / "toynet_metrics.csv")]
+    write_csv(files[-1], ("epoch", "method", "seed", "train_loss", "test_acc"),
+              ((r["epoch"], r["method"], r["seed"], _fmt(r["train_loss"]),
+                _fmt(r["test_acc"])) for r in rows))
+    losses: Dict[str, Dict[int, List[float]]] = {}  # method, epoch
+    for r in rows:
+        if math.isfinite(r["train_loss"]):
+            losses.setdefault(r["method"], {}).setdefault(
+                r["epoch"], []).append(r["train_loss"])
+    series = [(m, np.array(sorted(losses[m]), dtype=float) + 1.0,
+               np.array([np.mean(v) for _, v in sorted(losses[m].items())]))
+              for m in cfg.methods if m in losses]
+    if series:  # empty when every run diverged in its first epoch
+        files.append(str(out_dir / "toynet_loss.svg"))
+        emit_svg(series, files[-1], xlabel="epoch", ylabel="train loss",
+                 title="toynet mean train loss")
     diverged = any(not math.isfinite(r["train_loss"]) for r in rows)
     return RunArtifact(config=config, trajectories={}, wall_clock={"toynet": wall},
                        files=files, any_diverged=diverged)
 
 
-def run_experiment(config: ExperimentConfig,
-                   out_dir_override: Optional[str] = None) -> RunArtifact:
+def run_experiment(config: ExperimentConfig) -> RunArtifact:
     """Run every optimizer in the config on the shared problem and start.
 
     Writes one CSV per optimizer and a combined SVG convergence plot, left
@@ -683,10 +673,10 @@ def run_experiment(config: ExperimentConfig,
     whole config before the first run, so a bad config writes nothing.
     """
     if config.problem.name == "toynet":
-        return _run_toynet(config, out_dir_override)
+        return _run_toynet(config)
 
     obj, _, x0, resolved = prepare(config)
-    out_dir = resolve_output_dir(config, out_dir_override)
+    out_dir = resolve_output_dir(config)
 
     trajectories: Dict[str, Trajectory] = {}
     wall: Dict[str, float] = {}
@@ -695,21 +685,19 @@ def run_experiment(config: ExperimentConfig,
         t0 = time.perf_counter()
         traj = run_optimizer(obj, spec.method, params, x0, max_iter=config.max_iter,
                              grad_tol=config.grad_tol,
-                             record_every=config.record_every, label=spec.label)
+                             record_every=config.record_every)
         wall[spec.label] = time.perf_counter() - t0
         trajectories[spec.label] = traj
-        if "csv" in config.outputs:
-            path = out_dir / f"{spec.label}.csv"
-            emit_csv(traj, path)
-            files.append(str(path))
+        path = out_dir / f"{spec.label}.csv"
+        emit_csv(traj, path)
+        files.append(str(path))
 
-    if "svg" in config.outputs:
-        series = [(label, t.iters, t.column("grad_norm"))
-                  for label, t in trajectories.items()]
-        if any(np.any(np.isfinite(y) & (y > 0.0)) for _, _, y in series):
-            path = out_dir / "convergence.svg"
-            emit_svg(series, path, title=f"{config.problem.name}")
-            files.append(str(path))
+    series = [(label, t.iters, t.column("grad_norm"))
+              for label, t in trajectories.items()]
+    if any(np.any(np.isfinite(y) & (y > 0.0)) for _, _, y in series):
+        path = out_dir / "convergence.svg"
+        emit_svg(series, path, title=f"{config.problem.name}")
+        files.append(str(path))
 
     any_diverged = any(t.diverged for t in trajectories.values())
     return RunArtifact(config=config, trajectories=trajectories,

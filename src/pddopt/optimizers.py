@@ -81,7 +81,6 @@ class TrajectoryRecord:
 @dataclass
 class Trajectory:
     """Per-run record of metrics plus the terminal state."""
-    method: str
     records: List[TrajectoryRecord] = field(default_factory=list)
     final_x: Optional[np.ndarray] = None
     final_p: Optional[np.ndarray] = None
@@ -408,8 +407,7 @@ def validate_method(method: str, params: dict) -> None:
 
 def run_optimizer(obj: Objective, method: str, params: dict, x0,
                   max_iter: int, grad_tol: float = 0.0,
-                  record_every: int = 1,
-                  label: Optional[str] = None) -> Trajectory:
+                  record_every: int = 1) -> Trajectory:
     """Iterate one optimizer until the gradient norm drops to ``grad_tol``,
     ``max_iter`` is reached, or the run diverges.
 
@@ -433,7 +431,7 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
         as_preconditioner(params["C"], obj.dim)
 
     x = as_vector(x0, obj.dim, "x0")
-    traj = Trajectory(method=label or method)
+    traj = Trajectory()
     state, step = rule.start(x, params)
     xstar = obj.minimizer
 

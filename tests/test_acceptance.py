@@ -7,6 +7,7 @@ successful run of this deterministic suite and act as regression values.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -342,8 +343,8 @@ def test_criterion_12_property_headlines(tmp_path):
 
     cfg = harness.preset("quadcos")
     cfg.max_iter = 500
-    a1 = harness.run_experiment(cfg, out_dir_override=str(tmp_path / "a"))
-    a2 = harness.run_experiment(cfg, out_dir_override=str(tmp_path / "b"))
+    a1 = harness.run_experiment(replace(cfg, output_dir=str(tmp_path / "a")))
+    a2 = harness.run_experiment(replace(cfg, output_dir=str(tmp_path / "b")))
     for f1, f2 in zip(sorted(a1.files), sorted(a2.files)):
         assert open(f1, "rb").read() == open(f2, "rb").read()
 

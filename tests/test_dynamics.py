@@ -40,15 +40,14 @@ def test_pure_rotation_when_undamped():
 
 
 def test_field_matches_quadratic_block_matrix():
-    # constant C and A: the field is the linear map of the block system
+    # constant C = I and A: the field is the linear map of the block system
     rng = np.random.default_rng(7)
     Q = ob.make_diag_dominant_Q(4, seed=2)
     obj = ob.quadratic(Q)
-    Cdiag = rng.uniform(0.5, 2.0, size=4)
     A, eps, gamma = 1.7, 0.6, 0.3
-    B = np.diag(Cdiag) @ np.linalg.inv(Q)  # C = B hess f
+    B = np.linalg.inv(Q)  # C = B hess f
     M = assemble_quadratic_system(Q, A, B, gamma, eps)
-    params = DynParams(A=A, epsilon=eps, gamma=gamma, C=Cdiag)
+    params = DynParams(A=A, epsilon=eps, gamma=gamma)
     for _ in range(20):
         x = rng.standard_normal(4)
         p = rng.standard_normal(4)
@@ -67,7 +66,7 @@ def test_make_special_case():
     assert nes.eps_at(3.0) == pytest.approx(1.0)
 
     hd = make_special_case("hessian_damping", eps=1.0, gamma=0.5)
-    assert hd.gamma == 0.5 and hd.A == 1.0 and hd.C is None
+    assert hd.gamma == 0.5 and hd.A == 1.0
     with pytest.raises(ValueError):
         make_special_case("hessian_damping", eps=1.0, gamma=0.0)
     with pytest.raises(ValueError):
@@ -118,8 +117,7 @@ def allocating_field(x, p, t, params, obj, grad=None):
     A = params.A
     dp = A * g - (params.eps_at(t) * A) * p
     v = p + params.gamma * dp
-    dx = -(v if params.C is None else params.C * v)
-    return dx, dp
+    return -v, dp
 
 
 def allocating_rk4(params, obj, x0, p0, t_end, dt):
@@ -172,20 +170,12 @@ def assert_same_bits(got, want):
             assert a == b
 
 
-def preconditioner(kind, d, rng):
-    return None if kind == "identity" else rng.uniform(0.5, 2.0, d)
-
-
-KINDS = ["identity", "diagonal"]
-
-
 @pytest.mark.parametrize("eps", ["0.7", "3/t"])
-@pytest.mark.parametrize("kind", KINDS)
-def test_rk4_is_bitwise_the_allocating_loop(kind, eps):
-    rng = np.random.default_rng(KINDS.index(kind))
+def test_rk4_is_bitwise_the_allocating_loop(eps):
+    rng = np.random.default_rng(0)
     d = 6
     obj = ob.reg_log_sum_exp(ob.make_diag_dominant_Q(d, seed=1))
-    params = DynParams(A=1.3, gamma=0.4, C=preconditioner(kind, d, rng),
+    params = DynParams(A=1.3, gamma=0.4,
                        epsilon=(lambda t: 3.0 / t) if eps == "3/t" else 0.7)
     x0 = rng.standard_normal(d)
     p0 = rng.standard_normal(d)
@@ -225,13 +215,11 @@ def test_rk4_integrations_share_no_memory():
 
 
 @pytest.mark.parametrize("with_grad", [False, True])
-@pytest.mark.parametrize("kind", KINDS)
-def test_vector_field_out_is_the_allocating_field(kind, with_grad):
-    rng = np.random.default_rng(10 + KINDS.index(kind))
+def test_vector_field_out_is_the_allocating_field(with_grad):
+    rng = np.random.default_rng(10)
     d = 5
     obj = ob.reg_log_sum_exp(ob.make_diag_dominant_Q(d, seed=3))
-    params = DynParams(A=0.8, epsilon=lambda t: 3.0 / t, gamma=0.3,
-                       C=preconditioner(kind, d, rng))
+    params = DynParams(A=0.8, epsilon=lambda t: 3.0 / t, gamma=0.3)
     x, p = rng.standard_normal(d), rng.standard_normal(d)
     g = obj.gradient(x) if with_grad else None
     inputs = [a.tobytes() for a in (x, p, g) if a is not None]
@@ -336,11 +324,11 @@ def test_residual_requires_enough_samples_and_constant_C():
                          ps=np.zeros((2, 1)), dt=0.1)
     with pytest.raises(ValueError):
         second_order_residual(tiny, params, obj)
-    # every C is a constant diagonal, which the residual takes
-    diag = DynParams(A=1.0, epsilon=1.0, gamma=0.5, C=[2.0])
+    # C = I is constant, as the residual needs
+    damped = DynParams(A=1.0, epsilon=1.0, gamma=0.5)
     ok = OdeTrajectory(times=np.array([0.0, 0.1, 0.2]), xs=np.zeros((3, 1)),
                        ps=np.zeros((3, 1)), dt=0.1)
-    assert second_order_residual(ok, diag, obj) == 0.0
+    assert second_order_residual(ok, damped, obj) == 0.0
 
 
 def test_discrete_continuous_consistency_first_order():

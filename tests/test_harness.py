@@ -45,8 +45,8 @@ def test_preset_final_iterations_are_pinned(name, tmp_path):
     pinned = PRESET_FINAL_ITERS[name]
     cfg = preset(name)
     cfg.optimizers = [o for o in cfg.optimizers if o.label in pinned]
-    cfg.outputs = ()
-    art = run_experiment(cfg, str(tmp_path))
+    cfg.output_dir = str(tmp_path)
+    art = run_experiment(cfg)
     assert not art.any_diverged
     assert {label: t.records[-1].iter
             for label, t in art.trajectories.items()} == pinned
@@ -116,7 +116,7 @@ def test_quadcos_preset_run_produces_outputs(tmp_path):
 
 
 def test_csv_round_trip_precision(tmp_path):
-    traj = Trajectory(method="t", records=[
+    traj = Trajectory(records=[
         TrajectoryRecord(0, 1.2345678901234567e-3, 9.87e2, 0.5, None),
         TrajectoryRecord(7, math.pi, math.e, 1.0 / 3.0, 2.0 ** -40),
     ])
@@ -133,8 +133,7 @@ def test_csv_round_trip_precision(tmp_path):
 
 
 def test_csv_single_record_two_lines(tmp_path):
-    traj = Trajectory(method="t",
-                      records=[TrajectoryRecord(0, 1.0, 1.0, 0.5, 0.1)])
+    traj = Trajectory(records=[TrajectoryRecord(0, 1.0, 1.0, 0.5, 0.1)])
     path = tmp_path / "one.csv"
     emit_csv(traj, path)
     lines = open(path, "rb").read().split(b"\n")
@@ -145,8 +144,10 @@ def test_csv_single_record_two_lines(tmp_path):
 def test_reproducible_bytes(tmp_path):
     cfg = preset("quadcos")
     cfg.max_iter = 500
-    a1 = run_experiment(cfg, out_dir_override=str(tmp_path / "a"))
-    a2 = run_experiment(cfg, out_dir_override=str(tmp_path / "b"))
+    cfg.output_dir = str(tmp_path / "a")
+    a1 = run_experiment(cfg)
+    cfg.output_dir = str(tmp_path / "b")
+    a2 = run_experiment(cfg)
     for f1, f2 in zip(sorted(a1.files), sorted(a2.files)):
         assert open(f1, "rb").read() == open(f2, "rb").read()
 
@@ -212,7 +213,7 @@ def _toynet_config(tmp_path, optimizers, **params):
         "n": 200, "d_in": 5, "k": 3, "epochs": 1, "hidden": [4],
         "seeds": [0], **params})
     return ExperimentConfig(problem=prob, optimizers=optimizers,
-                            outputs=("csv",), output_dir=str(tmp_path / "out"))
+                            output_dir=str(tmp_path / "out"))
 
 
 def test_toynet_config_checks_params_before_any_batch(tmp_path, monkeypatch):
@@ -259,27 +260,21 @@ def _toynet_file(tmp_path, seeds, epochs, **top):
     return str(path)
 
 
-@pytest.mark.parametrize("key,top,flags", [
-    ("x0", {"x0": [1.0]}, []), ("max_iter", {"max_iter": 10000}, []),
-    ("grad_tol", {"grad_tol": 1e-10}, []), ("record_every", {"record_every": 10}, []),
-    ("analysis", {"analysis": {}}, []), ("dynamics", {"dynamics": {}}, []),
-    ("label", {"optimizers": [{"method": "sgd", "label": "sgd", "params": {}}]}, []),
-    ("max_iter", {}, ["--max-iter", "5"]), ("grad_tol", {}, ["--grad-tol", "0.5"]),
-    ("max_iter", {}, ["--max-iter", "10000"]),
-    ("grad_tol", {}, ["--grad-tol", "1e-10"])],
+@pytest.mark.parametrize("key,top", [
+    ("x0", {"x0": [1.0]}), ("max_iter", {"max_iter": 10000}),
+    ("grad_tol", {"grad_tol": 1e-10}), ("record_every", {"record_every": 10}),
+    ("analysis", {"analysis": {}}), ("dynamics", {"dynamics": {}}),
+    ("label", {"optimizers": [{"method": "sgd", "label": "sgd", "params": {}}]})],
     ids=["x0", "max_iter", "grad_tol", "record_every", "analysis", "dynamics",
-         "label", "--max-iter", "--grad-tol", "--max-iter-default",
-         "--grad-tol-default"])
-def test_toynet_config_refuses_the_keys_it_does_not_read(tmp_path, key, top,
-                                                         flags):
-    # each was accepted and had no effect; a file or a flag refuses one even
-    # at its default, and an optimizer a label even when it equals its method
+         "label"])
+def test_toynet_config_refuses_the_keys_it_does_not_read(tmp_path, key, top):
+    # each was accepted and had no effect; a file refuses one even at its
+    # default, and an optimizer a label even when it equals its method
     from pddopt.cli import main
 
     out = tmp_path / "out"
     with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
-        main(["run", _toynet_file(tmp_path, [0], 1, **top), "--out", str(out),
-              *flags])
+        main(["run", _toynet_file(tmp_path, [0], 1, **top), "--out", str(out)])
     assert not out.exists()
 
 
@@ -300,7 +295,7 @@ def test_every_preset_config_round_trips(tmp_path, name):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     if name == "toynet":  # only the keys toynet reads
         d = json.loads((tmp_path / "a.json").read_text())
-        assert list(d) == ["problem", "optimizers", "outputs", "output_dir"]
+        assert list(d) == ["problem", "optimizers", "output_dir"]
         assert all(list(o) == ["method", "params"] for o in d["optimizers"])
 
 
@@ -448,7 +443,7 @@ def test_cli_run_and_analyze(tmp_path, capsys):
 
     cfg = preset("quadcos", out_dir=str(tmp_path / "run"))
     cfg.max_iter = 2000
-    cfg.analysis = {"num_samples": 5, "pdd_steps": 200, "sample_scale": 0.3}
+    cfg.analysis = {"num_samples": 5, "pdd_steps": 200}
     cfg_path = tmp_path / "cfg.json"
     save_config(cfg, cfg_path)
 
@@ -490,7 +485,11 @@ def test_cli_preset_with_dump_config(tmp_path):
 
     dump = tmp_path / "dumped.json"
     assert main(["preset", "quadcos", "--out", str(tmp_path / "o"),
-                 "--max-iter", "500", "--dump-config", str(dump)]) == 0
+                 "--dump-config", str(dump)]) == 0
+    d = json.loads(dump.read_text())
+    d["max_iter"] = 500  # a setting with no flag: edit the dump, run it
+    dump.write_text(json.dumps(d))
+    assert main(["run", str(dump)]) == 0
     cfg = load_config(dump)
     assert cfg.problem.name == "quadcos"
     assert (tmp_path / "o" / "convergence.svg").exists()
@@ -610,8 +609,7 @@ def test_analyze_rejects_zero_samples_before_writing(tmp_path):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("t_end", "3"), ("dt", 0), ("A", -1.0), ("epsilon", "3/s"),
-    ("p0", [1.0, True])])
+    ("t_end", "3"), ("dt", 0), ("A", -1.0), ("epsilon", "3/s")])
 def test_dynamics_values_are_checked_at_load_time(key, value):
     d = _config_dict(dynamics={key: value})
     with pytest.raises(ValueError, match=f"dynamics: '{key}' must be"):
@@ -623,20 +621,15 @@ def test_dynamics_takes_epsilon_3_over_t():
     assert cfg.dynamics == {"epsilon": "3/t"}
 
 
-@pytest.mark.parametrize("flag,value,where", [
-    ("--grad-tol", "nan", "config: 'grad_tol'"),
-    ("--grad-tol", "-1", "config: 'grad_tol'"),
-    ("--max-iter", "0", "config: 'max_iter'"),
-    ("--seed", "-1", "problem: 'seed'")])
-def test_cli_overrides_are_checked_before_any_run_or_directory(
-        tmp_path, flag, value, where):
-    # a nan grad_tol never converged: every optimizer ran to max_iter and the
-    # preset exited 0
+@pytest.mark.parametrize("name", harness.PRESET_NAMES)
+def test_cli_overrides_are_checked_before_any_run_or_directory(tmp_path, name):
+    # logsumexp sized its steps from the seeded Q first, and numpy refused
+    # the -1 with its own message
     from pddopt.cli import main
 
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match=f"{where} must be"):
-        main(["preset", "quadcos", "--out", str(out), flag, value])
+    with pytest.raises(ValueError, match="problem: 'seed' must be"):
+        main(["preset", name, "--out", str(out), "--seed", "-1"])
     assert not out.exists()
 
 
@@ -658,22 +651,6 @@ def test_run_optimizer_rejects_a_nan_max_iter_or_record_every(key):
     with pytest.raises(ValueError, match=key):
         run_optimizer(obj, "gd", {"tau": 1e-3}, [0.0, 0.0],
                       **{"max_iter": 5, key: math.nan})
-
-
-@pytest.mark.parametrize("outputs", ["csv", ["png"], ["csv", "csv"], None])
-def test_outputs_must_be_distinct_csv_or_svg(outputs):
-    # "csv" became ('c', 's', 'v') and ["png"] wrote nothing, both exiting 0
-    with pytest.raises(ValueError, match="config: 'outputs' must be a list of "
-                                         "distinct values"):
-        harness.config_from_dict(_config_dict(outputs=outputs))
-
-
-def test_outputs_set_on_a_config_are_checked_before_writing(tmp_path):
-    cfg = preset("quadcos", out_dir=str(tmp_path / "out"))
-    cfg.outputs = "svg"
-    with pytest.raises(ValueError, match="'outputs'"):
-        run_experiment(cfg)
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("x0", [
@@ -748,6 +725,22 @@ def test_readme_lists_every_declared_key_with_its_kind():
     assert declared <= _readme_config_table()
 
 
+@pytest.mark.parametrize("command", ["preset", "run", "analyze", "dynamics"])
+def test_readme_cli_synopsis_lists_the_flags_the_parser_takes(command, capsys):
+    from pddopt.cli import main
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    line = next(l for l in block.splitlines()
+                if l.startswith(f"pddopt {command} "))
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    flags = re.compile(r"--[a-z][a-z-]*")
+    assert set(flags.findall(line)) == \
+        set(flags.findall(capsys.readouterr().out)) - {"--help"}
+
+
 def test_write_csv_names_the_path_it_could_not_write(tmp_path):
     path = tmp_path / "missing" / "x.csv"
     with pytest.raises(OSError, match=f"writing {re.escape(str(path))}: "):
@@ -769,15 +762,6 @@ def test_package_exports_only_names_its_modules_export():
     public = {n for n, v in vars(pddopt).items()
               if not n.startswith("_") and not inspect.ismodule(v)}
     assert public - exported == set()
-
-
-def test_toynet_writes_only_the_outputs_it_is_given(tmp_path):
-    # the metrics CSV used to be written whatever outputs said
-    cfg = _toynet_config(tmp_path, [OptimizerSpec("sgd")])
-    cfg.outputs = ("svg",)
-    art = run_experiment(cfg)
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["toynet_loss.svg"]
-    assert art.files == [str(tmp_path / "out" / "toynet_loss.svg")]
 
 
 @pytest.mark.parametrize("command,change,message", [
@@ -904,10 +888,18 @@ def test_dump_config_writes_only_a_config_the_run_accepts(tmp_path):
     from pddopt.cli import main
 
     dump = tmp_path / "dumped.json"
-    with pytest.raises(ValueError, match="config: 'max_iter' must be"):
+    with pytest.raises(ValueError, match="problem: 'seed' must be"):
         main(["preset", "quadcos", "--out", str(tmp_path / "o"),
-              "--max-iter", "0", "--dump-config", str(dump)])
+              "--seed", "-1", "--dump-config", str(dump)])
     assert not dump.exists() and not (tmp_path / "o").exists()
+    # a dump edited to a value the run refuses is refused before any file; a
+    # nan grad_tol never converged, so every optimizer ran to max_iter
+    d = harness.config_to_dict(preset("quadcos"))
+    for key, value in (("max_iter", 0), ("grad_tol", -1.0), ("grad_tol", math.nan)):
+        dump.write_text(json.dumps({**d, key: value}))
+        with pytest.raises(ValueError, match=f"config: '{key}' must be"):
+            main(["run", str(dump), "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
 
 
 def test_a_run_with_nothing_to_plot_leaves_the_plot_out(tmp_path):
@@ -987,56 +979,6 @@ def _pdd_quadratic(*Cs, n=5):
         analysis={"num_samples": 3, "pdd_steps": 20})
 
 
-def test_an_identity_C_runs_the_null_C_path_strip_twin_included():
-    # "identity" was a Preconditioner of its own: a C.apply per step, and
-    # above one strip the whole-array step instead of the strip twin
-    import dataclasses
-
-    from pddopt import objective as ob
-    from pddopt.optimizers import RULES, run_optimizer
-
-    cfg = _pdd_quadratic(None, "identity", "diag_inv_q", n=100)
-    cfg.optimizers[0].params["C"] = None
-    strips = []
-    rule = RULES["pdd"]
-
-    def spy(*args):
-        strips.append(1)
-        return rule.strip_step(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ob, "_STRIP", 64)
-        mp.setitem(RULES, "pdd", dataclasses.replace(rule, strip_step=spy))
-        obj, _, x0, params = harness.prepare(cfg)
-        assert params[0]["C"] is None and params[1]["C"] is None
-        trajs = []
-        for hp in params:
-            strips.clear()
-            trajs.append(run_optimizer(obj, "pdd", hp, x0, 5))
-            assert len(strips) == (5 if hp["C"] is None else 0)
-    assert trajs[0].records == trajs[1].records
-    assert trajs[0].final_x.tobytes() == trajs[1].final_x.tobytes()
-
-
-def test_analyze_certifies_a_leading_identity_C_with_I(tmp_path):
-    # the first pdd whose config C is not null gives analyze its C: a
-    # leading "identity" is I even though a diagonal follows it
-    from pddopt.cli import main
-
-    outs = {}
-    for name, Cs in [("plain", (None,)), ("identity", ("identity", "diag_inv_q")),
-                     ("diagonal", ("diag_inv_q",))]:
-        save_config(_pdd_quadratic(*Cs), tmp_path / f"{name}.json")
-        outs[name] = tmp_path / name
-        assert main(["analyze", str(tmp_path / f"{name}.json"), "--out",
-                     str(outs[name])]) == 0
-    for csv_name in ("rate_report.csv", "rate_summary.csv", "spectral.csv"):
-        plain = (outs["plain"] / csv_name).read_bytes()
-        assert (outs["identity"] / csv_name).read_bytes() == plain
-    assert (outs["diagonal"] / "rate_summary.csv").read_bytes() != \
-        (outs["plain"] / "rate_summary.csv").read_bytes()
-
-
 # ---------------------------------------------------------------------------
 # a quadratic takes diag or n; analyze and dynamics take no run settings
 # ---------------------------------------------------------------------------
@@ -1076,11 +1018,14 @@ def test_analyze_and_dynamics_take_no_max_iter_or_grad_tol(
 def test_an_unknown_preconditioner_spec_is_rejected():
     with pytest.raises(ValueError, match="unknown preconditioner spec 0.5"):
         harness.resolve_preconditioner(0.5, {}, 2)
+    # null is the one spelling of C = I
+    with pytest.raises(ValueError, match="unknown preconditioner spec 'identity'"):
+        harness.resolve_preconditioner("identity", {}, 2)
 
 
 def test_emit_csv_refuses_an_empty_trajectory(tmp_path):
     with pytest.raises(ValueError, match="refusing to emit an empty trajectory"):
-        emit_csv(Trajectory("gd"), tmp_path / "gd.csv")
+        emit_csv(Trajectory(), tmp_path / "gd.csv")
     assert not (tmp_path / "gd.csv").exists()
 
 

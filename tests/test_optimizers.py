@@ -460,34 +460,23 @@ def test_preconditioner_validation():
     C = as_preconditioner([2.0, 4.0], 2)
     assert C.dtype == np.float64
     np.testing.assert_array_equal(C, [2.0, 4.0])
-    # a DynParams holds the checked vector and leaves C out of its ==
-    from pddopt.dynamics import DynParams
-
-    params = DynParams(A=1.0, epsilon=1.0, gamma=0.0, C=[2, 4])
-    assert params.C.dtype == np.float64 and params.C.tolist() == [2.0, 4.0]
-    assert params == DynParams(A=1.0, epsilon=1.0, gamma=0.0, C=np.ones(2))
-    with pytest.raises(ValueError, match="C: diagonal preconditioner entries"):
-        DynParams(A=1.0, epsilon=1.0, gamma=0.0, C=[1.0, -1.0])
 
 
 @pytest.mark.parametrize("n", [1, 4])
-@pytest.mark.parametrize("entry", ["run_optimizer", "integrate_rk4",
+@pytest.mark.parametrize("entry", ["run_optimizer", "build_N_H",
                                    "estimate_constants"])
 def test_a_C_of_the_wrong_length_is_refused_before_the_first_gradient(entry, n):
     # a 1-entry C used to broadcast over all 3 coordinates, a 4-entry one to
-    # die in numpy after the first gradient
-    from pddopt.dynamics import DynParams, integrate_rk4
-
+    # die in numpy after the first gradient; build_N_H died in np.hstack
     obj, calls = counting(ob.quadratic(np.diag([1.0, 2.0, 3.0])))
     C, x0 = np.full(n, 2.0), np.ones(3)
+    hp = {"tau": 0.1, "sigma": 0.1, "A": 1.0, "epsilon": 1.0, "omega": 1.0,
+          "C": C}
     with pytest.raises(ValueError, match=f"C has length {n}, expected 3"):
         if entry == "run_optimizer":
-            run_optimizer(obj, "pdd", {"tau": 0.1, "sigma": 0.1, "A": 1.0,
-                                       "epsilon": 1.0, "omega": 1.0, "C": C},
-                          x0, max_iter=50)
-        elif entry == "integrate_rk4":
-            integrate_rk4(DynParams(A=1.0, epsilon=1.0, gamma=0.5, C=C), obj,
-                          x0, np.zeros(3), t_end=0.5, dt=0.01)
+            run_optimizer(obj, "pdd", hp, x0, max_iter=50)
+        elif entry == "build_N_H":
+            analysis.build_N_H(obj, x0, hp)
         else:
             analysis.estimate_constants(obj, [x0], C=C)
     assert calls["n"] == 0

@@ -305,7 +305,6 @@ def test_train_metrics_deterministic(tmp_path):
         config = harness.preset("toynet", out_dir=str(tmp_path / run))
         config.problem.params.update(n=200, d_in=5, k=3, epochs=3,
                                      seeds=[0, 1], hidden=[8, 8])
-        config.outputs = ("csv",)
         return harness.run_experiment(config).files[0]
 
     p1, p2 = write("m1"), write("m2")
