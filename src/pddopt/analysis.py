@@ -152,12 +152,18 @@ def quadratic_spectral_rate(mus: Sequence[float], as_: Sequence[float],
 
     and the dominant rate is the largest real part over all roots. With
     gamma = eps = 0 every root is purely imaginary and the system does not
-    converge.
+    converge. A spectrum with no mode or a value that is not finite, and a
+    gamma or eps that is not finite, raise ValueError naming the argument.
     """
     mus = np.asarray(mus, dtype=float)
     as_arr = np.asarray(as_, dtype=float)
     if mus.shape != as_arr.shape:
         raise ValueError("mus and as_ must have the same length")
+    if mus.size == 0:
+        raise ValueError("mus: the spectrum has no mode")
+    for name, v in (("mus", mus), ("as_", as_arr), ("gamma", gamma), ("eps", eps)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite")
     if np.any(mus <= 0):
         raise ValueError("mode eigenvalues mu_i must be positive")
     modes = []
@@ -220,11 +226,10 @@ def build_N_H(obj: Objective, x, params: dict) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class DiscreteRateReport:
-    """Measured per-step Lyapunov ratios, and the values I(x^n, p^n) they
-    come from, against the recipe's decay factor."""
+    """Measured per-step Lyapunov ratios I^{n+1} / I^n, and whether each is
+    within the recipe's decay factor."""
     per_step_ratios: List[float]
     within_bound: bool
-    lyapunov_values: List[float]
 
 
 def discrete_decay_check(values: Sequence[float],
@@ -248,8 +253,7 @@ def discrete_decay_check(values: Sequence[float],
         ratios.append(cur / prev if prev > 0.0 else 0.0)
     bound = recipe.decay_factor if recipe is not None else 1.0
     return DiscreteRateReport(per_step_ratios=ratios,
-                              within_bound=all(r <= bound for r in ratios),
-                              lyapunov_values=values)
+                              within_bound=all(r <= bound for r in ratios))
 
 
 @dataclass(frozen=True)
@@ -303,12 +307,11 @@ def estimate_constants(obj: Objective, sample_points: Sequence,
     scales rows or columns; None is I, taken as a vector of ones, whose
     products change no bit. Sampled estimates are lower bounds on the true
     global constants; include any points you intend to certify in the
-    sample.
+    sample. An empty sample raises ValueError.
     """
-    C = np.ones(obj.dim) if C is None else np.asarray(C, dtype=float)
-    if not np.all(C > 0):
-        raise ValueError("preconditioner must be positive definite")
-    C = as_preconditioner(C, obj.dim)
+    if len(sample_points) == 0:
+        raise ValueError("sample_points: no point to estimate the constants at")
+    C = np.ones(obj.dim) if C is None else as_preconditioner(C, obj.dim)
     s = np.sqrt(C)
     mu_hat = math.inf
     L_hat = -math.inf

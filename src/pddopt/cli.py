@@ -110,7 +110,7 @@ def cmd_analyze(args) -> int:
     ratios = harness.write_csv(
         out_dir / "rate_report.csv", ["step", "lyapunov", "ratio"],
         ([n, format(val, ".17g"), r] for n, (val, r) in
-         enumerate(zip(report.lyapunov_values, cells))))
+         enumerate(zip(values, cells))))
     print(f"  constants: mu={est.mu_hat:.6g} L={est.L_hat:.6g} "
           f"L'={est.Lp_hat:.6g}")
     print(f"  recipe: tau=sigma={p['tau']:.6g} "
@@ -141,10 +141,7 @@ def cmd_dynamics(args) -> int:
     config = _load(args)
     obj, _, x0, _ = harness.prepare(config)
     d = harness.read_section("dynamics", config.dynamics)
-
-    params = DynParams(A=d["A"], gamma=d["gamma"], epsilon=(lambda t: 3.0 / t)
-                       if d["epsilon"] == "3/t" else float(d["epsilon"]))
-
+    params = DynParams(A=d["A"], epsilon=d["epsilon"], gamma=d["gamma"])
     traj = integrate_rk4(params, obj, x0, np.zeros(obj.dim), t_end=d["t_end"],
                          dt=d["dt"])
     out_dir = harness.resolve_output_dir(config, tag="dynamics")

@@ -11,9 +11,10 @@ which is equivalent to the second-order equation
     x'' + (eps A I + gamma C A hess f(x)) x' + C A grad f(x) = 0.
 
 This module takes C = I and a scalar dual preconditioner A. With A = 1
-it recovers the classical special cases: Hessian-driven damping
-(gamma > 0), the heavy ball equation (gamma = 0), and the Nesterov
-equation (gamma = 0, eps(t) = 3/t).
+the classical special cases are plain `DynParams` values: Hessian-driven
+damping ``DynParams(1.0, eps, gamma)`` with gamma > 0, the heavy ball
+equation ``DynParams(1.0, eps, 0.0)``, and the Nesterov equation
+``DynParams(1.0, "3/t", 0.0)``, eps(t) = 3/t.
 
 `integrate_rk4` makes its four stage vectors, one work vector and the
 trajectory array once per integration. Each stage input, stage result and
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,13 +39,11 @@ __all__ = [
     "DynParams",
     "OdeTrajectory",
     "pdd_vector_field",
-    "make_special_case",
     "integrate_rk4",
     "second_order_residual",
     "discrete_continuous_consistency",
 ]
 
-EpsLike = Union[float, Callable[[float], float]]
 TRAJECTORY_CAP_BYTES = 2 ** 30  # `integrate_rk4`'s largest trajectory
 
 
@@ -59,16 +58,16 @@ def _operand(v) -> np.ndarray:
 class DynParams:
     """Coefficients of the continuous-time system.
 
-    ``epsilon`` may be a constant or a map t -> eps(t); time-dependent
-    choices are only evaluated at t > 0 (start integration at t0 = dt).
-    The primal preconditioner C is I.
+    ``epsilon`` is a finite number >= 0, or "3/t" for eps(t) = 3/t as a
+    config spells it; "3/t" is only evaluated at t > 0 (integration then
+    starts at t0 = dt). The primal preconditioner C is I.
     """
     A: float
-    epsilon: EpsLike
+    epsilon: Union[float, str]
     gamma: float
-    # (A, gamma, eps*A) as read-only 0-d float64 arrays, eps*A None when
-    # epsilon is callable: numpy converts a Python float operand on every
-    # call, and `pdd_vector_field` runs 4 times per RK4 step
+    # (A, gamma, eps*A) as read-only 0-d float64 arrays, eps*A None for
+    # "3/t": numpy converts a Python float operand on every call, and
+    # `pdd_vector_field` runs 4 times per RK4 step
     _operands: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -76,15 +75,18 @@ class DynParams:
             raise ValueError("A must be strictly positive")
         if not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
-        if not callable(self.epsilon) and not self.epsilon >= 0:
-            raise ValueError("epsilon must be nonnegative")
-        epsA = None if callable(self.epsilon) else self.eps_at(0.0) * self.A
-        object.__setattr__(self, "_operands", (
-            _operand(self.A), _operand(self.gamma),
-            None if epsA is None else _operand(epsA)))
+        eps = self.epsilon
+        if eps != "3/t" and not (
+                isinstance(eps, (int, float, np.integer, np.floating))
+                and 0 <= eps < math.inf):
+            raise ValueError(f'epsilon must be a finite number >= 0 or "3/t", '
+                             f'got {eps!r}')
+        epsA = None if eps == "3/t" else _operand(float(eps) * self.A)
+        object.__setattr__(self, "_operands",
+                           (_operand(self.A), _operand(self.gamma), epsA))
 
     def eps_at(self, t: float) -> float:
-        return float(self.epsilon(t)) if callable(self.epsilon) else float(self.epsilon)
+        return 3.0 / t if self.epsilon == "3/t" else float(self.epsilon)
 
 
 @dataclass
@@ -136,24 +138,6 @@ def pdd_vector_field(x: np.ndarray, p: np.ndarray, t: float,
     return dx, dp
 
 
-def make_special_case(kind: str, eps: float = 1.0, gamma: float = 1.0) -> DynParams:
-    """Named parameter sets with A = 1.
-
-    hessian_damping: given eps and gamma (gamma must be nonzero);
-    heavy_ball: gamma = 0 with constant eps;
-    nesterov: gamma = 0 and eps(t) = 3/t (the eps argument is ignored).
-    """
-    if kind == "hessian_damping":
-        if gamma == 0:
-            raise ValueError("hessian_damping requires gamma != 0")
-        return DynParams(A=1.0, epsilon=float(eps), gamma=float(gamma))
-    if kind == "heavy_ball":
-        return DynParams(A=1.0, epsilon=float(eps), gamma=0.0)
-    if kind == "nesterov":
-        return DynParams(A=1.0, epsilon=lambda t: 3.0 / t, gamma=0.0)
-    raise ValueError(f"unknown special case {kind!r}")
-
-
 def _step_count(t_end: float, t0: float, dt: float, d: int) -> float:
     """(t_end - t0) / dt, if its RK4 trajectory fits `TRAJECTORY_CAP_BYTES`."""
     steps = (t_end - t0) / dt
@@ -168,8 +152,8 @@ def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
                   t_end: float, dt: float) -> OdeTrajectory:
     """Classical fixed-step fourth-order Runge-Kutta integration.
 
-    Integration starts at t0 = 0, or at t0 = dt for time-dependent epsilon
-    so that eps is never evaluated at t = 0. The trajectory is flagged
+    Integration starts at t0 = 0, or at t0 = dt for epsilon "3/t" so that
+    eps is never evaluated at t = 0. The trajectory is flagged
     diverged (and integration stops) on the first non-finite state; its
     arrays then end at that state.
 
@@ -189,7 +173,7 @@ def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    t0 = dt if callable(params.epsilon) else 0.0
+    t0 = dt if params.epsilon == "3/t" else 0.0
     if not t_end >= t0 + dt:
         raise ValueError("t_end must allow at least one step")
     d = obj.dim

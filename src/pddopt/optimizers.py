@@ -411,20 +411,21 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
     """Iterate one optimizer until the gradient norm drops to ``grad_tol``,
     ``max_iter`` is reached, or the run diverges.
 
-    The hyperparameters are checked once, before the first step, pdd's C
-    against the objective's dimension too. Metrics are recorded every
-    ``record_every`` iterations plus at the final iterate; divergence (any
-    non-finite value, gradient, or iterate) sets a flag on the trajectory
-    instead of raising, so a benchmark batch survives unstable
-    hyperparameters. The dual of the pdd method starts at zero.
-    Identical inputs always produce identical trajectories.
+    ``max_iter`` and ``record_every`` are integers >= 1. The hyperparameters
+    are checked once, before the first step, pdd's C against the objective's
+    dimension too. Metrics are recorded every ``record_every`` iterations
+    plus at the final iterate; divergence (any non-finite value, gradient,
+    or iterate) sets a flag on the trajectory instead of raising, so a
+    benchmark batch survives unstable hyperparameters. The dual of the pdd
+    method starts at zero. Identical inputs always produce identical
+    trajectories.
     """
-    if not max_iter >= 1:  # also rejects nan, which never stops
-        raise ValueError("max_iter must be >= 1")
+    for name, n in (("max_iter", max_iter), ("record_every", record_every)):
+        # as a config's int kind: no bool, and no float (nan never stops)
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     if not grad_tol >= 0:  # also rejects nan, which never converges
         raise ValueError("grad_tol must be nonnegative")
-    if not record_every >= 1:
-        raise ValueError("record_every must be >= 1")
     validate_method(method, params)
     rule = RULES[method]
     if params.get("C") is not None:

@@ -170,6 +170,17 @@ def test_spectral_rejects_nonpositive_modes():
         quadratic_spectral_rate([1.0, -0.5], [1.0, 1.0], 0.1, 0.1)
     with pytest.raises(ValueError, match="mus and as_ must have the same length"):
         quadratic_spectral_rate([1.0, 0.5], [1.0], 0.1, 0.1)
+    # each of these certified convergence with alpha = -inf: nan passed
+    # mus <= 0, and max(-inf, nan) kept -inf
+    for args, name in [
+            (([np.nan], [1.0], 0.5, 1.0), "mus"),
+            (([np.inf], [1.0], 0.5, 1.0), "mus"),
+            (([1.0], [np.nan], 0.5, 1.0), "as_"),
+            (([1.0], [1.0], np.nan, 1.0), "gamma"),
+            (([1.0], [1.0], 0.5, np.nan), "eps"),
+            (([], [], 0.5, 1.0), "mus")]:
+        with pytest.raises(ValueError, match=name):
+            quadratic_spectral_rate(*args)
 
 
 def test_mode_rates_match_dense_eigenvalues():
@@ -358,9 +369,15 @@ def test_estimate_constants_with_inverse_hessian_preconditioner():
 
 def test_estimate_constants_rejects_a_C_that_is_not_positive_definite():
     C = -np.ones(2)
-    with pytest.raises(ValueError, match="preconditioner must be positive "
-                                         "definite"):
+    with pytest.raises(ValueError, match="C: diagonal preconditioner entries "
+                                         "must be positive"):
         estimate_constants(ob.quadratic(np.eye(2)), [np.zeros(2)], C=C)
+
+
+def test_estimate_constants_rejects_an_empty_sample():
+    # it returned mu_hat = inf, L_hat = Lp_hat = -inf
+    with pytest.raises(ValueError, match="sample_points"):
+        estimate_constants(ob.quadratic(np.eye(2)), [])
 
 
 def test_D0_sample_is_zero_for_quadratics():

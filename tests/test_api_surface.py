@@ -16,8 +16,6 @@ SCANNED = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py
 # (module.function or module.Class.method, parameter) -> why it stays
 ALLOWED = {
     ("objective.check_gradient", "h"): "the step of a test oracle",
-    ("dynamics.make_special_case", "eps"): "one of the paper's special cases",
-    ("dynamics.make_special_case", "gamma"): "one of the paper's special cases",
     ("optimizers.pdd_step", "grad"): "it is called as Rule.step, which passes it",
 }
 
@@ -105,5 +103,5 @@ def test_every_defaulted_public_parameter_is_set_by_some_caller():
 
 def test_the_allowlist_holds_only_unset_parameters():
     # an allowed parameter that gains a caller, or goes, leaves the list
-    assert len(ALLOWED) <= 4
+    assert len(ALLOWED) <= 2
     assert set(ALLOWED) <= set(unset_parameters())

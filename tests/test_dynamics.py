@@ -8,7 +8,6 @@ from pddopt.dynamics import (
     DynParams,
     discrete_continuous_consistency,
     integrate_rk4,
-    make_special_case,
     pdd_vector_field,
     second_order_residual,
 )
@@ -55,22 +54,6 @@ def test_field_matches_quadratic_block_matrix():
         ref = M @ np.concatenate([x, p])
         np.testing.assert_allclose(np.concatenate([dx, dp]), ref,
                                    rtol=1e-12, atol=1e-12)
-
-
-def test_make_special_case():
-    hb = make_special_case("heavy_ball", eps=0.8)
-    assert hb.gamma == 0.0 and hb.eps_at(1.0) == 0.8
-
-    nes = make_special_case("nesterov")
-    assert nes.gamma == 0.0
-    assert nes.eps_at(3.0) == pytest.approx(1.0)
-
-    hd = make_special_case("hessian_damping", eps=1.0, gamma=0.5)
-    assert hd.gamma == 0.5 and hd.A == 1.0
-    with pytest.raises(ValueError):
-        make_special_case("hessian_damping", eps=1.0, gamma=0.0)
-    with pytest.raises(ValueError):
-        make_special_case("polyak")
 
 
 def test_rk4_constant_at_stationary_start():
@@ -121,7 +104,7 @@ def allocating_field(x, p, t, params, obj, grad=None):
 
 
 def allocating_rk4(params, obj, x0, p0, t_end, dt):
-    t0 = dt if callable(params.epsilon) else 0.0
+    t0 = dt if params.epsilon == "3/t" else 0.0
     d = obj.dim
     z = np.concatenate((x0, p0))
     n_steps = int(round((t_end - t0) / dt))
@@ -170,13 +153,12 @@ def assert_same_bits(got, want):
             assert a == b
 
 
-@pytest.mark.parametrize("eps", ["0.7", "3/t"])
+@pytest.mark.parametrize("eps", [0.7, "3/t"])
 def test_rk4_is_bitwise_the_allocating_loop(eps):
     rng = np.random.default_rng(0)
     d = 6
     obj = ob.reg_log_sum_exp(ob.make_diag_dominant_Q(d, seed=1))
-    params = DynParams(A=1.3, gamma=0.4,
-                       epsilon=(lambda t: 3.0 / t) if eps == "3/t" else 0.7)
+    params = DynParams(A=1.3, gamma=0.4, epsilon=eps)
     x0 = rng.standard_normal(d)
     p0 = rng.standard_normal(d)
     given = x0.tobytes(), p0.tobytes()
@@ -219,7 +201,7 @@ def test_vector_field_out_is_the_allocating_field(with_grad):
     rng = np.random.default_rng(10)
     d = 5
     obj = ob.reg_log_sum_exp(ob.make_diag_dominant_Q(d, seed=3))
-    params = DynParams(A=0.8, epsilon=lambda t: 3.0 / t, gamma=0.3)
+    params = DynParams(A=0.8, epsilon="3/t", gamma=0.3)
     x, p = rng.standard_normal(d), rng.standard_normal(d)
     g = obj.gradient(x) if with_grad else None
     inputs = [a.tobytes() for a in (x, p, g) if a is not None]
@@ -268,7 +250,9 @@ def test_rk4_empirical_order():
 
 def test_nesterov_integration_starts_after_zero():
     obj = ob.quadratic(np.eye(2))
-    params = make_special_case("nesterov")
+    params = DynParams(A=1.0, epsilon="3/t", gamma=0.0)
+    assert params == DynParams(A=1.0, epsilon="3/t", gamma=0.0)
+    assert params.eps_at(3.0) == 1.0
     traj = integrate_rk4(params, obj, np.array([1.0, 1.0]), np.zeros(2),
                          t_end=5.0, dt=0.01)
     assert traj.times[0] == pytest.approx(0.01)
@@ -300,7 +284,7 @@ def test_residual_on_exact_damped_oscillator():
     # x'' + x' + x = 0 has a closed-form solution; sampling it at dt and
     # evaluating the residual must give O(dt^2)
     obj = ob.quadratic(np.array([[1.0]]))
-    params = make_special_case("heavy_ball", eps=1.0)
+    params = DynParams(A=1.0, epsilon=1.0, gamma=0.0)
 
     def closed_form(t):
         # x(0)=1, x'(0)=0
@@ -386,9 +370,10 @@ def test_consistency_shared_reference_matches_per_tau_references(
 
 @pytest.mark.parametrize("bad", [
     {"A": np.nan}, {"gamma": np.nan}, {"epsilon": np.nan}, {"A": 0.0},
-    {"gamma": -1.0}, {"epsilon": -1.0}])
+    {"gamma": -1.0}, {"epsilon": -1.0}, {"epsilon": "2/t"}, {"epsilon": "x"},
+    {"epsilon": lambda t: 3.0 / t}])
 def test_dyn_params_reject_out_of_range_and_nan_coefficients(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(bad))):
         DynParams(**{"A": 1.0, "epsilon": 1.0, "gamma": 0.5, **bad})
 
 

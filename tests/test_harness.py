@@ -644,13 +644,15 @@ def test_run_optimizer_rejects_a_nan_grad_tol():
 
 @pytest.mark.parametrize("key", ["max_iter", "record_every"])
 def test_run_optimizer_rejects_a_nan_max_iter_or_record_every(key):
-    # a nan max_iter used to run until the gradient met grad_tol, or forever
+    # a nan max_iter used to run until the gradient met grad_tol, or forever;
+    # max_iter 2.5 ran to iteration 3, and True ran one step
     from pddopt.optimizers import run_optimizer
 
     obj, _ = build_problem(ProblemSpec("rosenbrock2d"))
-    with pytest.raises(ValueError, match=key):
-        run_optimizer(obj, "gd", {"tau": 1e-3}, [0.0, 0.0],
-                      **{"max_iter": 5, key: math.nan})
+    for value in (math.nan, 2.5, True):
+        with pytest.raises(ValueError, match=key):
+            run_optimizer(obj, "gd", {"tau": 1e-3}, [0.0, 0.0],
+                          **{"max_iter": 5, key: value})
 
 
 @pytest.mark.parametrize("x0", [

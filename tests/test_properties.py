@@ -422,11 +422,13 @@ def small_configs(draw, names, with_pdd=False):
 # a value of the wrong kind for any key, JSON can carry each
 odd_values = st.sampled_from([None, True, "x", [], {}, [1.0, "x"], -1, 0,
                               10 ** 400, math.nan, math.inf, -1e308])
-bad_C = st.sampled_from([
+# C specs that no problem without Q accepts; the fuzzer draws from them, and
+# `test_every_bad_C_spec_is_refused_before_a_run` checks each on every run
+BAD_C = [
     "bogus", "identity", "diag_inv_q", {"diagonal": [-1.0]}, {"diagonal": "x"},
     {"diagonal": [1.0, math.nan]}, {"diagonal": [1.0], "scale": 2.0},
     {"diag": [1.0]}, {"diagonal": [[1.0]]}, {"diagonal": []}, 3, 0.5, [1.0],
-    True])
+    True]
 # the change each example makes to its valid config: none, a value (invalid
 # for its key, or odd), a vector length, pdd's C, an optimizer's params, a
 # dynamics span over the trajectory cap, a problem seed of -1, or a key
@@ -478,7 +480,8 @@ def changed(draw, kind, d, dim):
         zero_entry = st.integers(0, dim - 1).map(
             lambda k: {"diagonal": [float(i != k) for i in range(dim)]})
         opts[0]["params"]["C"] = draw(
-            bad_C.filter(lambda C: not has_q or C != "diag_inv_q") | zero_entry)
+            st.sampled_from(BAD_C).filter(lambda C: not has_q or C != "diag_inv_q")
+            | zero_entry)
     elif kind == "hp":
         hp = draw(st.sampled_from(opts))["params"]
         key = draw(st.sampled_from(sorted(hp) + ["tau", "bogus"]))
@@ -523,3 +526,23 @@ def test_every_command_runs_or_raises_value_error_before_writing(tmp_path, data)
             else:
                 assert code in (0, 1), (kind, command)
                 assert kind not in ("unread", "seed", "C"), (kind, command)
+
+
+@pytest.mark.parametrize("C", BAD_C, ids=repr)
+def test_every_bad_C_spec_is_refused_before_a_run(tmp_path, C):
+    # the fuzzer draws each spec in few of its runs: with "identity"
+    # accepted again, most of its runs passed
+    d = {"problem": {"name": "rosenbrock2d"}, "x0": [0.0, 0.0], "max_iter": 2,
+         "optimizers": [{"method": "pdd", "label": "pdd", "params": {
+             "tau": 0.01, "sigma": 0.01, "A": 1.0, "epsilon": 1.0,
+             "omega": 1.0, "C": None}}]}
+    harness.prepare(harness.config_from_dict(d))  # C = I: the config is valid
+    d["optimizers"][0]["params"]["C"] = C
+    with pytest.raises(ValueError):
+        harness.prepare(harness.config_from_dict(d))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError):
+        cli.main(["run", str(path), "--out", str(out)])
+    assert not out.exists()
