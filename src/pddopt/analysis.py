@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .objective import Objective, as_vector
+from .objective import Key, Objective, as_vector, check_keys
 from .optimizers import as_preconditioner, lyapunov_value, validate_method
 
 __all__ = [
@@ -54,17 +54,28 @@ def lyapunov_I(obj: Objective, x, p,
     return lyapunov_value(p, float(g @ g))
 
 
+# theorem6_params' constants and margin, delta at a config's default
+RECIPE = dict(mu=Key("real"), L=Key("real"), Lp=Key("real"),
+              delta=Key("real", 1.0, ">= 0"))
+# the coefficients of quadratic_spectral_rate, and of continuous_lambda
+_SPECTRAL = dict(gamma=Key("real"), eps=Key("real"))
+_LAMBDA = dict(mu=RECIPE["mu"], L=RECIPE["L"], **_SPECTRAL, A=Key("real"))
+
+
 def continuous_lambda(mu: float, L: float, gamma: float, eps: float,
                       A: float) -> float:
     """Continuous decay exponent: I(t) <= I(0) exp(-2 lambda t).
 
     lambda is the minimum of four closed-form expressions evaluated at the
     spectrum endpoints mu <= L of hess f . B . hess f. A negative return
-    value means no decay is certified; the caller interprets.
+    value means no decay is certified; the caller interprets. The
+    arguments are finite numbers with 0 < mu <= L.
 
     With gamma = 1/mu, eps = 1 and A = (mu+L) / (2 + (mu+L) eps gamma) the
     minimum collapses to exactly mu/2.
     """
+    check_keys(_LAMBDA, dict(mu=mu, L=L, gamma=gamma, eps=eps, A=A),
+               "continuous_lambda")
     if not 0 < mu <= L:
         raise ValueError("need 0 < mu <= L")
     cross_mu = 0.5 * abs(A - mu * (1.0 - eps * gamma * A))
@@ -94,14 +105,12 @@ def theorem6_params(mu: float, L: float, Lp: float, delta: float = 1.0,
 
     tau = sigma = mu / (4 (delta + 36 max(L', 1))), gamma = (1 - sigma mu)/mu,
     eps = 1, A = (mu+L) / (2 + (mu+L) gamma), omega = gamma/sigma, and the
-    per-step factor 1 - (mu^2/32) / (delta + 36 max(L', 1)).
+    per-step factor 1 - (mu^2/32) / (delta + 36 max(L', 1)), for
+    `RECIPE`'s finite numbers with 0 < mu <= L <= L' and delta >= 0.
     """
-    if not all(math.isfinite(v) for v in (mu, L, Lp, delta)):
-        raise ValueError("mu, L, L' and delta must be finite")
+    check_keys(RECIPE, dict(mu=mu, L=L, Lp=Lp, delta=delta), "theorem6_params")
     if not 0 < mu <= L <= Lp:
         raise ValueError("need 0 < mu <= L <= L'")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
     denom = delta + 36.0 * max(Lp, 1.0)
     tau = 0.25 * mu / denom
     if tau == 0.0:
@@ -153,15 +162,16 @@ def quadratic_spectral_rate(mus: Sequence[float], as_: Sequence[float],
     and the dominant rate is the largest real part over all roots. With
     gamma = eps = 0 every root is purely imaginary and the system does not
     converge. A spectrum with no mode or a value that is not finite, and a
-    gamma or eps that is not finite, raise ValueError naming the argument.
+    gamma or eps that is no finite number, raise ValueError naming it.
     """
+    check_keys(_SPECTRAL, dict(gamma=gamma, eps=eps), "quadratic_spectral_rate")
     mus = np.asarray(mus, dtype=float)
     as_arr = np.asarray(as_, dtype=float)
     if mus.shape != as_arr.shape:
         raise ValueError("mus and as_ must have the same length")
     if mus.size == 0:
         raise ValueError("mus: the spectrum has no mode")
-    for name, v in (("mus", mus), ("as_", as_arr), ("gamma", gamma), ("eps", eps)):
+    for name, v in (("mus", mus), ("as_", as_arr)):
         if not np.all(np.isfinite(v)):
             raise ValueError(f"{name} must be finite")
     if np.any(mus <= 0):

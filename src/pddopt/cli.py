@@ -139,7 +139,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_dynamics(args) -> int:
     config = _load(args)
-    obj, _, x0, _ = harness.prepare(config)
+    obj, _, x0, hps = harness.prepare(config)
     d = harness.read_section("dynamics", config.dynamics)
     params = DynParams(A=d["A"], epsilon=d["epsilon"], gamma=d["gamma"])
     traj = integrate_rk4(params, obj, x0, np.zeros(obj.dim), t_end=d["t_end"],
@@ -152,8 +152,11 @@ def cmd_dynamics(args) -> int:
                                           lyapunov_value(p, gn * gn))]
              for t, x, p, gn in zip(traj.times, traj.xs, traj.ps,
                                     traj.grad_norms.tolist())))
+    unused = "" if all(hp.get("C") is None for hp in hps) \
+        else "; the config's pdd C is unused"
     print(f"  integrated to t={traj.times[-1]:.4g} "
-          f"({'diverged' if traj.diverged else 'ok'})")
+          f"({'diverged' if traj.diverged else 'ok'}) with A={d['A']}, "
+          f"epsilon={d['epsilon']}, gamma={d['gamma']} and C = I{unused}")
     print(f"  wrote {path}")
     return 1 if traj.diverged else 0
 

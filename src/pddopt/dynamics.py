@@ -14,7 +14,8 @@ This module takes C = I and a scalar dual preconditioner A. With A = 1
 the classical special cases are plain `DynParams` values: Hessian-driven
 damping ``DynParams(1.0, eps, gamma)`` with gamma > 0, the heavy ball
 equation ``DynParams(1.0, eps, 0.0)``, and the Nesterov equation
-``DynParams(1.0, "3/t", 0.0)``, eps(t) = 3/t.
+``DynParams(1.0, "3/t", 0.0)``, eps(t) = 3/t. `SETTINGS`, a config's
+dynamics section, declares what `DynParams` and `integrate_rk4` take.
 
 `integrate_rk4` makes its four stage vectors, one work vector and the
 trajectory array once per integration. Each stage input, stage result and
@@ -32,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .objective import Objective, as_vector
+from .objective import Key, Objective, as_vector, check_keys
 from .optimizers import pdd_step
 
 __all__ = [
@@ -46,6 +47,12 @@ __all__ = [
 
 TRAJECTORY_CAP_BYTES = 2 ** 30  # `integrate_rk4`'s largest trajectory
 
+# DynParams' coefficients and integrate_rk4's span and step
+SETTINGS = dict(
+    A=Key("real", 1.0, "> 0"), epsilon=Key("epsilon", 1.0, ">= 0"),
+    gamma=Key("real", 0.0, ">= 0"), t_end=Key("real", 10.0, "> 0"),
+    dt=Key("real", 1e-3, "> 0"))
+
 
 def _operand(v) -> np.ndarray:
     """A read-only 0-d float64 array holding v."""
@@ -58,9 +65,9 @@ def _operand(v) -> np.ndarray:
 class DynParams:
     """Coefficients of the continuous-time system.
 
-    ``epsilon`` is a finite number >= 0, or "3/t" for eps(t) = 3/t as a
-    config spells it; "3/t" is only evaluated at t > 0 (integration then
-    starts at t0 = dt). The primal preconditioner C is I.
+    A > 0, gamma >= 0 and ``epsilon``, a finite number >= 0 or "3/t" for
+    eps(t) = 3/t, as `SETTINGS` declares them; "3/t" is only evaluated at
+    t > 0 (integration then starts at t0 = dt). C is I.
     """
     A: float
     epsilon: Union[float, str]
@@ -71,17 +78,10 @@ class DynParams:
     _operands: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.A > 0:  # the negated forms also reject nan
-            raise ValueError("A must be strictly positive")
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be nonnegative")
-        eps = self.epsilon
-        if eps != "3/t" and not (
-                isinstance(eps, (int, float, np.integer, np.floating))
-                and 0 <= eps < math.inf):
-            raise ValueError(f'epsilon must be a finite number >= 0 or "3/t", '
-                             f'got {eps!r}')
-        epsA = None if eps == "3/t" else _operand(float(eps) * self.A)
+        check_keys(SETTINGS, dict(A=self.A, epsilon=self.epsilon,
+                                  gamma=self.gamma), "DynParams")
+        epsA = None if self.epsilon == "3/t" \
+            else _operand(float(self.epsilon) * self.A)
         object.__setattr__(self, "_operands",
                            (_operand(self.A), _operand(self.gamma), epsA))
 
@@ -168,11 +168,11 @@ def integrate_rk4(params: DynParams, obj: Objective, x0, p0,
     so the trajectory is bitwise equal to the allocating formula's. Each
     step evaluates grad f once, at stage k1, and hands it to
     `pdd_vector_field`; its norms, plus one more gradient at the last
-    state, come back as ``grad_norms``. A trajectory over
-    `TRAJECTORY_CAP_BYTES`, or of no finite length, raises ValueError first.
+    state, come back as ``grad_norms``. A ``t_end`` or ``dt`` that
+    `SETTINGS` refuses, or a trajectory over `TRAJECTORY_CAP_BYTES`, raises
+    ValueError first.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    check_keys(SETTINGS, dict(t_end=t_end, dt=dt), "integrate_rk4")
     t0 = dt if params.epsilon == "3/t" else 0.0
     if not t_end >= t0 + dt:
         raise ValueError("t_end must allow at least one step")

@@ -9,36 +9,25 @@ byte-identical outputs.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import math
-import numbers
-import operator
 import os
-import re
-import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from html import escape
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import toynet
-from .objective import (
-    Objective,
-    ackley,
-    as_vector,
-    make_diag_dominant_Q,
-    quad_minus_cos,
-    quadratic,
-    reg_log_sum_exp,
-    rosenbrock,
-)
-from .optimizers import (Trajectory, compute_beta2, compute_nag_beta,
-                         run_optimizer, validate_method)
+from . import analysis, dynamics, toynet
+from .objective import (KINDS, Key, Objective, _defaults_from, _field_defaults,
+                        ackley, as_vector, check_keys, make_diag_dominant_Q,
+                        quad_minus_cos, quadratic, reg_log_sum_exp, rosenbrock)
+from .optimizers import (RUN_SETTINGS, Trajectory, as_preconditioner,
+                         compute_beta2, compute_nag_beta, run_optimizer,
+                         validate_method)
 
 __all__ = [
     "ProblemSpec",
@@ -62,9 +51,6 @@ PRESET_NAMES = ("logsumexp", "quadcos", "rosenbrock2d", "rosenbrockNd",
 
 DEFAULT_OUT_ROOT_ENV = "PDD_OUT_DIR"
 
-# labels name the CSV files and key the trajectories
-_LABEL_RE = re.compile(r"[A-Za-z0-9._-]+")
-
 
 @dataclass
 class ProblemSpec:
@@ -85,9 +71,9 @@ class ExperimentConfig:
     problem: ProblemSpec
     optimizers: List[OptimizerSpec]
     x0: Union[List[float], Dict[str, float], None] = None  # None only for toynet
-    max_iter: int = 10000
-    grad_tol: float = 1e-10
-    record_every: int = 10
+    max_iter: int = RUN_SETTINGS["max_iter"].default
+    grad_tol: float = RUN_SETTINGS["grad_tol"].default
+    record_every: int = RUN_SETTINGS["record_every"].default
     output_dir: Optional[str] = None
     analysis: dict = field(default_factory=dict)
     dynamics: dict = field(default_factory=dict)
@@ -103,71 +89,8 @@ class RunArtifact:
 
 
 # ---------------------------------------------------------------------------
-# configuration: one declaration per key
+# configuration: one declaration per key, the library's where it takes it too
 # ---------------------------------------------------------------------------
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) \
-        and abs(v) <= sys.float_info.max  # not nan, inf or 10**400
-
-
-def _list_of(item, min_len: int = 0):
-    return lambda v: (isinstance(v, (list, tuple, np.ndarray))
-                      and len(v) >= min_len and all(map(item, v)))
-
-
-# kind -> (what a value must be, its test); a section is a JSON object that
-# is checked when it is read against its own table
-KINDS = {
-    "int": ("an integer", _is_int),
-    "real": ("a finite number", _is_real),
-    "vector": ("a list of finite numbers", _list_of(_is_real)),
-    "ints": ("a list of integers", _list_of(_is_int)),
-    "seeds": ("a non-empty list of integers", _list_of(_is_int, 1)),
-    "x0": ('a list of finite numbers or {"fill": number}',
-           lambda v: _list_of(_is_real)(v) or isinstance(v, dict)
-           and list(v) == ["fill"] and _is_real(v["fill"])),
-    "epsilon": ('a finite number or "3/t"', lambda v: v == "3/t" or _is_real(v)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "label": (f"a string matching {_LABEL_RE.pattern}",
-              lambda v: isinstance(v, str) and bool(_LABEL_RE.fullmatch(v))),
-    "path": ("a string or null", lambda v: v is None or isinstance(v, str)),
-    "object": ("a JSON object", lambda v: isinstance(v, dict)),
-    "list": ("a non-empty list", _list_of(lambda item: True, 1)),
-    "section": ("a JSON object", None),
-}
-_OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
-
-
-class Key(NamedTuple):
-    """A config key's kind (a `KINDS` name), default (MISSING: required) and
-    range ("" or bounds such as ">= 0, < 2" on a number or each list entry)."""
-    kind: str
-    default: object = MISSING
-    range: str = ""
-
-
-def _in_range(v, rng: str) -> bool:
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return all(_in_range(e, rng) for e in v)
-    return isinstance(v, str) or all(  # a string such as "3/t" has no range
-        _OPS[op](v, float(b)) for op, b in (c.split() for c in rng.split(",") if c))
-
-
-def _field_defaults(*classes) -> dict:
-    return {f.name: f.default if f.default_factory is MISSING
-            else f.default_factory() for cls in classes for f in fields(cls)}
-
-
-def _defaults_from(cls, **keys: Key) -> Dict[str, Key]:
-    """``keys``, each defaulting as the same-named field of ``cls`` does."""
-    default = _field_defaults(cls)
-    return {k: key._replace(default=default[k]) for k, key in keys.items()}
-
 
 # toynet's tables refuse these: it reads no start, cap, tolerance, stride,
 # certificate or label
@@ -176,12 +99,11 @@ TOYNET_UNREAD = ("x0", "max_iter", "grad_tol", "record_every", "analysis",
 
 SECTIONS = {
     # an objective needs a start and a CSV a name; only toynet's are None
-    "config": {**_defaults_from(
-        ExperimentConfig, problem=Key("section"), optimizers=Key("list"),
-        x0=Key("x0"), max_iter=Key("int", range=">= 1"),
-        grad_tol=Key("real", range=">= 0"), record_every=Key("int", range=">= 1"),
-        output_dir=Key("path"),
-        analysis=Key("section"), dynamics=Key("section")), "x0": Key("x0")},
+    "config": {**_defaults_from(ExperimentConfig, problem=Key("section"),
+                                optimizers=Key("list")),
+               "x0": Key("x0"), **RUN_SETTINGS,
+               **_defaults_from(ExperimentConfig, output_dir=Key("path"),
+                                analysis=Key("section"), dynamics=Key("section"))},
     "problem": _defaults_from(ProblemSpec, name=Key("str"), params=Key("section"),
                               seed=Key("int", range=">= 0")),
     "optimizer": {**_defaults_from(OptimizerSpec, method=Key("str"),
@@ -189,13 +111,10 @@ SECTIONS = {
                   "label": Key("label")},
     # read by `pddopt analyze`; a seed of None is the problem's
     "analysis": dict(
-        delta=Key("real", 1.0, ">= 0"), num_samples=Key("int", 20, ">= 1"),
+        delta=analysis.RECIPE["delta"], num_samples=Key("int", 20, ">= 1"),
         pdd_steps=Key("int", 2000, ">= 1"), seed=Key("int", None, ">= 0")),
     # read by `pddopt dynamics`, whose dual starts at zero
-    "dynamics": dict(
-        A=Key("real", 1.0, "> 0"), epsilon=Key("epsilon", 1.0, ">= 0"),
-        gamma=Key("real", 0.0, ">= 0"), t_end=Key("real", 10.0, "> 0"),
-        dt=Key("real", 1e-3, "> 0")),
+    "dynamics": dynamics.SETTINGS,
 }
 _ROSENBROCK = dict(a=Key("real", 1.0), b=Key("real", 100.0))
 # problem name -> its params; a quadratic's diag of None generates Q
@@ -207,12 +126,7 @@ PROBLEM_PARAMS = {
     "rosenbrock2d": _ROSENBROCK,
     "rosenbrockNd": dict(**_ROSENBROCK, n=Key("int", 100, ">= 2")),
     "ackley": {},
-    "toynet": _defaults_from(
-        toynet.TrainConfig, n=Key("int", range=">= 1"),
-        d_in=Key("int", range=">= 1"), k=Key("int", range=">= 2"),
-        spread=Key("real", range=">= 0"), epochs=Key("int", range=">= 1"),
-        batch_size=Key("int", range=">= 1"), hidden=Key("ints", range=">= 1"),
-        seeds=Key("seeds", range=">= 0")),
+    "toynet": toynet.TRAIN_KEYS,
 }
 SECTIONS.update({f"toynet {name}": {k: key for k, key in SECTIONS[name].items()
                                      if k not in TOYNET_UNREAD}
@@ -220,33 +134,10 @@ SECTIONS.update({f"toynet {name}": {k: key for k, key in SECTIONS[name].items()
 
 
 def read_section(name: str, d, where: Optional[str] = None) -> dict:
-    """Check ``d``'s keys, and each value's kind and range, against the table
-    `SECTIONS[name]` (or `PROBLEM_PARAMS[name]`). Returns every key's value,
-    reals as float and integers as int, absent keys at their defaults.
-    Errors name ``where`` (default ``name``) and the key."""
+    """`check_keys` of ``d`` against the table `SECTIONS[name]` (or
+    `PROBLEM_PARAMS[name]`); errors name ``where`` (default ``name``)."""
     table = SECTIONS[name] if name in SECTIONS else PROBLEM_PARAMS[name]
-    where = where or name
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} must be a JSON object, not {type(d).__name__}")
-    required = [k for k, key in table.items() if key.default is MISSING]
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ValueError(f"{where}: missing keys {missing}; "
-                         f"required keys are {required}")
-    unknown = [k for k in d if k not in table]
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {unknown}; "
-                         f"valid keys are {list(table)}")
-    out = {k: copy.copy(key.default) for k, key in table.items() if k not in d}
-    for k, v in d.items():
-        key = table[k]
-        what, test = KINDS[key.kind]
-        if test is not None and not (test(v) and _in_range(v, key.range)):
-            bound = f" ({key.range})" if key.range else ""
-            raise ValueError(f"{where}: {k!r} must be {what}{bound}, got {v!r}")
-        out[k] = float(v) if key.kind == "real" else int(v) if key.kind == "int" \
-            else v
-    return out
+    return check_keys(table, d, where or name)
 
 
 def problem_params(spec: ProblemSpec) -> dict:
@@ -281,7 +172,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     keep exactly the keys they were given. A toynet config is read against
     the toynet tables, which refuse the `TOYNET_UNREAD` keys."""
     problem = d.get("problem") if isinstance(d, dict) else None
-    if isinstance(problem, dict):  # checked first, as its name picks the tables
+    if problem is not None:  # checked first, as its name picks the tables
         problem = ProblemSpec(**read_section("problem", problem))
         problem_params(problem)
     toy = "toynet " if getattr(problem, "name", "") == "toynet" else ""
@@ -353,10 +244,10 @@ def materialize_x0(x0, dim: int) -> np.ndarray:
 
 def resolve_preconditioner(spec, ctx: dict, dim: int) -> Optional[np.ndarray]:
     """Turn a config-level C spec into pdd's C: the vector of a diagonal on
-    R^``dim``, whose entries `prepare` checks with the rest of pdd's params.
+    R^``dim``, checked by `as_preconditioner`.
 
     Accepted: null (C = I, as None), "diag_inv_q" (inverse diagonal of the
-    generated Q), or {"diagonal": [...]} with ``dim`` entries.
+    generated Q), or {"diagonal": [...]} with ``dim`` positive entries.
     """
     if spec is None:
         return None
@@ -368,7 +259,7 @@ def resolve_preconditioner(spec, ctx: dict, dim: int) -> Optional[np.ndarray]:
     if not (isinstance(spec, dict) and list(spec) == ["diagonal"]
             and KINDS["vector"][1](spec["diagonal"])):
         raise ValueError(f"unknown preconditioner spec {spec!r}")
-    return as_vector(spec["diagonal"], dim, "C's diagonal")
+    return as_preconditioner(spec["diagonal"], dim)
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,25 @@ tail, or in an array of fewer than 8 entries), so strips of 1 to 7 entries
 can flip it. Every strip but the last therefore holds `_STRIP` entries, a
 multiple of 64, and a last strip shorter than 64 joins the one before it.
 There is no option and no second path: n <= 16385 is one strip.
+
+The input checks that every module imports live here too: `as_vector`,
+and `check_keys`, which checks named settings against their `Key`s. A
+setting that a config and the library both take has one `Key`, declared
+by the library code that takes it; harness's config tables hold it too.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
+import numbers
+import operator
+import re
+import sys
 import warnings
-from typing import Callable, Optional
+from dataclasses import MISSING, fields
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,6 +55,8 @@ __all__ = [
     "Objective",
     "MissingHessianError",
     "as_vector",
+    "Key",
+    "check_keys",
     "make_diag_dominant_Q",
     "quadratic",
     "reg_log_sum_exp",
@@ -68,6 +81,103 @@ def as_vector(x, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    # not nan, inf or 10**400, and math.isfinite reads a numpy float32
+    # with no cast warning; it raises on an int past float64's range
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and (
+        abs(v) <= sys.float_info.max if isinstance(v, int) else math.isfinite(v))
+
+
+def _list_of(item, min_len: int = 0):
+    return lambda v: (isinstance(v, (list, tuple, np.ndarray))
+                      and len(v) >= min_len and all(map(item, v)))
+
+
+# labels name the CSV files and key the trajectories
+_LABEL_RE = re.compile(r"[A-Za-z0-9._-]+")
+
+# kind -> (what a value must be, its test); a test of None leaves the value
+# to its own check: a section's table, or `optimizers.as_preconditioner`
+KINDS = {
+    "int": ("an integer", _is_int),
+    "real": ("a finite number", _is_real),
+    "vector": ("a list of finite numbers", _list_of(_is_real)),
+    "ints": ("a list of integers", _list_of(_is_int)),
+    "seeds": ("a non-empty list of integers", _list_of(_is_int, 1)),
+    "x0": ('a list of finite numbers or {"fill": number}',
+           lambda v: _list_of(_is_real)(v) or isinstance(v, dict)
+           and list(v) == ["fill"] and _is_real(v["fill"])),
+    "epsilon": ('a finite number or "3/t"', lambda v: v == "3/t" or _is_real(v)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "label": (f"a string matching {_LABEL_RE.pattern}",
+              lambda v: isinstance(v, str) and bool(_LABEL_RE.fullmatch(v))),
+    "path": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "object": ("a JSON object", lambda v: isinstance(v, dict)),
+    "list": ("a non-empty list", _list_of(lambda item: True, 1)),
+    "section": ("a JSON object", None),
+    "C": ("a positive diagonal or null", None),
+}
+_OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+class Key(NamedTuple):
+    """A setting's kind (a `KINDS` name), default (MISSING: required) and
+    range ("" or bounds such as ">= 0, < 2" on a number or each list entry)."""
+    kind: str
+    default: object = MISSING
+    range: str = ""
+
+
+def _in_range(v, rng: str) -> bool:
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return all(_in_range(e, rng) for e in v)
+    return isinstance(v, str) or all(  # a string such as "3/t" has no range
+        _OPS[op](v, float(b)) for op, b in (c.split() for c in rng.split(",") if c))
+
+
+def _field_defaults(*classes) -> dict:
+    return {f.name: f.default if f.default_factory is MISSING
+            else f.default_factory() for cls in classes for f in fields(cls)}
+
+
+def _defaults_from(cls, **keys: Key) -> Dict[str, Key]:
+    """``keys``, each defaulting as the same-named field of ``cls`` does."""
+    default = _field_defaults(cls)
+    return {k: key._replace(default=default[k]) for k, key in keys.items()}
+
+
+def check_keys(table: Dict[str, Key], d, where: str) -> dict:
+    """Check ``d``'s keys, and each value's kind and range, against
+    ``table``, a `Key` per name. Returns every key's value, reals as float
+    and integers as int, absent keys at their defaults. Errors are
+    ValueErrors that name ``where`` and the key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(d).__name__}")
+    required = [k for k, key in table.items() if key.default is MISSING]
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"{where}: missing keys {missing}; "
+                         f"required keys are {required}")
+    unknown = [k for k in d if k not in table]
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}; "
+                         f"valid keys are {list(table)}")
+    out = {k: copy.copy(key.default) for k, key in table.items() if k not in d}
+    for k, v in d.items():
+        key = table[k]
+        what, test = KINDS[key.kind]
+        if test is not None and not (test(v) and _in_range(v, key.range)):
+            bound = f" ({key.range})" if key.range else ""
+            raise ValueError(f"{where}: {k!r} must be {what}{bound}, got {v!r}")
+        out[k] = float(v) if key.kind == "real" else int(v) if key.kind == "int" \
+            else v
+    return out
 
 
 def _check_symmetric(M: np.ndarray, tol: float, name: str) -> np.ndarray:

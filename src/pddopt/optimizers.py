@@ -14,9 +14,10 @@ evaluation per step. C is a positive diagonal held as the vector of its
 entries (see `as_preconditioner`), so C pt is an elementwise product, and
 None is C = I. Baselines: gradient descent, Nesterov's accelerated gradient,
 heavy ball, and the inertial gradient algorithms with Hessian damping
-(general and strongly convex). Each method is one entry of `RULES`, a
-range check plus an init/step pair that `run_optimizer` drives; pdd's step
-is `pdd_step`, which `analyze` and the consistency probe call on plain
+(general and strongly convex). Each method is one entry of `RULES`: a
+`Key` per hyperparameter, which a config's optimizer params are checked
+against too, plus an init/step pair that `run_optimizer` drives; pdd's
+step is `pdd_step`, which `analyze` and the consistency probe call on plain
 arrays too.
 
 Above `objective._STRIP` = 16384 entries, `run_optimizer` steps gd, nag,
@@ -31,14 +32,13 @@ at every size) made them slower.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import objective
-from .objective import Objective, as_vector
+from .objective import Key, Objective, as_vector, check_keys
 
 __all__ = [
     "as_preconditioner",
@@ -95,7 +95,8 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# update rules: each method is a range check plus an init/step pair in RULES
+# update rules: each method is its hyperparameters' Keys plus an init/step
+# pair in RULES
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -107,9 +108,10 @@ class Rule:
     gradient); only igahd calls ``grad`` again. ``step`` is the one copy of
     the method's formula (pdd's is `pdd_step`, which `cli.cmd_analyze` and
     `dynamics.discrete_continuous_consistency` call directly) and checks
-    nothing; ``validate`` checks ``hp`` once per run: its keys against
-    ``params`` (required) and ``optional``, its ranges with ``check(**hp)``,
-    which raises ``ValueError``.
+    nothing; ``validate`` checks ``hp`` once per run: its names, kinds and
+    ranges against ``params``, a `Key` per hyperparameter, with
+    `objective.check_keys`, then, where the rule has one, ``check(hp)``, a
+    condition that relates two of them. Both raise ``ValueError``.
 
     A rule may also carry a strip-fused twin of ``step``, ``strip_step``,
     with ``step``'s signature, which `start` selects for vectors longer than
@@ -123,11 +125,10 @@ class Rule:
     buffers, because `run_optimizer` hands it back as the next x. A nan's
     sign or payload is not part of a rule's contract: numpy picks which nan
     operand an add returns by the entry's place in its SIMD loop."""
-    params: Tuple[str, ...]
+    params: Dict[str, Key]
     init: Callable[[np.ndarray], dict]
     step: Callable[..., Tuple[np.ndarray, dict]]
-    check: Callable[..., None]
-    optional: Tuple[str, ...] = ()
+    check: Optional[Callable[[dict], None]] = None
     strip_step: Optional[Callable[..., Tuple[np.ndarray, dict]]] = None
 
     def start(self, x0: np.ndarray, hp: dict):
@@ -146,39 +147,18 @@ class Rule:
         return state, self.strip_step
 
     def validate(self, method: str, hp: dict) -> None:
-        """Check the names, types and ranges of ``method``'s hyperparameters."""
-        missing = [k for k in self.params if k not in hp]
-        if missing:
-            raise ValueError(f"{method}: missing parameters {missing}")
-        allowed = set(self.params) | set(self.optional)
-        extra = [k for k in hp if k not in allowed]
-        if extra:
-            raise ValueError(f"{method}: unknown parameters {extra}")
-        for k in self.params:
-            v = hp[k]
-            if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                    or not abs(v) <= sys.float_info.max:  # nan, inf, 10**400
-                raise ValueError(f"{method}: parameter {k!r} must be a finite number")
-        try:
-            self.check(**hp)
-        except ValueError as exc:
-            raise ValueError(f"{method}: {exc}") from None
-
-
-def _check_tau(tau) -> None:
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+        """Check the names, kinds and ranges of ``method``'s hyperparameters."""
+        check_keys(self.params, hp, method)
+        if self.check is not None:
+            try:
+                self.check(hp)
+            except ValueError as exc:
+                raise ValueError(f"{method}: {exc}") from None
 
 
 def _gd_step(x, g, s, hp, grad):
     """Plain gradient descent: x+ = x - tau grad f(x)."""
     return x - hp["tau"] * g, s
-
-
-def _check_momentum(tau, beta) -> None:
-    _check_tau(tau)
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
 
 
 def _nag_step(x, g, s, hp, grad):
@@ -194,9 +174,8 @@ def _heavy_ball_step(x, g, s, hp, grad):
     return x - hp["tau"] * g + hp["beta"] * (x - s["x_prev"]), {"x_prev": x}
 
 
-def _check_igahd(tau, alpha, beta1) -> None:
-    _check_tau(tau)
-    if not 0.0 <= beta1 <= 2.0 * math.sqrt(tau):
+def _check_igahd(hp) -> None:
+    if not hp["beta1"] <= 2.0 * math.sqrt(hp["tau"]):
         raise ValueError("beta1 must lie in [0, 2 sqrt(tau)]")
 
 
@@ -217,10 +196,8 @@ def _igahd_step(x, g, s, hp, grad):
     return y - tau * grad(y), {"x_prev": x, "g_prev": g, "n": n + 1}
 
 
-def _check_igahd_sc(tau, m1, beta2) -> None:
-    if not (m1 > 0 and tau > 0):
-        raise ValueError("m1 and tau must be positive")
-    if not beta2 <= 1.0 / math.sqrt(m1) + 1e-15:
+def _check_igahd_sc(hp) -> None:
+    if not hp["beta2"] <= 1.0 / math.sqrt(hp["m1"]) + 1e-15:
         raise ValueError("beta2 must not exceed 1/sqrt(m1)")
 
 
@@ -240,11 +217,9 @@ def _igahd_sc_step(x, g, s, hp, grad):
             - (hp["tau"] / sc) * g), {"x_prev": x, "g_prev": g}
 
 
-def _check_pdd(tau, sigma, A, epsilon, omega, C=None) -> None:
-    if not (tau > 0 and sigma > 0 and A > 0 and epsilon >= 0 and omega >= 0):
-        raise ValueError("need tau, sigma, A > 0 and epsilon, omega >= 0")
-    if C is not None:
-        as_preconditioner(C)
+def _check_pdd(hp) -> None:
+    if hp.get("C") is not None:
+        as_preconditioner(hp["C"])
 
 
 def pdd_step(x, g, s, hp, grad=None):
@@ -346,26 +321,36 @@ def _igahd_strip_step(x, g, s, hp, grad):
     return y, s
 
 
+_REAL, _POSITIVE = Key("real"), Key("real", range="> 0")
+_NONNEGATIVE, _MOMENTUM = Key("real", range=">= 0"), Key("real", range=">= 0, < 1")
+
 # method name -> its update rule; igahd's counter n starts at 1 to keep
-# alpha/n finite, and the g_prev of both igahd variants starts as the first g
+# alpha/n finite, and the g_prev of both igahd variants starts as the first g.
+# pdd's C (None: I) is checked by `as_preconditioner`
 RULES = {
-    "gd": Rule(("tau",), lambda x0: {}, _gd_step, _check_tau,
+    "gd": Rule(dict(tau=_POSITIVE), lambda x0: {}, _gd_step,
                strip_step=_gd_strip_step),
-    "nag": Rule(("tau", "beta"),
+    "nag": Rule(dict(tau=_POSITIVE, beta=_MOMENTUM),
                 lambda x0: {"y_prev": x0.copy(), "y_prev2": x0.copy()},
-                _nag_step, _check_momentum, strip_step=_nag_strip_step),
-    "heavy_ball": Rule(("tau", "beta"), lambda x0: {"x_prev": x0.copy()},
-                       _heavy_ball_step, _check_momentum),
-    "igahd": Rule(("tau", "alpha", "beta1"),
+                _nag_step, strip_step=_nag_strip_step),
+    "heavy_ball": Rule(dict(tau=_POSITIVE, beta=_MOMENTUM),
+                       lambda x0: {"x_prev": x0.copy()}, _heavy_ball_step),
+    "igahd": Rule(dict(tau=_POSITIVE, alpha=_REAL, beta1=_NONNEGATIVE),
                   lambda x0: {"x_prev": x0.copy(), "g_prev": None, "n": 1},
-                  _igahd_step, _check_igahd, strip_step=_igahd_strip_step),
-    "igahd_sc": Rule(("tau", "m1", "beta2"),
+                  _igahd_step, _check_igahd, _igahd_strip_step),
+    "igahd_sc": Rule(dict(tau=_POSITIVE, m1=_POSITIVE, beta2=_REAL),
                      lambda x0: {"x_prev": x0.copy(), "g_prev": None},
                      _igahd_sc_step, _check_igahd_sc),
-    "pdd": Rule(("tau", "sigma", "A", "epsilon", "omega"),
+    "pdd": Rule(dict(tau=_POSITIVE, sigma=_POSITIVE, A=_POSITIVE,
+                     epsilon=_NONNEGATIVE, omega=_NONNEGATIVE, C=Key("C", None)),
                 lambda x0: {"p": np.zeros_like(x0)}, pdd_step, _check_pdd,
-                optional=("C",), strip_step=_pdd_strip_step),
+                _pdd_strip_step),
 }
+
+# a run's cap, gradient tolerance and recording stride, at a config's defaults
+RUN_SETTINGS = dict(max_iter=Key("int", 10000, ">= 1"),
+                    grad_tol=Key("real", 1e-10, ">= 0"),
+                    record_every=Key("int", 10, ">= 1"))
 
 
 def compute_nag_beta(kappa: float) -> float:
@@ -398,7 +383,7 @@ def compute_beta2(m1: float, tau: float) -> float:
 # ---------------------------------------------------------------------------
 
 def validate_method(method: str, params: dict) -> None:
-    """Check a method name and its hyperparameters (names, types and
+    """Check a method name and its hyperparameters (names, kinds and
     ranges) against its rule."""
     if method not in RULES:
         raise ValueError(f"unknown optimizer method {method!r}")
@@ -411,21 +396,18 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
     """Iterate one optimizer until the gradient norm drops to ``grad_tol``,
     ``max_iter`` is reached, or the run diverges.
 
-    ``max_iter`` and ``record_every`` are integers >= 1. The hyperparameters
-    are checked once, before the first step, pdd's C against the objective's
-    dimension too. Metrics are recorded every ``record_every`` iterations
-    plus at the final iterate; divergence (any non-finite value, gradient,
-    or iterate) sets a flag on the trajectory instead of raising, so a
-    benchmark batch survives unstable hyperparameters. The dual of the pdd
-    method starts at zero. Identical inputs always produce identical
-    trajectories.
+    ``max_iter``, ``grad_tol`` and ``record_every`` are checked against
+    `RUN_SETTINGS` (integers >= 1, and a finite number >= 0) and the
+    hyperparameters against the method's rule, once, before the first
+    gradient; pdd's C against the objective's dimension too. Metrics are
+    recorded every ``record_every`` iterations plus at the final iterate;
+    divergence (any non-finite value, gradient, or iterate) sets a flag on
+    the trajectory instead of raising, so a benchmark batch survives
+    unstable hyperparameters. The dual of the pdd method starts at zero.
+    Identical inputs always produce identical trajectories.
     """
-    for name, n in (("max_iter", max_iter), ("record_every", record_every)):
-        # as a config's int kind: no bool, and no float (nan never stops)
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
-    if not grad_tol >= 0:  # also rejects nan, which never converges
-        raise ValueError("grad_tol must be nonnegative")
+    check_keys(RUN_SETTINGS, dict(max_iter=max_iter, grad_tol=grad_tol,
+                                  record_every=record_every), "run_optimizer")
     validate_method(method, params)
     rule = RULES[method]
     if params.get("C") is not None:

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .objective import Key, _defaults_from, check_keys
 from .optimizers import RULES, Rule
 
 __all__ = [
@@ -68,11 +69,11 @@ class Dataset:
 
 
 def make_blobs(seed: int, n: int, d_in: int, k: int, spread: float) -> Dataset:
-    """k Gaussian clusters around unit-norm random centers, 80/20 split."""
+    """k Gaussian clusters around unit-norm random centers, 80/20 split;
+    the sizes and spread are checked against `TRAIN_KEYS`."""
+    check_keys(TRAIN_KEYS, dict(n=n, d_in=d_in, k=k, spread=spread), "make_blobs")
     if n < 10 * k:
         raise ValueError("need n >= 10k samples")
-    if d_in < 1 or k < 2:
-        raise ValueError("invalid sizes")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((k, d_in))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
@@ -191,22 +192,17 @@ def _adam_step(x, g, s, hp, grad):
     return x - hp["tau"] * m_hat / (np.sqrt(v_hat) + hp["eps"]), {"m": m, "v": v, "t": t}
 
 
-def _check_adam(tau, beta1, beta2, eps) -> None:
-    if not (tau > 0 and eps > 0):
-        raise ValueError("tau and eps must be positive")
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ValueError("beta1 and beta2 must lie in [0, 1)")
-
-
-# stochastic method -> update rule; all but adam are the deterministic rules
+# stochastic method -> update rule; all but adam are the deterministic rules,
+# and adam's tau and momenta take gd's and nag's keys
+_MOMENTUM = RULES["nag"].params["beta"]
 _RULES = {
     "sgd": RULES["gd"],
     "nag_momentum": RULES["nag"],
     "pdd": RULES["pdd"],
     "igahd": RULES["igahd"],
-    "adam": Rule(("tau", "beta1", "beta2", "eps"), lambda x0: {
-        "m": np.zeros_like(x0), "v": np.zeros_like(x0), "t": 0}, _adam_step,
-        _check_adam),
+    "adam": Rule(dict(tau=RULES["gd"].params["tau"], beta1=_MOMENTUM,
+                      beta2=_MOMENTUM, eps=Key("real", range="> 0")), lambda x0: {
+        "m": np.zeros_like(x0), "v": np.zeros_like(x0), "t": 0}, _adam_step),
 }
 
 METHODS = tuple(_RULES)
@@ -261,6 +257,14 @@ class TrainConfig:
     hyperparams: Optional[Dict[str, Dict[str, float]]] = None
 
 
+# a config's toynet problem params, at TrainConfig's defaults
+TRAIN_KEYS = _defaults_from(
+    TrainConfig, n=Key("int", range=">= 1"), d_in=Key("int", range=">= 1"),
+    k=Key("int", range=">= 2"), spread=Key("real", range=">= 0"),
+    epochs=Key("int", range=">= 1"), batch_size=Key("int", range=">= 1"),
+    hidden=Key("ints", range=">= 1"), seeds=Key("seeds", range=">= 0"))
+
+
 def train(config: TrainConfig) -> List[dict]:
     """Train every method on the shared blobs for every seed.
 
@@ -270,12 +274,11 @@ def train(config: TrainConfig) -> List[dict]:
     `stochastic_step` per mini-batch. A run whose batch loss goes
     non-finite gets a nan row for that epoch and no later rows; the other
     runs are unaffected. Identical configs produce identical rows. The
-    counts and every method's hyperparameters are checked before the first
-    batch.
+    `TRAIN_KEYS` fields, distinct methods and seeds, and every method's
+    hyperparameters are checked before the data is built.
     """
-    for name in ("batch_size", "epochs"):
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be at least 1")
+    check_keys(TRAIN_KEYS, {k: getattr(config, k) for k in TRAIN_KEYS},
+               "TrainConfig")
     for name, values in (("methods", config.methods), ("seeds", config.seeds)):
         if len(values) == 0 or len(set(values)) < len(values):  # they key the rows
             raise ValueError(f"{name} must be non-empty and distinct, got {values}")

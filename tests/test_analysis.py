@@ -121,7 +121,8 @@ def test_theorem6_rejects_non_finite_constants():
             theorem6_params(mu, L, Lp)
     with pytest.raises(ValueError):
         theorem6_params(1.0, 2.0, 3.0, delta=inf)
-    with pytest.raises(ValueError, match="delta must be nonnegative"):
+    with pytest.raises(ValueError, match=r"theorem6_params: 'delta' must be a "
+                                         r"finite number \(>= 0\), got -1.0"):
         theorem6_params(1.0, 2.0, 3.0, delta=-1.0)
 
 

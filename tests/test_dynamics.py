@@ -378,8 +378,9 @@ def test_dyn_params_reject_out_of_range_and_nan_coefficients(bad):
 
 
 @pytest.mark.parametrize("t_end,dt,message", [
-    (1.0, float("nan"), "dt must be positive"),
-    (float("nan"), 0.1, "t_end must allow")])
+    (1.0, float("nan"), "integrate_rk4: 'dt' must be a finite number"),
+    (float("nan"), 0.1, "integrate_rk4: 't_end' must be a finite number")],
+    ids=["dt", "t_end"])
 def test_integrate_rk4_rejects_a_nan_dt_or_t_end(t_end, dt, message):
     obj = ob.quadratic(np.array([[1.0]]))
     params = DynParams(A=1.0, epsilon=1.0, gamma=0.5)
@@ -450,10 +451,12 @@ def test_lyapunov_decay_continuous():
                                       (math.inf, 1.0), (5e3, 1e-3)])
 def test_rk4_refuses_a_trajectory_over_the_cap_before_allocating(t_end, dt):
     # 1e300 / 1e-10 overflowed int(round(.)); 10 / 1e-6 at d = 100 asked
-    # np.empty for 16 GB
+    # np.empty for 16 GB; an infinite t_end is no finite number, as a
+    # config's dynamics section declares t_end
     obj = ob.quadratic(np.eye(100))
-    with pytest.raises(ValueError, match=r"dt = .* at dimension 100 need "
-                                         r".* bytes, over the 1073741824-byte"):
+    with pytest.raises(ValueError, match="'t_end' must be a finite number"
+                       if math.isinf(t_end) else r"dt = .* at dimension 100 "
+                       r"need .* bytes, over the 1073741824-byte"):
         integrate_rk4(DynParams(A=1.0, epsilon=1.0, gamma=0.5), obj,
                       np.ones(100), np.zeros(100), t_end=t_end, dt=dt)
 

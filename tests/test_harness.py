@@ -177,7 +177,7 @@ def test_every_preset_completes_without_divergence(tmp_path):
 def test_validation_rejects_out_of_range_hyperparameters(tmp_path):
     cfg = preset("quadcos", out_dir=str(tmp_path / "out"))
     cfg.optimizers[1].params["beta"] = 1.5  # nag
-    with pytest.raises(ValueError, match="nag: beta"):
+    with pytest.raises(ValueError, match="nag: 'beta' must be"):
         run_experiment(cfg)
     assert not (tmp_path / "out").exists()
 
@@ -814,8 +814,8 @@ def test_run_rejects_a_C_diagonal_of_the_wrong_length_before_any_file(tmp_path):
     cfg.optimizers = [cfg.optimizers[0], OptimizerSpec("pdd", "pdd", {
         **cfg.optimizers[2].params, "C": {"diagonal": [1.0, 2.0]}})]
     save_config(cfg, tmp_path / "cfg.json")
-    with pytest.raises(ValueError, match=r"optimizers\[1\] \(pdd\): C's "
-                                         r"diagonal has length 2, expected 100"):
+    with pytest.raises(ValueError, match=r"optimizers\[1\] \(pdd\): C has "
+                                         r"length 2, expected 100"):
         main(["run", str(tmp_path / "cfg.json")])
     assert not (tmp_path / "out").exists()
 
@@ -826,8 +826,8 @@ def test_analyze_rejects_a_C_diagonal_of_the_wrong_length_before_any_file(
     from pddopt.cli import main
 
     path = _quadratic_config(tmp_path, {"C": {"diagonal": [1.0, 2.0]}})
-    with pytest.raises(ValueError, match=r"optimizers\[1\] \(pdd\): C's "
-                                         r"diagonal has length 2, expected 5"):
+    with pytest.raises(ValueError, match=r"optimizers\[1\] \(pdd\): C has "
+                                         r"length 2, expected 5"):
         main(["analyze", path, "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
 
@@ -849,14 +849,33 @@ def test_analyze_takes_a_null_C_as_the_identity(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_dynamics_names_the_system_it_integrates(tmp_path, capsys):
+    # analyze certifies with the config's pdd C while dynamics takes C = I,
+    # and its summary line said neither
+    from pddopt.cli import main
+
+    lines, csvs = [], []
+    for i, pdd_params in enumerate([{}, {"C": "diag_inv_q"}]):
+        (tmp_path / str(i)).mkdir()
+        out = tmp_path / str(i) / "out"
+        assert main(["dynamics", _quadratic_config(tmp_path / str(i), pdd_params),
+                     "--out", str(out)]) == 0
+        lines.append(capsys.readouterr().out.splitlines()[0])
+        csvs.append((out / "dynamics.csv").read_bytes())
+    assert lines[0].endswith("(ok) with A=1.0, epsilon=1.0, gamma=0.0 and C = I")
+    assert lines[1] == lines[0] + "; the config's pdd C is unused"
+    assert csvs[0] == csvs[1]
+
+
 @pytest.mark.parametrize("command", ["run", "analyze", "dynamics"])
 def test_every_command_rejects_params_that_run_rejects(tmp_path, command):
     # analyze and dynamics used to ignore the optimizers' params
     from pddopt.cli import main
 
     path = _quadratic_config(tmp_path, gd_tau=-1.0)
-    with pytest.raises(ValueError, match=r"optimizers\[0\] \(gd\): gd: tau "
-                                         r"must be positive"):
+    with pytest.raises(ValueError, match=r"optimizers\[0\] \(gd\): gd: 'tau' "
+                                         r"must be a finite number \(> 0\), "
+                                         r"got -1.0"):
         main([command, path, "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
 

@@ -1,5 +1,4 @@
 import dataclasses
-import inspect
 import math
 import re
 from pathlib import Path
@@ -403,9 +402,14 @@ def test_validate_method_rejects_bad_specs():
 
 def test_validate_method_rejects_an_int_no_float_holds():
     # math.isfinite(10**400) raised OverflowError
-    with pytest.raises(ValueError, match="gd: parameter 'tau' must be a "
-                                         "finite number"):
+    with pytest.raises(ValueError, match="gd: 'tau' must be a finite number"):
         validate_method("gd", {"tau": 10 ** 400})
+    # numpy scalars that a float holds are numbers, read with no cast
+    # warning: abs(np.float32(v)) <= sys.float_info.max warned of an overflow
+    for tau in (np.float32(0.1), np.float16(0.1), np.int64(1)):
+        validate_method("gd", {"tau": tau})
+        run_optimizer(ob.quadratic(np.eye(2)), "gd", {"tau": tau}, np.ones(2),
+                      max_iter=np.int64(2), grad_tol=np.float32(1e-6))
 
 
 @pytest.mark.parametrize("with_C", [False, True], ids=["no-C", "diagonal-C"])
@@ -495,6 +499,19 @@ def test_a_C_of_the_wrong_length_is_refused_before_the_first_gradient(entry, n):
     ("pdd", {"tau": 0.1, "sigma": 0.1, "A": 1.0, "epsilon": 1.0, "omega": 1.0,
              "C": "identity"}, "C"),
     ("igahd_sc", {"tau": 0.1, "m1": 1.0, "beta2": 2.0}, "beta2"),
+    # each remaining ranged Key of RULES, so that dropping its range fails
+    ("nag", {"tau": 0.0, "beta": 0.5}, "tau"),
+    ("heavy_ball", {"tau": -0.1, "beta": 0.5}, "tau"),
+    ("igahd", {"tau": 0.01, "alpha": 3.0, "beta1": -0.1}, "beta1"),
+    ("igahd_sc", {"tau": 0.0, "m1": 1.0, "beta2": 0.1}, "tau"),
+    ("pdd", {"tau": -0.1, "sigma": 0.1, "A": 1.0, "epsilon": 1.0, "omega": 1.0},
+     "tau"),
+    ("pdd", {"tau": 0.1, "sigma": 0.1, "A": 0.0, "epsilon": 1.0, "omega": 1.0},
+     "A"),
+    ("pdd", {"tau": 0.1, "sigma": 0.1, "A": 1.0, "epsilon": -1.0, "omega": 1.0},
+     "epsilon"),
+    ("pdd", {"tau": 0.1, "sigma": 0.1, "A": 1.0, "epsilon": 1.0, "omega": -1.0},
+     "omega"),
 ])
 def test_out_of_range_hyperparameters_rejected_before_any_step(method, params,
                                                                name):
@@ -641,8 +658,24 @@ def test_rules_without_a_strip_step_for_their_hp_step_whole_arrays():
 @pytest.mark.parametrize("table", [RULES, toynet._RULES],
                          ids=["optimizers", "toynet"])
 def test_rule_parameter_names_match_check_signature(table):
-    # validate checks names from params + optional and then calls
-    # check(**hp): the two lists must agree or a valid config fails
+    # validate checks hp against params and then calls check(hp): a check
+    # that reads a name params does not declare fails every valid config
+    read = set()
+
+    class Reads(dict):
+        def __getitem__(self, k):
+            read.add(k)
+            return super().__getitem__(k)
+
+        def get(self, k, default=None):
+            read.add(k)
+            return super().get(k, default)
+
     for method, rule in table.items():
-        names = tuple(inspect.signature(rule.check).parameters)
-        assert rule.params + rule.optional == names, method
+        hp = {k: np.ones(2) if key.kind == "C" else 0.01
+              for k, key in rule.params.items()}
+        rule.validate(method, hp)
+        read.clear()
+        if rule.check is not None:
+            rule.check(Reads(hp))
+        assert read <= set(rule.params), method

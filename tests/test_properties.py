@@ -3,18 +3,20 @@ the config round trip, and of the CLI on drawn configs."""
 
 import json
 import math
+import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pddopt import analysis, cli, harness, toynet
+from pddopt import analysis, cli, dynamics, harness, toynet
 from pddopt import objective as ob
-from pddopt.optimizers import RULES, run_optimizer
+from pddopt.optimizers import RULES, RUN_SETTINGS, run_optimizer
 
 positive = st.floats(1e-3, 10.0)
 nonnegative = st.floats(0.0, 10.0)
@@ -339,6 +341,120 @@ def test_a_bool_string_or_out_of_range_value_is_rejected(config, data):
 
 
 # ---------------------------------------------------------------------------
+# the library refuses what a config refuses: one Key per setting
+# ---------------------------------------------------------------------------
+
+def test_each_setting_a_config_shares_with_the_library_is_the_library_key():
+    shared = [(harness.SECTIONS["config"], RUN_SETTINGS),
+              (harness.SECTIONS["dynamics"], dynamics.SETTINGS),
+              (harness.PROBLEM_PARAMS["toynet"], toynet.TRAIN_KEYS),
+              (harness.SECTIONS["analysis"], {"delta": analysis.RECIPE["delta"]})]
+    for table, library in shared:
+        for name, key in library.items():
+            assert table[name] is key, name
+
+
+class Reached(Exception):
+    """A library call passed its checks: it asked for a gradient or data."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
+STOP = ob.Objective(2, value=reached, gradient=reached)
+
+
+def train(values, **config):
+    toynet.train(toynet.TrainConfig(**{"methods": ("sgd",), **config, **values}))
+
+
+def hp_keys(rule):
+    """A rule's Keys but pdd's C, which `as_preconditioner` checks."""
+    return {k: key for k, key in rule.params.items() if key.kind != "C"}
+
+
+# (library table, valid values for it, a call that takes them and stops at
+# its first gradient or data)
+LIBRARY = [
+    (hp_keys(rule), dict.fromkeys(hp_keys(rule), 0.01),
+     lambda hp, m=method: run_optimizer(STOP, m, hp, np.zeros(2), max_iter=1))
+    for method, rule in RULES.items()] + [
+    (toynet._RULES["adam"].params, dict.fromkeys(toynet._RULES["adam"].params, 0.01),
+     lambda hp: train({}, methods=("adam",), hyperparams={"adam": hp})),
+    (RUN_SETTINGS, {"max_iter": 1, "grad_tol": 0.0, "record_every": 1},
+     lambda v: run_optimizer(STOP, "gd", {"tau": 0.1}, np.zeros(2), **v)),
+    (dynamics.SETTINGS, {"A": 1.0, "epsilon": 1.0, "gamma": 0.0, "t_end": 1.0,
+                         "dt": 0.1},
+     lambda v: dynamics.integrate_rk4(
+         dynamics.DynParams(v["A"], v["epsilon"], v["gamma"]), STOP,
+         np.zeros(2), np.zeros(2), t_end=v["t_end"], dt=v["dt"])),
+    (toynet.TRAIN_KEYS, {k: key.default for k, key in toynet.TRAIN_KEYS.items()},
+     train),
+    (analysis.RECIPE, {"mu": 1.0, "L": 2.0, "Lp": 3.0, "delta": 1.0},
+     lambda v: analysis.theorem6_params(**v)),
+]
+
+
+def refused_by_its_key(exc, key, name):
+    return f"{name!r} must be {ob.KINDS[key.kind][0]}" in str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_library_refuses_what_a_config_refuses(data):
+    # a value a config refuses is refused by the library code that takes it,
+    # by its Key, before any gradient or data; a value a config takes is
+    # refused at most by a test that relates it to another value
+    table, base, call = data.draw(st.sampled_from(LIBRARY), label="library")
+    name = data.draw(st.sampled_from(sorted(table)), label="key")
+    bad = data.draw(st.booleans(), label="bad")
+    value = data.draw(invalid(table[name]) if bad else valid(table[name]),
+                      label="value")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toynet, "make_blobs", reached)
+        mp.setattr(dynamics, "_step_count", reached)
+        try:
+            call({**base, name: value})
+        except Reached:
+            assert not bad
+        except ValueError as exc:
+            assert refused_by_its_key(exc, table[name], name) == bad, exc
+        else:
+            assert not bad
+
+
+@pytest.mark.parametrize("name,call", [
+    ("A", lambda: dynamics.DynParams(A=math.inf, epsilon=1.0, gamma=0.0)),
+    ("gamma", lambda: dynamics.DynParams(A=1.0, epsilon=1.0, gamma=math.inf)),
+    ("epsilon", lambda: dynamics.DynParams(A=1.0, epsilon=True, gamma=0.0)),
+    ("A", lambda: dynamics.DynParams(A=True, epsilon=1.0, gamma=0.0)),
+    ("gamma", lambda: analysis.continuous_lambda(1.0, 2.0, math.nan, 1.0, 1.0)),
+    ("A", lambda: analysis.continuous_lambda(1.0, 2.0, 1.0, 1.0, math.inf)),
+    ("grad_tol", lambda: run_optimizer(STOP, "gd", {"tau": 0.1}, np.zeros(2),
+                                       max_iter=5, grad_tol=math.inf)),
+    ("mu", lambda: analysis.theorem6_params(True, True, True)),
+    ("gamma", lambda: analysis.quadratic_spectral_rate([1.0], [1.0], True, 1.0)),
+    ("hidden", lambda: train({"hidden": (0,)})),
+    ("spread", lambda: train({"spread": -1.0})),
+    ("epochs", lambda: train({"epochs": True})),
+    ("batch_size", lambda: train({"batch_size": 2.5})),
+    ("t_end", lambda: dynamics.integrate_rk4(
+        dynamics.DynParams(1.0, 1.0, 0.0), STOP, np.zeros(2), np.zeros(2),
+        t_end=True, dt=0.5)),
+], ids=["A-inf", "gamma-inf", "epsilon-True", "A-True", "lambda-gamma-nan",
+        "lambda-A-inf", "grad_tol-inf", "theorem6-True", "spectral-gamma-True",
+        "hidden-0", "spread-negative", "epochs-True", "batch_size-2.5",
+        "t_end-True"])
+def test_the_library_refuses_inputs_a_config_refused(monkeypatch, name, call):
+    # each was accepted, or failed late with a foreign error, while a config
+    # refused it on load
+    monkeypatch.setattr(toynet, "make_blobs", reached)
+    with pytest.raises(ValueError, match=f"'{name}' must be"):
+        call()
+
+
+# ---------------------------------------------------------------------------
 # the CLI on drawn configs: each command runs, or raises ValueError having
 # written nothing
 # ---------------------------------------------------------------------------
@@ -411,11 +527,12 @@ def small_configs(draw, names, with_pdd=False):
          "analysis": draw(st.fixed_dictionaries({}, optional={
              "num_samples": st.integers(1, 3), "pdd_steps": st.integers(1, 20),
              "delta": st.floats(0.0, 2.0), "seed": st.integers(0, 3)})),
-         # t_end >= 2 dt: one step even from t0 = dt, as "3/t" starts
-         "dynamics": draw(st.fixed_dictionaries({}, optional={
-             "A": st.floats(0.1, 3.0), "gamma": st.floats(0.0, 2.0),
-             "epsilon": st.floats(0.0, 3.0) | st.just("3/t"),
-             "t_end": st.floats(0.11, 0.5), "dt": st.floats(0.005, 0.05)}))})
+         # t_end >= 2 dt: one step even from t0 = dt, as "3/t" starts; the
+         # defaults, t_end 10 and dt 1e-3, would take 10^4 steps
+         "dynamics": draw(st.fixed_dictionaries({
+             "t_end": st.floats(0.11, 0.5), "dt": st.floats(0.005, 0.05)},
+             optional={"A": st.floats(0.1, 3.0), "gamma": st.floats(0.0, 2.0),
+                       "epsilon": st.floats(0.0, 3.0) | st.just("3/t")}))})
     return d, dim
 
 
@@ -438,30 +555,52 @@ CHANGES = ("none", "invalid", "odd", "length", "C", "hp", "span", "seed",
 NO_TOYNET = ("length", "C", "span")  # each needs a problem with a dimension
 
 
+def names_for(kind):
+    """The problems a config for the change ``kind`` is drawn from."""
+    return ["toynet"] if kind == "unread" else [
+        n for n in sorted(harness.PROBLEM_PARAMS)
+        if n != "toynet" or kind not in NO_TOYNET]
+
+
+def named(key):
+    """The pattern of a refusal that names ``key``: the check of its Key,
+    or of the section it names."""
+    return rf"\b{re.escape(key)}'? must be"
+
+
 @st.composite
 def changed(draw, kind, d, dim):
-    """``d`` with the one change ``kind`` names ("none" leaves it as it
-    is)."""
+    """(``d`` with the one change ``kind`` names, the pattern of the message
+    of the check that the change targets); "none" leaves ``d`` as it is and
+    has no pattern."""
     problem, params, opts = d["problem"], d["problem"]["params"], d["optimizers"]
+    pattern = None
     if kind == "seed":
         problem["seed"] = -1
+        pattern = "problem: 'seed' must be"
     elif kind == "span":
         # always over integrate_rk4's cap, so no long integration runs
         d["dynamics"].update(t_end=draw(st.floats(1e7, 1e300)), dt=draw(
             st.floats(0.0, 1e-3, exclude_min=True)))
+        pattern = "byte cap"
     elif kind in ("invalid", "odd"):
         top, opt = tables(problem["name"])
+        # a rule's hyperparameters too, but for toynet, whose params hold
+        # none until one replaces its method's defaults
+        hps = [] if problem["name"] == "toynet" else [
+            (o["params"], hp_keys(RULES[o["method"]])) for o in opts]
         target, table = draw(st.sampled_from([(t, table) for t, table in [
             (d, top), (problem, PROBLEM),
             (params, harness.PROBLEM_PARAMS[problem["name"]])]
             + [(d[s], harness.SECTIONS[s]) for s in ("analysis", "dynamics")
                if s in d]
-            + [(o, opt) for o in opts] if table]))
+            + [(o, opt) for o in opts] + hps if table]))
         key = draw(st.sampled_from(sorted(table)))
         # 10**400 is an in-range size for an int key, which nothing bounds
         target[key] = draw(invalid(table[key]) if kind == "invalid" else
                            odd_values.filter(lambda v: v != 10 ** 400)
                            if table[key].kind in INTEGRAL else odd_values)
+        pattern = named(key)
     elif kind == "length":
         wrong = vector_of(draw(st.sampled_from([0, dim - 1, dim + 1])))
         pdds = [o for o in opts if o["method"] == "pdd"]
@@ -469,11 +608,13 @@ def changed(draw, kind, d, dim):
                                      + ["diag"] * ("diag" in params)))
         if where == "x0":
             d["x0"] = draw(wrong)
-        elif where == "diag":
+        elif where == "diag":  # a start of the old length no longer fits
             params["diag"] = draw(vector_of(dim + 1, st.floats(0.1, 3.0)))
+            d["x0"] = draw(vector_of(dim))
         else:
             draw(st.sampled_from(pdds))["params"]["C"] = {
                 "diagonal": [abs(v) + 0.5 for v in draw(wrong)]}
+        pattern = r"has length \d+, expected \d+"
     elif kind == "C":  # the first is a pdd; a zero entry passes the length
         # diag_inv_q is a valid C where the problem generates Q
         has_q = problem["name"] in ("quadratic", "logsumexp")
@@ -482,13 +623,16 @@ def changed(draw, kind, d, dim):
         opts[0]["params"]["C"] = draw(
             st.sampled_from(BAD_C).filter(lambda C: not has_q or C != "diag_inv_q")
             | zero_entry)
+        pattern = r"preconditioner|diag_inv_q|C has length"
     elif kind == "hp":
-        hp = draw(st.sampled_from(opts))["params"]
-        key = draw(st.sampled_from(sorted(hp) + ["tau", "bogus"]))
+        o = draw(st.sampled_from(opts))
+        key = draw(st.sampled_from(sorted(o["params"]) + ["tau", "bogus"]))
         if draw(st.booleans()):
-            hp.pop(key, None)
+            o["params"].pop(key, None)
         else:
-            hp[key] = draw(odd_values | st.floats(-2.0, 2.0))
+            o["params"][key] = draw(odd_values | st.floats(-2.0, 2.0))
+        # toynet names the method alone
+        pattern = rf"^(optimizers\[\d+\] \(|{o['method']}: )"
     elif kind == "unread":  # d is a toynet config; any value is refused
         key = draw(st.sampled_from(harness.TOYNET_UNREAD))
         if key == "label":
@@ -496,7 +640,28 @@ def changed(draw, kind, d, dim):
         else:
             d[key] = draw(section(harness.SECTIONS[key])
                           if TOP[key].kind == "section" else valid(TOP[key]))
-    return d
+        pattern = r"unknown keys \["
+    return d, pattern
+
+
+def run_commands(tmp_path, d):
+    """Each command's ValueError on the config ``d``, or None where it ran;
+    a refused command must have written nothing."""
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = work / "config.json"
+    path.write_text(json.dumps(d))
+    errors = []
+    for command in ("run", "analyze", "dynamics"):
+        out = work / command
+        try:
+            code = cli.main([command, str(path), "--out", str(out)])
+        except ValueError as exc:
+            assert not out.exists() or not any(out.iterdir()), command
+            errors.append(exc)
+        else:
+            assert code in (0, 1), command
+            errors.append(None)
+    return errors
 
 
 # no shrinking: a failure reports in seconds, not after minutes of it
@@ -508,24 +673,67 @@ def test_every_command_runs_or_raises_value_error_before_writing(tmp_path, data)
     # each example makes every change, each to a config of its own: a drawn
     # change clustered, so some kinds got no example in a run
     for kind in CHANGES:
-        names = ["toynet"] if kind == "unread" else [
-            n for n in sorted(harness.PROBLEM_PARAMS)
-            if n != "toynet" or kind not in NO_TOYNET]
-        d, dim = data.draw(small_configs(names, with_pdd=kind == "C"),
+        d, dim = data.draw(small_configs(names_for(kind), with_pdd=kind == "C"),
                            label=f"{kind} config")
-        d = data.draw(changed(kind, d, dim), label=kind)
-        work = Path(tempfile.mkdtemp(dir=tmp_path))
-        path = work / "config.json"
-        path.write_text(json.dumps(d))
-        for command in ("run", "analyze", "dynamics"):
-            out = work / command
-            try:
-                code = cli.main([command, str(path), "--out", str(out)])
-            except ValueError:
-                assert not out.exists() or not any(out.iterdir()), (kind, command)
-            else:
-                assert code in (0, 1), (kind, command)
-                assert kind not in ("unread", "seed", "C"), (kind, command)
+        d, _ = data.draw(changed(kind, d, dim), label=kind)
+        for command, exc in zip(("run", "analyze", "dynamics"),
+                                run_commands(tmp_path, d)):
+            assert exc is not None or kind not in ("unread", "seed", "C"), (
+                kind, command)
+
+
+# kind -> the least share of its calls that the check it targets refuses:
+# all, for a change no config survives; an hp or odd change may leave a
+# valid config, so those two have a floor, which a check that most of the
+# kind's values no longer reach falls below. hypothesis mixes constants of
+# the loaded pddopt and benchmarks modules into its draws, so one seed's
+# draws move with the code and with the tests collected: each floor is
+# below the least share at any seed from 0 to 89 (`reach_at`)
+REACH = {"seed": 1.0, "unread": 1.0, "invalid": 1.0, "length": 1.0, "C": 1.0,
+         "hp": 0.45, "odd": 0.75}
+
+
+def each_bad_C(d):
+    """``d`` with each `BAD_C` spec that its problem refuses as its first
+    pdd's C."""
+    pdd, has_q = d["optimizers"][0], d["problem"]["name"] in ("quadratic",
+                                                               "logsumexp")
+    for C in BAD_C:
+        if not (has_q and C == "diag_inv_q"):
+            yield {**d, "optimizers": [{**pdd, "params": {**pdd["params"], "C": C}},
+                                       *d["optimizers"][1:]]}
+
+
+def reach_at(at, tmp_path) -> dict:
+    """Each `REACH` kind's share of calls that the check it targets refuses,
+    over the fuzzer's changes drawn at seed ``at``; hp and odd are drawn
+    three times an example, to narrow their shares' spread."""
+    calls, hits = Counter(), Counter()
+
+    @seed(at)
+    @settings(max_examples=12, database=None, deadline=None,
+              phases=[Phase.generate],
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def draw(data):
+        for kind in [k for k in REACH for _ in range(3 if k in ("hp", "odd") else 1)]:
+            d, dim = data.draw(small_configs(names_for(kind),
+                                             with_pdd=kind == "C"))
+            d, pattern = data.draw(changed(kind, d, dim))
+            # the drawn C, and once every bad spec: one seed draws few
+            for d in [d, *each_bad_C(d)] if kind == "C" and not calls[kind] \
+                    else [d]:
+                for exc in run_commands(tmp_path, d):
+                    calls[kind] += 1
+                    hits[kind] += exc is not None and bool(re.search(pattern, str(exc)))
+
+    draw()
+    return {kind: hits[kind] / calls[kind] for kind in REACH}
+
+
+def test_each_change_reaches_the_check_it_targets(tmp_path):
+    reach = reach_at(20, tmp_path)
+    assert all(reach[kind] >= REACH[kind] for kind in REACH), reach
 
 
 @pytest.mark.parametrize("C", BAD_C, ids=repr)
