@@ -27,7 +27,7 @@ from .objective import (KINDS, Key, Objective, _defaults_from, _field_defaults,
                         quad_minus_cos, quadratic, reg_log_sum_exp, rosenbrock)
 from .optimizers import (RUN_SETTINGS, Trajectory, as_preconditioner,
                          compute_beta2, compute_nag_beta, run_optimizer,
-                         validate_method)
+                         takes_C, validate_method)
 
 __all__ = [
     "ProblemSpec",
@@ -509,7 +509,8 @@ def prepare(config: ExperimentConfig) -> tuple:
     for i, spec in enumerate(config.optimizers):
         params = dict(spec.params)
         try:
-            if "C" in params:
+            # by name first: a C on a method that takes none is an unknown key
+            if "C" in params and takes_C(spec.method):
                 params["C"] = resolve_preconditioner(params["C"], ctx, obj.dim)
             validate_method(spec.method, params)
         except ValueError as exc:

@@ -20,13 +20,14 @@ against too, plus an init/step pair that `run_optimizer` drives; pdd's
 step is `pdd_step`, which `analyze` and the consistency probe call on plain
 arrays too.
 
-Above `objective._STRIP` = 16384 entries, `run_optimizer` steps gd, nag,
-pdd without C and igahd through a strip-fused twin of the rule's step (see
-`Rule`): a whole-array step streams a fresh 8 MB temporary through DRAM per
-numpy operation at d = 1e6. Up to 16384 entries it calls the rule's step,
-because at the presets' d <= 100 every design that sent small vectors
-through new code (`out=` writes, a kernel-plus-helper split, a strip loop
-at every size) made them slower.
+Above `objective._STRIP` = 16384 entries, `Rule.start` runs the rule's own
+step one strip at a time (igahd's two halves around its one whole grad(y)),
+writing the results into buffers the run owns: a whole-vector step streams
+a fresh 8 MB temporary through DRAM per numpy operation at d = 1e6. Up to
+16384 entries it calls the step on whole vectors, because at the presets'
+d <= 100 every design that sent small vectors through new code (`out=`
+writes, a kernel-plus-helper split, a strip loop at every size) made them
+slower.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "run_optimizer",
     "Rule",
     "RULES",
+    "takes_C",
     "validate_method",
 ]
 
@@ -113,38 +115,28 @@ class Rule:
     `objective.check_keys`, then, where the rule has one, ``check(hp)``, a
     condition that relates two of them. Both raise ``ValueError``.
 
-    A rule may also carry a strip-fused twin of ``step``, ``strip_step``,
-    with ``step``'s signature, which `start` selects for vectors longer than
-    `objective._STRIP` entries when ``hp`` has no C (no twin scales by C).
-    Its state is ``init(x0)`` plus two x+ buffers, "out", and "strips", a
-    ``(slice, scratch)`` pair per strip of `objective._STRIP` entries. It
-    runs the whole formula one strip at a time, in ``step``'s operation
-    order, so its working set stays in L2 and its result is bitwise equal
-    to ``step``'s on finite data. It writes only into its state's arrays,
-    never into x, g or the caller's x0; x+ alternates between the two "out"
-    buffers, because `run_optimizer` hands it back as the next x. A nan's
-    sign or payload is not part of a rule's contract: numpy picks which nan
-    operand an add returns by the entry's place in its SIMD loop."""
+    Every ``step`` is elementwise in x, g and the state's vectors, so
+    `start` can run it one strip at a time. A step that calls ``grad``
+    cannot be cut that way; its rule declares ``halves``, the pair ``step``
+    composes: ``y, s = first(x, g, state, hp, grad)``, then ``second(y,
+    grad(y), s, hp, grad)``, each with step's signature and elementwise
+    (igahd: its extrapolated point y, then gd's step from y). ``init``
+    returns fresh vectors, never ``x0`` itself."""
     params: Dict[str, Key]
     init: Callable[[np.ndarray], dict]
     step: Callable[..., Tuple[np.ndarray, dict]]
     check: Optional[Callable[[dict], None]] = None
-    strip_step: Optional[Callable[..., Tuple[np.ndarray, dict]]] = None
+    halves: Optional[Tuple[Callable, Callable]] = None
 
-    def start(self, x0: np.ndarray, hp: dict):
-        """(state, step) for a run from ``x0``: the strip-fused step above
-        `objective._STRIP` entries where the rule has one for ``hp``, else
-        ``init`` and ``step``."""
-        state, n, size = self.init(x0), len(x0), objective._STRIP
-        if n <= size or self.strip_step is None or hp.get("C") is not None:
+    def start(self, x0: np.ndarray):
+        """(state, step) for a run from ``x0``: ``init(x0)`` and ``step`` up
+        to `objective._STRIP` entries, and above it `_by_strips`' driver,
+        which takes the step's arguments too and cuts the ``hp`` of each
+        call (pdd's C, a float64 vector of x's length) per strip."""
+        state = self.init(x0)
+        if len(x0) <= objective._STRIP:
             return state, self.step
-        # x+ buffers before the scratch: the other order ran large-d 1.1x
-        # slower on a 2-vCPU host, through glibc's heap layout, not more work
-        state["out"] = np.empty_like(x0), np.empty_like(x0)
-        t = np.empty(size)  # one scratch vector, shared by the strips
-        state["strips"] = [(slice(lo, lo + size), t[:min(size, n - lo)])
-                           for lo in range(0, n, size)]
-        return state, self.strip_step
+        return state, _by_strips(self, x0, state)
 
     def validate(self, method: str, hp: dict) -> None:
         """Check the names, kinds and ranges of ``method``'s hyperparameters."""
@@ -154,6 +146,67 @@ class Rule:
                 self.check(hp)
             except ValueError as exc:
                 raise ValueError(f"{method}: {exc}") from None
+
+
+def _by_strips(rule: Rule, x0: np.ndarray, state: dict):
+    """``rule``'s step, or each of its ``halves`` around one whole grad(y),
+    called on each strip's views of x, g, the state's vectors and ``hp``'s,
+    one `objective._STRIP`-entry strip at a time, so a step's temporaries
+    stay in L2 instead of streaming 8 MB vectors through DRAM at d = 1e6.
+    The result is bitwise equal to the whole-vector step's on finite data;
+    a nan's sign or payload is not part of a rule's contract, as numpy picks
+    which nan operand an add returns by the entry's place in its SIMD loop.
+
+    A result the step hands back unchanged (x's, g's or a state vector's
+    strip) stands for that whole vector, uncopied. Every other vector result
+    is written, strip by strip, into a buffer that this run owns (``init``'s
+    vectors, then any it allocates) and that no result of the step refers
+    to: an elementwise step has read a strip's inputs before that strip is
+    written. So x0, g and C are never written, and after the first steps no
+    vector is allocated."""
+    n, size = len(x0), objective._STRIP
+    strips = [slice(lo, lo + size) for lo in range(0, n, size)]
+    owned = [v for v in state.values()
+             if _is_vector(v, n) and not np.may_share_memory(v, x0)]
+
+    def each_strip(fn, x, g, s, hp, grad):
+        whole = [x, g, *s.values()]
+        cut = [_is_vector(v, n) for v in whole]
+        hp_cut = [k for k, v in hp.items() if _is_vector(v, n)]
+        out = None
+        for i in strips:
+            ins = [v[i] if c else v for v, c in zip(whole, cut)]
+            hp_i = dict(hp, **{k: hp[k][i] for k in hp_cut}) if hp_cut else hp
+            x_i, s_i = fn(ins[0], ins[1], dict(zip(s, ins[2:])), hp_i, grad)
+            res = [x_i, *s_i.values()]
+            if out is None:  # the whole value each result stands for
+                keys = list(s_i)
+                out = [next((w for v, w in zip(ins, whole) if v is r), r)
+                       for r in res]
+                free = [b for b in owned if not any(b is w for w in out)]
+                fresh = [j for j, r in enumerate(res)
+                         if isinstance(r, np.ndarray) and out[j] is r]
+                for j in fresh:
+                    if not free:
+                        owned.append(np.empty(n))
+                        free.append(owned[-1])
+                    out[j] = free.pop(0)
+            for j in fresh:
+                out[j][i] = res[j]
+        return out[0], dict(zip(keys, out[1:]))
+
+    if rule.halves is None:
+        return lambda x, g, s, hp, grad: each_strip(rule.step, x, g, s, hp, grad)
+    first, second = rule.halves
+
+    def step(x, g, s, hp, grad):
+        y, s = each_strip(first, x, g, s, hp, grad)
+        return each_strip(second, y, grad(y), s, hp, grad)
+    return step
+
+
+def _is_vector(v, n: int) -> bool:
+    return isinstance(v, np.ndarray) and v.shape == (n,)
 
 
 def _gd_step(x, g, s, hp, grad):
@@ -179,21 +232,27 @@ def _check_igahd(hp) -> None:
         raise ValueError("beta1 must lie in [0, 2 sqrt(tau)]")
 
 
-def _igahd_step(x, g, s, hp, grad):
-    """Inertial gradient step with Hessian-driven damping; two gradients per
-    step, g = grad f(x) (the next g_prev) and grad f(y):
-
-    y = x + (1 - alpha/n)(x - x_prev) - beta1 sqrt(tau) (g - g_prev)
-          - (beta1 sqrt(tau) / n) g_prev
-    x+ = y - tau grad f(y)
-    """
+def _igahd_y(x, g, s, hp, grad):
+    """igahd's extrapolated point y (see `_igahd_step`) and its next state."""
     tau, beta1, n = hp["tau"], hp["beta1"], s["n"]
     g_prev = g if s["g_prev"] is None else s["g_prev"]
     st = math.sqrt(tau)
     a_n = 1.0 - hp["alpha"] / n
     y = (x + a_n * (x - s["x_prev"]) - beta1 * st * (g - g_prev)
          - (beta1 * st / n) * g_prev)
-    return y - tau * grad(y), {"x_prev": x, "g_prev": g, "n": n + 1}
+    return y, {"x_prev": x, "g_prev": g, "n": n + 1}
+
+
+def _igahd_step(x, g, s, hp, grad):
+    """Inertial gradient step with Hessian-driven damping; two gradients per
+    step, g = grad f(x) (the next g_prev) and grad f(y):
+
+    y = x + (1 - alpha/n)(x - x_prev) - beta1 sqrt(tau) (g - g_prev)
+          - (beta1 sqrt(tau) / n) g_prev
+    x+ = y - tau grad f(y), gd's step from y
+    """
+    y, s = _igahd_y(x, g, s, hp, grad)
+    return _gd_step(y, grad(y), s, hp, grad)
 
 
 def _check_igahd_sc(hp) -> None:
@@ -242,85 +301,6 @@ def lyapunov_value(p: np.ndarray, gg: float) -> float:
     return 0.5 * (float(p @ p) + gg)
 
 
-# -- strip-fused steps: each is its whole-array twin above, strip by strip,
-# with the strip of x+ as scratch until its last write ------------------------
-
-def _spare(pair: Tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """The buffer of ``pair`` that does not hold ``x``: x+ alternates
-    between the two, and `run_optimizer` hands it back as the next x."""
-    return pair[1] if x is pair[0] else pair[0]
-
-
-def _gd_strip_step(x, g, s, hp, grad):
-    out, tau = _spare(s["out"], x), hp["tau"]
-    for i, _ in s["strips"]:
-        o = out[i]
-        np.multiply(tau, g[i], o)
-        np.subtract(x[i], o, o)
-    return out, s
-
-
-def _nag_strip_step(x, g, s, hp, grad):
-    # y+ overwrites y_prev2 strip by strip, after the strip's last read of it
-    out, tau, beta = _spare(s["out"], x), hp["tau"], hp["beta"]
-    y_prev, y_new = s["y_prev"], s["y_prev2"]
-    for i, _ in s["strips"]:
-        o, y = out[i], y_new[i]
-        np.subtract(y_prev[i], y, o)
-        np.multiply(beta, o, o)
-        np.multiply(tau, g[i], y)
-        np.subtract(x[i], y, y)
-        np.add(y, o, o)
-    s["y_prev"], s["y_prev2"] = y_new, y_prev
-    return out, s
-
-
-def _pdd_strip_step(x, g, s, hp, grad):
-    # p+ overwrites p strip by strip, after the strip's last read of p
-    out, p, tau, omega = _spare(s["out"], x), s["p"], hp["tau"], hp["omega"]
-    sA = hp["sigma"] * hp["A"]
-    den = 1.0 + hp["sigma"] * hp["epsilon"] * hp["A"]
-    for i, p_new in s["strips"]:
-        o, p_i = out[i], p[i]
-        np.multiply(sA, g[i], p_new)
-        np.add(p_i, p_new, p_new)
-        np.divide(p_new, den, p_new)
-        np.subtract(p_new, p_i, o)
-        np.multiply(omega, o, o)
-        np.add(p_new, o, o)
-        np.multiply(tau, o, o)
-        np.subtract(x[i], o, o)
-        p_i[...] = p_new
-    return out, s
-
-
-def _igahd_strip_step(x, g, s, hp, grad):
-    # y goes into the spare buffer, x_prev's own from the third step on;
-    # each strip reads x_prev before writing y, and x+ overwrites y
-    tau, n, x_prev = hp["tau"], s["n"], s["x_prev"]
-    g_prev = g if s["g_prev"] is None else s["g_prev"]
-    b = hp["beta1"] * math.sqrt(tau)
-    a_n, b_n = 1.0 - hp["alpha"] / n, b / n
-    y = _spare(s["out"], x)
-    for i, t in s["strips"]:
-        y_i = y[i]
-        np.subtract(x[i], x_prev[i], y_i)
-        np.multiply(a_n, y_i, y_i)
-        np.add(x[i], y_i, y_i)
-        np.subtract(g[i], g_prev[i], t)
-        np.multiply(b, t, t)
-        np.subtract(y_i, t, y_i)
-        np.multiply(b_n, g_prev[i], t)
-        np.subtract(y_i, t, y_i)
-    g_y = grad(y)
-    for i, t in s["strips"]:
-        y_i = y[i]
-        np.multiply(tau, g_y[i], t)
-        np.subtract(y_i, t, y_i)
-    s["x_prev"], s["g_prev"], s["n"] = x, g, n + 1
-    return y, s
-
-
 _REAL, _POSITIVE = Key("real"), Key("real", range="> 0")
 _NONNEGATIVE, _MOMENTUM = Key("real", range=">= 0"), Key("real", range=">= 0, < 1")
 
@@ -328,23 +308,21 @@ _NONNEGATIVE, _MOMENTUM = Key("real", range=">= 0"), Key("real", range=">= 0, < 
 # alpha/n finite, and the g_prev of both igahd variants starts as the first g.
 # pdd's C (None: I) is checked by `as_preconditioner`
 RULES = {
-    "gd": Rule(dict(tau=_POSITIVE), lambda x0: {}, _gd_step,
-               strip_step=_gd_strip_step),
+    "gd": Rule(dict(tau=_POSITIVE), lambda x0: {}, _gd_step),
     "nag": Rule(dict(tau=_POSITIVE, beta=_MOMENTUM),
                 lambda x0: {"y_prev": x0.copy(), "y_prev2": x0.copy()},
-                _nag_step, strip_step=_nag_strip_step),
+                _nag_step),
     "heavy_ball": Rule(dict(tau=_POSITIVE, beta=_MOMENTUM),
                        lambda x0: {"x_prev": x0.copy()}, _heavy_ball_step),
     "igahd": Rule(dict(tau=_POSITIVE, alpha=_REAL, beta1=_NONNEGATIVE),
                   lambda x0: {"x_prev": x0.copy(), "g_prev": None, "n": 1},
-                  _igahd_step, _check_igahd, _igahd_strip_step),
+                  _igahd_step, _check_igahd, (_igahd_y, _gd_step)),
     "igahd_sc": Rule(dict(tau=_POSITIVE, m1=_POSITIVE, beta2=_REAL),
                      lambda x0: {"x_prev": x0.copy(), "g_prev": None},
                      _igahd_sc_step, _check_igahd_sc),
     "pdd": Rule(dict(tau=_POSITIVE, sigma=_POSITIVE, A=_POSITIVE,
                      epsilon=_NONNEGATIVE, omega=_NONNEGATIVE, C=Key("C", None)),
-                lambda x0: {"p": np.zeros_like(x0)}, pdd_step, _check_pdd,
-                _pdd_strip_step),
+                lambda x0: {"p": np.zeros_like(x0)}, pdd_step, _check_pdd),
 }
 
 # a run's cap, gradient tolerance and recording stride, at a config's defaults
@@ -382,6 +360,11 @@ def compute_beta2(m1: float, tau: float) -> float:
 # driver
 # ---------------------------------------------------------------------------
 
+def takes_C(method: str) -> bool:
+    """Whether ``method`` is a rule with a C hyperparameter (pdd's)."""
+    return method in RULES and "C" in RULES[method].params
+
+
 def validate_method(method: str, params: dict) -> None:
     """Check a method name and its hyperparameters (names, kinds and
     ranges) against its rule."""
@@ -399,7 +382,8 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
     ``max_iter``, ``grad_tol`` and ``record_every`` are checked against
     `RUN_SETTINGS` (integers >= 1, and a finite number >= 0) and the
     hyperparameters against the method's rule, once, before the first
-    gradient; pdd's C against the objective's dimension too. Metrics are
+    gradient; pdd's C is made a float64 vector once, by `as_preconditioner`
+    against the objective's dimension, and each step uses it. Metrics are
     recorded every ``record_every`` iterations plus at the final iterate;
     divergence (any non-finite value, gradient, or iterate) sets a flag on
     the trajectory instead of raising, so a benchmark batch survives
@@ -408,14 +392,16 @@ def run_optimizer(obj: Objective, method: str, params: dict, x0,
     """
     check_keys(RUN_SETTINGS, dict(max_iter=max_iter, grad_tol=grad_tol,
                                   record_every=record_every), "run_optimizer")
+    if takes_C(method) and params.get("C") is not None:
+        # converted once: every step, and each strip, scales by this vector;
+        # a method that takes no C refuses it by name in validate_method
+        params = dict(params, C=as_preconditioner(params["C"], obj.dim))
     validate_method(method, params)
     rule = RULES[method]
-    if params.get("C") is not None:
-        as_preconditioner(params["C"], obj.dim)
 
     x = as_vector(x0, obj.dim, "x0")
     traj = Trajectory()
-    state, step = rule.start(x, params)
+    state, step = rule.start(x)
     xstar = obj.minimizer
 
     def record(it: int, xc: np.ndarray, gn2: float) -> float:

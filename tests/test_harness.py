@@ -768,7 +768,12 @@ def test_package_exports_only_names_its_modules_export():
 
 @pytest.mark.parametrize("command,change,message", [
     ("analyze", {"x0": [1.0, 2.0]}, "x0 has length 2, expected 5"),
-    ("dynamics", {"dynamics": {"t_end": 1e-4, "dt": 1e-3}}, "t_end")])
+    ("dynamics", {"dynamics": {"t_end": 1e-4, "dt": 1e-3}}, "t_end"),
+    # a C on a method that takes none is refused by name, not by its value
+    ("analyze", {"optimizers": [{"method": "igahd_sc", "label": "igahd-sc",
+                                 "params": {"tau": 0.01, "m1": 1.0, "beta2": 0.01,
+                                            "C": {"diagonal": [1.0, -1.0, 1.0]}}}]},
+     r"igahd_sc: unknown keys \['C'\]")])
 def test_analyze_and_dynamics_make_no_directory_when_they_fail(
         tmp_path, command, change, message):
     # the output directory used to be made before the problem was built

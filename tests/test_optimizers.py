@@ -577,6 +577,8 @@ def _reference_run(method, hp, obj, x, steps):
              "omega": 1.0}),
     ("pdd", {"tau": 0.005, "sigma": 0.005, "A": 5.0, "epsilon": 1.0,
              "omega": 1.0, "C": np.array([0.5, 0.25])}),
+    ("pdd", {"tau": 0.005, "sigma": 0.005, "A": 5.0, "epsilon": 1.0,
+             "omega": 1.0, "C": [0.5, 0.25]}),
 ])
 def test_driver_matches_public_kernels_bitwise(method, hp):
     # the reference transcribes the formulas, so a reordered floating-point
@@ -602,57 +604,123 @@ def assert_run_matches_reference(method, hp, obj, x0, steps):
     assert x0.tobytes() == given.tobytes()
 
 
-# the rosenbrockNd preset's methods, each with a strip-fused step
+_PDD = {"tau": 0.01, "sigma": 0.01, "A": 5.0, "epsilon": 0.5, "omega": 1.0}
+
+# every rule: the rosenbrockNd preset's methods first, then heavy_ball,
+# igahd_sc and pdd with a C as an array and as a list; a C is a function of
+# the length it must have (`at_length`)
 STRIP_METHODS = [
     ("gd", {"tau": 0.001}),
     ("nag", {"tau": 0.0008, "beta": 0.95}),
-    ("pdd", {"tau": 0.01, "sigma": 0.01, "A": 5.0, "epsilon": 0.5,
-             "omega": 1.0}),
+    ("pdd", _PDD),
     ("igahd", {"tau": 0.0002, "alpha": 3.0, "beta1": 2.0 * 0.0002 ** 0.5}),
+    ("heavy_ball", {"tau": 0.0008, "beta": 0.9}),
+    ("igahd_sc", {"tau": 0.0002, "m1": 1.0, "beta2": compute_beta2(1.0, 0.0002)}),
+    ("pdd", dict(_PDD, C=lambda n: np.linspace(0.5, 1.5, n))),
+    ("pdd", dict(_PDD, C=lambda n: np.linspace(0.5, 1.5, n).tolist())),
 ]
 
 
-# n > strip selects the strip-fused steps; each n leaves a short last strip
+def at_length(hp, n):
+    """``hp`` with its C, if any, made for vectors of length ``n``."""
+    return {k: v(n) if callable(v) else v for k, v in hp.items()}
+
+
+# n > strip runs the strip driver; each n leaves a short last strip
 @pytest.mark.parametrize("strip,n,steps", [
     (3, 41, 60), (7, 41, 60), (64, 131, 60), (None, 2 * ob._STRIP + 3, 20)])
 @pytest.mark.parametrize("method,hp", STRIP_METHODS)
 def test_strip_steps_match_public_kernels_bitwise(method, hp, strip, n, steps):
-    x0 = np.linspace(-1.0, 1.5, n)
+    x0, hp = np.linspace(-1.0, 1.5, n), at_length(hp, n)
+    C = np.array(hp.get("C"))
     with pytest.MonkeyPatch.context() as mp:
         if strip is not None:
             mp.setattr(ob, "_STRIP", strip)
         assert_run_matches_reference(method, hp, ob.rosenbrock(n=n), x0,
                                         steps)
+    assert np.array(hp.get("C")).tobytes() == C.tobytes()
 
 
 @pytest.mark.parametrize("method,hp", STRIP_METHODS)
 def test_run_optimizer_steps_whole_arrays_up_to_one_strip(method, hp):
-    calls = {"step": 0, "strip_step": 0}
+    # a rule with halves runs both per strip, and its step only whole
+    lengths = []
 
-    def counted(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
+    def counted(fn):
+        def wrapped(x, *args):
+            lengths.append(len(x))
+            return fn(x, *args)
         return wrapped
 
     rule = RULES[method]
+    halves = rule.halves and tuple(map(counted, rule.halves))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ob, "_STRIP", 64)
         mp.setitem(RULES, method, dataclasses.replace(
-            rule, step=counted("step", rule.step),
-            strip_step=counted("strip_step", rule.strip_step)))
-        for n in (2, 64, 65):
-            run_optimizer(ob.rosenbrock(n=n), method, hp, np.zeros(n), 5)
-    assert calls == {"step": 10, "strip_step": 5}
+            rule, step=counted(rule.step), halves=halves))
+        for n in (2, 64, 65, 130):
+            lengths.append(n)
+            run_optimizer(ob.rosenbrock(n=n), method, at_length(hp, n),
+                          np.zeros(n), 3)
+    per_strip = 2 if halves else 1
+    assert lengths == ([2] * 4 + [64] * 4 + [65] + [64, 1] * 3 * per_strip
+                       + [130] + [64, 64, 2] * 3 * per_strip)
 
 
-def test_rules_without_a_strip_step_for_their_hp_step_whole_arrays():
-    x0 = np.zeros(ob._STRIP + 1)
-    pdd_with_C = dict(STRIP_METHODS[2][1], C=np.ones(len(x0)))
-    for method, hp in [("pdd", pdd_with_C),
-                       ("heavy_ball", {"tau": 0.001, "beta": 0.9}),
-                       ("igahd_sc", {"tau": 0.001, "m1": 1.0, "beta2": 0.01})]:
-        assert RULES[method].start(x0, hp)[1] is RULES[method].step, method
+@pytest.mark.parametrize("method,hp", STRIP_METHODS)
+def test_the_strip_driver_keeps_references_and_reuses_its_buffers(method, hp):
+    # what the whole-array step hands back unchanged, the driver hands back
+    # as the same whole vector; each other result goes into a buffer of the
+    # run's own, never x0, g or C, and the run owns at most one more vector
+    # than init made
+    n, strip = 130, 64
+    obj, x0, hp = ob.rosenbrock(n=n), np.linspace(-1.0, 1.5, n), at_length(hp, n)
+    rule, given = RULES[method], [x0.copy(), np.array(hp.get("C"))]
+    hp = dict(hp, C=as_preconditioner(hp["C"], n)) if "C" in hp else hp
+    theirs = [x0, hp["C"]] if "C" in hp else [x0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ob, "_STRIP", strip)
+        state, step = rule.start(x0)
+        vectors = sum(isinstance(v, np.ndarray) for v in state.values())
+        x, written = x0, []
+        for _ in range(8):
+            g = obj.gradient(x)
+            inputs, g_given = [x, g, *state.values()], g.copy()
+            want_x, want = rule.step(x, g, state, hp, obj.gradient)
+            x, state = step(x, g, state, hp, obj.gradient)
+            assert x.tobytes() == want_x.tobytes() and list(state) == list(want)
+            for got, v in zip([x, *state.values()], [want_x, *want.values()]):
+                if any(v is w for w in inputs):
+                    assert got is v
+                elif isinstance(v, np.ndarray):
+                    assert got.tobytes() == v.tobytes()
+                    assert not any(np.shares_memory(got, w)
+                                   for w in [g, *theirs])
+                    written.append(got)
+                else:
+                    assert got == v
+            assert g.tobytes() == g_given.tobytes()
+    assert x0.tobytes() == given[0].tobytes()
+    assert np.array(hp.get("C")).tobytes() == given[1].tobytes()
+    assert 0 < len({id(v) for v in written}) <= vectors + 1
+
+
+def test_the_strip_driver_steps_with_the_hp_of_each_call():
+    # the driver's step has step's signature: an hp that differs from one
+    # call to the next (a new C, a new tau) is cut per strip at each call
+    n, x = 130, np.linspace(-1.0, 1.5, 130)
+    obj, rule = ob.rosenbrock(n=n), RULES["pdd"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ob, "_STRIP", 64)
+        state, step = rule.start(x)
+        for k in range(4):
+            hp = dict(_PDD, tau=_PDD["tau"] / (k + 1),
+                      C=None if k == 2 else np.linspace(0.5, 1.5 + k, n))
+            g = obj.gradient(x)
+            want_x, want = rule.step(x, g, state, hp, obj.gradient)
+            x, state = step(x, g, state, hp, obj.gradient)
+            assert x.tobytes() == want_x.tobytes()
+            assert state["p"].tobytes() == want["p"].tobytes()
 
 
 @pytest.mark.parametrize("table", [RULES, toynet._RULES],
